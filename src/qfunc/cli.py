@@ -20,15 +20,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import QfuncError
-from .harness import SuiteConfig, asymptotic_decay_report, run_suite
-from .qcalc import QBase, lattice_decompose
+from .harness import SuiteConfig, _decay_rows, run_suite
+from .qcalc import QBase
 from .qexp import KindTag, lambda_laurent_table, lambda_product, qexp_eval
-from .qbessel import (
-    BesselSpec,
-    bessel_value,
-    type3_asymptotic_bracket,
-    type3_coeff,
-)
+from .qbessel import BesselSpec, bessel_value, type3_coeff
 
 __all__ = ["OutputRecord", "main"]
 
@@ -220,45 +215,15 @@ def cmd_asym(args) -> int:
         return 2
     n_range = list(range(args.n_start, args.n_stop - 1, -1))
     header = ["n", "exact_abs", "asym_abs", "rel_error"]
-    kind3 = head != "qexp" and j == 3
-    if kind3:
+    if head != "qexp" and j == 3:
         header += ["ratio", "phi_min", "phi_max"]
-    rows: List[List[str]] = []
-    if n_range:
-        base = QBase(args.q, tol=args.tol, max_terms=args.max_terms)
-        report = asymptotic_decay_report(selector, (args.q, args.nu, args.lam), n_range)
-        for n, rel in report:
-            u = args.q ** (n + args.lam)
-            pt = lattice_decompose(u, base)
-            if head == "qexp":
-                exact = qexp_eval(KindTag.from_j(j), u, base).value
-                from .qexp import qexp_asymptotic
-
-                leading = qexp_asymptotic(KindTag.from_j(j), pt, base).leading
-                row = [str(n), _fmt(abs(exact)), _fmt(abs(leading)), _fmt(rel)]
-            else:
-                spec = BesselSpec(KindTag.from_j(j), head, args.nu)
-                if j == 3:
-                    exact = bessel_value(spec, u / (1.0 - args.q**2), base).value
-                    est, br = type3_asymptotic_bracket(head, args.nu, pt, base)
-                    leading = est.leading
-                    ratio = abs(exact) / abs(leading)
-                    row = [
-                        str(n),
-                        _fmt(abs(exact)),
-                        _fmt(abs(leading)),
-                        _fmt(rel),
-                        _fmt(ratio),
-                        _fmt(br.phi_min),
-                        _fmt(br.phi_max),
-                    ]
-                else:
-                    from .qbessel import bessel_asymptotic, bessel_reference
-
-                    exact = bessel_reference(spec, u, base)
-                    leading = bessel_asymptotic(spec, pt, base).leading
-                    row = [str(n), _fmt(abs(exact)), _fmt(abs(leading)), _fmt(rel)]
-            rows.append(row)
+    base = QBase(args.q, tol=args.tol, max_terms=args.max_terms)
+    rows = [
+        [str(n)] + [_fmt(x) for x in (abs(exact), abs(leading), rel, *extra)]
+        for n, exact, leading, rel, extra in _decay_rows(
+            selector, (args.q, args.nu, args.lam), n_range, base
+        )
+    ]
     _emit_rows(header, rows, args.format, sys.stdout)
     return 0
 

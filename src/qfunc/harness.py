@@ -406,13 +406,12 @@ def _check_recursion(
     cfg: SuiteConfig, rng: random.Random, fault: float, j: int, c3_scale: float
 ) -> _Worst:
     w = _Worst()
-    scale = c3_scale if j == 3 else 1.0
     for q in cfg.q_grid:
         base = QBase(q)
         for nu in cfg.nu_grid:
             if (2.0 * nu) == round(2.0 * nu):
                 continue  # half-integer orders annihilate the denominator
-            for k, r in _recursion_residuals(j, nu, base, 8, scale):
+            for k, r in _recursion_residuals(j, nu, base, 8, c3_scale):
                 if fault != 1.0 and k % 2 == 0:
                     r = abs(r + (fault - 1.0))
                 w.feed(r, f"j={j}, q={q}, nu={nu}, k={k}")
@@ -514,31 +513,33 @@ def _check_type3_bracket(cfg: SuiteConfig, rng: random.Random, fault: float) -> 
     return w
 
 
-_CHECKS: List[Tuple[str, Callable[..., _Worst]]] = [
-    ("classical-limit", _check_classical_limit),
-    ("closed-form-type12", lambda c, r, f: _check_closed_form(c, r, f, (1, 2))),
-    ("closed-form-type3", lambda c, r, f: _check_closed_form(c, r, f, (3,))),
-    ("coeff-bound", _check_coeff_bound),
-    ("coeff-recursion-type1", lambda c, r, f, s=1.0: _check_recursion(c, r, f, 1, 1.0)),
-    ("coeff-recursion-type2", lambda c, r, f: _check_recursion(c, r, f, 2, 1.0)),
-    ("coeff-recursion-type3", lambda c, r, f: _check_recursion(c, r, f, 3, 1.0)),
-    ("decay-modified", lambda c, r, f: _check_decay(c, r, f, ("I:1", "K:1", "K:2"))),
-    ("decay-modified-i2", lambda c, r, f: _check_decay(c, r, f, ("I:2",))),
-    ("decay-oscillatory", lambda c, r, f: _check_decay(c, r, f, ("J:1", "Y:1", "J:2", "Y:2"))),
-    ("decay-qexp-type12", lambda c, r, f: _check_decay(c, r, f, ("qexp:1", "qexp:2"))),
-    ("decay-qexp-type3", lambda c, r, f: _check_decay(c, r, f, ("qexp:3",))),
-    ("diffeq-residual", _check_diffeq),
-    ("laurent-coeff-methods", _check_laurent_coeff_methods),
-    ("laurent-vs-product", _check_laurent_vs_product),
-    ("ordering-inequalities", _check_ordering),
-    ("qexp-functional", _check_qexp_functional),
-    ("repr-halfinteger", _check_repr_halfinteger),
-    ("repr-macdonald", _check_repr_macdonald),
-    ("rotation", _check_rotation),
-    ("type3-bracket", _check_type3_bracket),
-    ("type3-twosided", _check_type3_twosided),
-    ("wronskian-closed", _check_wronskian),
-]
+def _checks(c3_scale: float) -> List[Tuple[str, Callable[..., _Worst]]]:
+    """The registered checks; c3_scale feeds the type-3 recursion check."""
+    return [
+        ("classical-limit", _check_classical_limit),
+        ("closed-form-type12", lambda c, r, f: _check_closed_form(c, r, f, (1, 2))),
+        ("closed-form-type3", lambda c, r, f: _check_closed_form(c, r, f, (3,))),
+        ("coeff-bound", _check_coeff_bound),
+        ("coeff-recursion-type1", lambda c, r, f: _check_recursion(c, r, f, 1, 1.0)),
+        ("coeff-recursion-type2", lambda c, r, f: _check_recursion(c, r, f, 2, 1.0)),
+        ("coeff-recursion-type3", lambda c, r, f: _check_recursion(c, r, f, 3, c3_scale)),
+        ("decay-modified", lambda c, r, f: _check_decay(c, r, f, ("I:1", "K:1", "K:2"))),
+        ("decay-modified-i2", lambda c, r, f: _check_decay(c, r, f, ("I:2",))),
+        ("decay-oscillatory", lambda c, r, f: _check_decay(c, r, f, ("J:1", "Y:1", "J:2", "Y:2"))),
+        ("decay-qexp-type12", lambda c, r, f: _check_decay(c, r, f, ("qexp:1", "qexp:2"))),
+        ("decay-qexp-type3", lambda c, r, f: _check_decay(c, r, f, ("qexp:3",))),
+        ("diffeq-residual", _check_diffeq),
+        ("laurent-coeff-methods", _check_laurent_coeff_methods),
+        ("laurent-vs-product", _check_laurent_vs_product),
+        ("ordering-inequalities", _check_ordering),
+        ("qexp-functional", _check_qexp_functional),
+        ("repr-halfinteger", _check_repr_halfinteger),
+        ("repr-macdonald", _check_repr_macdonald),
+        ("rotation", _check_rotation),
+        ("type3-bracket", _check_type3_bracket),
+        ("type3-twosided", _check_type3_twosided),
+        ("wronskian-closed", _check_wronskian),
+    ]
 
 
 def run_suite(
@@ -557,13 +558,10 @@ def run_suite(
     if not config.q_grid or not config.nu_grid:
         return []
     results: List[CheckResult] = []
-    for check_id, fn in _CHECKS:
+    for check_id, fn in _checks(c3_scale):
         rng = random.Random((config.seed, check_id).__repr__())
         try:
-            if check_id == "coeff-recursion-type3":
-                w = _check_recursion(config, rng, fault, 3, c3_scale)
-            else:
-                w = fn(config, rng, fault)
+            w = fn(config, rng, fault)
             results.append(
                 CheckResult(
                     check_id=check_id,
@@ -597,17 +595,32 @@ def asymptotic_decay_report(
     Returns rows (n, relative_error); monotonicity is asserted by the
     caller, not here.
     """
+    rows = _decay_rows(selector, fixed, n_range, QBase(fixed[0]))
+    return [(n, rel) for n, _, _, rel, _ in rows]
+
+
+def _decay_rows(
+    selector: str,
+    fixed: Tuple[float, float, float],
+    n_range: Sequence[int],
+    base: QBase,
+) -> List[Tuple[int, complex, complex, float, Tuple[float, ...]]]:
+    """Rows (n, exact, leading, relative_error, extra) at the given base.
+
+    extra is (|exact|/|leading|, phi_min, phi_max) for the type-3 Bessel
+    selectors and () otherwise.
+    """
     ns = list(n_range)
     if any(a <= b for a, b in zip(ns, ns[1:])):
         raise ValueError("n_range must be strictly decreasing")
     head, _, tail = selector.partition(":")
     q, nu, lam = fixed
-    base = QBase(q)
     j = int(tail)
-    rows: List[Tuple[int, float]] = []
-    for n in n_range:
+    rows: List[Tuple[int, complex, complex, float, Tuple[float, ...]]] = []
+    for n in ns:
         u = q ** (n + lam)
         pt = lattice_decompose(u, base)
+        extra: Tuple[float, ...] = ()
         if head == "qexp":
             # The leading term approximates the q-exponential itself; the
             # reciprocal-argument factor it drops tends to 1 as n -> -inf.
@@ -618,12 +631,14 @@ def asymptotic_decay_report(
             spec = BesselSpec(KindTag.from_j(j), head, nu)
             if j == 3:
                 exact = bessel_value(spec, u / (1.0 - q * q), base).value
-                leading = type3_asymptotic_bracket(head, nu, pt, base)[0].leading
+                est, br = type3_asymptotic_bracket(head, nu, pt, base)
+                leading = est.leading
+                extra = (abs(exact) / abs(leading), br.phi_min, br.phi_max)
             else:
                 exact = bessel_reference(spec, u, base)
                 leading = bessel_asymptotic(spec, pt, base).leading
         else:
             raise ValueError(f"unknown selector {selector!r}")
         denom = abs(leading) if leading != 0 else abs(exact)
-        rows.append((n, abs(exact - leading) / denom if denom else 0.0))
+        rows.append((n, exact, leading, abs(exact - leading) / denom if denom else 0.0, extra))
     return rows

@@ -30,6 +30,7 @@ from .qcalc import (
     LatticePoint,
     QBase,
     SeriesValue,
+    _qseries,
     basic_hyper,
     qgamma,
     qpoch_infinite,
@@ -60,8 +61,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("J", "Y", "I", "K")
-
-_RHO_CAP = 0.99
 
 # Offsets for the integer-order limit of the Y and K combinations.
 _LIMIT_EPS = (1e-4, 1e-5)
@@ -175,30 +174,12 @@ def bessel_series(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
         if nu == 0:
             return SeriesValue(1.0, 0.0, 1)
         raise DomainError("negative-order series is singular at z = 0")
-    q2 = q * q
+    b2 = base.squared()
     sgn = -1.0 if spec.family == "J" else 1.0
-    pref = _cpow(z, nu) / qgamma(nu + 1.0, base.squared())
-    x = (1.0 - q2) ** 2 * z * z
-    s: complex = 0.0
-    t: complex = 1.0
-    prev = 0.0
-    p1 = 1.0  # (q^2;q^2)_n
-    p2 = 1.0  # (q^(2nu+2);q^2)_n
-    n = 0
-    while n < base.max_terms:
-        s += t
-        prev = abs(t)
-        ratio = sgn * q ** ((2 - d) * (2 * n + 1 + nu)) * x / (
-            (1.0 - q2 * q2**n) * (1.0 - q ** (2 * nu + 2) * q2**n)
-        )
-        t = t * ratio
-        n += 1
-        ta = abs(t)
-        if n >= 3 and ta < base.tol * abs(s) and prev > 0:
-            rho = ta / prev
-            if rho < _RHO_CAP:
-                return SeriesValue(pref * s, abs(pref) * ta * rho / (1.0 - rho), n)
-    raise NonConvergence(f"Bessel series did not converge within {base.max_terms} terms")
+    pref = _cpow(z, nu) / qgamma(nu + 1.0, b2)
+    x = sgn * (1.0 - q * q) ** 2 * z * z * q ** ((2 - d) * (1.0 + nu))
+    s, err, terms = _qseries((), (q ** (2 * nu + 2),), b2, x, 2 - d)
+    return SeriesValue(pref * s, abs(pref) * err, terms)
 
 
 def _combination_raw(
@@ -333,6 +314,7 @@ def bessel_laurent_coeff(
     d = kind.delta
     ap = q ** (nu + 0.5)
     am = q ** (-nu + 0.5)
+    w = (2 - d) / 2.0
     if sign == "minus":
         outer = 1.0
         f1, f2, f3 = am, ap, q * q
@@ -342,42 +324,13 @@ def bessel_laurent_coeff(
             f2 *= q
             f3 *= q * q
         outer *= q**l
-        g1, g2 = am * q**l, ap * q**l
-        s = 0.0
-        term = 1.0
-        k = 0
-        while k < base.max_terms:
-            s += term
-            ratio = (
-                (1.0 - g1 * q**k)
-                * (1.0 - g2 * q**k)
-                / ((1.0 - q ** (2 * l + 2) * q ** (2 * k)) * (1.0 - q ** (k + 1)))
-                * q ** ((2 - d) / 2.0 * k + 1)
-            )
-            term *= ratio
-            k += 1
-            if k > 3 and abs(term) < base.tol * abs(s):
-                return outer * s
-        raise NonConvergence("descending coefficient sum did not converge")
+        ql = q ** (l + 1)
+        return outer * _qseries((am * q**l, ap * q**l), (ql, -ql), base, q, w)[0]
     outer = q ** ((2 - d) / 4.0 * l * (l - 1))
     for i in range(l):
         outer /= 1.0 - q ** (i + 1)
-    s = 0.0
-    term = 1.0
-    k = 0
-    while k < base.max_terms:
-        s += term
-        ratio = (
-            (1.0 - am * q**k)
-            * (1.0 - ap * q**k)
-            / ((1.0 - q * q * q ** (2 * k)) * (1.0 - q ** (l + 1) * q**k))
-            * q ** ((2 - d) / 4.0 * (2 * k + 2 * l) + 1)
-        )
-        term *= ratio
-        k += 1
-        if k > 3 and abs(term) < base.tol * abs(s):
-            return outer * s
-    raise NonConvergence("ascending coefficient sum did not converge")
+    x = q ** ((2 - d) / 2.0 * l + 1)
+    return outer * _qseries((am, ap), (q ** (l + 1), -q), base, x, w)[0]
 
 
 def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:

@@ -4,11 +4,26 @@ Pochhammer symbols, the q-gamma function, basic hypergeometric series,
 the q-difference operator, and multiplicative-lattice decomposition of
 complex arguments.  Everything downstream is built on these.
 
-All series and products run in double precision with an explicit
-geometric tail model: once the term ratio rho (estimated from the last
-two computed terms) is below 0.99, the discarded tail is bounded by
-|last term| * rho / (1 - rho).  Infinite products bound the log-tail by
-sum |a q^k| <= |a q^K| / (1 - q).
+Every term-ratio series in the package is one call of `_qseries(upper,
+lower, base, z, weight)`, the sum of prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n]
+q^(weight n(n-1)/2) z^n (Gasper & Rahman, Basic Hypergeometric Series,
+ch. 1), with d = delta = 2, 0, 1 for types 1, 2, 3:
+
+  caller                      upper           lower              weight   z
+  basic_hyper (rPhis)         a_i             b_j                s-r+1    (-1)^(s-r+1) z
+  qexp_eval type 3            -               -                  1/2      u
+  bessel_series (base q^2)    -               q^(2nu+2)          2-d      -+(1-q^2)^2 z^2 q^((2-d)(1+nu))
+  lambda_laurent_coeff,       -               q^(l+1)            2-d      q^((2-d)(l+1)/2 + d/2)
+    _bessel_i_base_q
+  bessel_laurent_coeff minus  q^(-+nu+1/2+l)  q^(l+1), -q^(l+1)  (2-d)/2  q
+  bessel_laurent_coeff plus   q^(-+nu+1/2)    q^(l+1), -q        (2-d)/2  q^((2-d)l/2 + 1)
+
+The kernel stops at the first n >= 2 with |t_n| < tol |s| and term ratio
+rho = |t_n / t_(n-1)| < 0.99, returns s + t_n, and bounds the tail past
+t_n by |t_n| rho / (1 - rho).  That bound assumes the ratio has settled
+and carries no rounding term.  The two-sided sums (qexp._type1_tail,
+lambda_laurent_eval, bessel_type3_repr) keep their own loops.  Infinite
+products bound the log-tail by sum |a q^k| <= |a q^K| / (1 - q).
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 from .errors import DomainError, NonConvergence, ParameterPole, PoleError
 
@@ -141,6 +156,60 @@ def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
     return False
 
 
+def _qseries(
+    upper: Sequence[complex],
+    lower: Sequence[complex],
+    base: QBase,
+    z: complex,
+    weight: float,
+) -> Tuple[complex, float, int]:
+    """The one term-ratio summation loop of the package.
+
+    Sums t_n = prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] q^(weight n(n-1)/2) z^n
+    until n >= 2, |t_n| < tol |s| and rho = |t_n / t_(n-1)| < _RHO_CAP,
+    and returns (s + t_n, |t_n| rho / (1 - rho), terms summed): the tail
+    past t_n is bounded as geometric.  A plain tuple, so that callers
+    which rescale the sum build one SeriesValue, not two.
+    """
+    q = base.q
+    tol = base.tol
+    qw = q**weight
+    g = z  # z q^(weight n), a running product
+    s: complex = 0.0
+    t: complex = 1.0  # t_n
+    ta = 1.0
+    for n in range(base.max_terms):
+        s += t
+        # One power per term, not a running product that drifts by an ulp
+        # a term: the integer-order limit in bessel_combination divides
+        # differences of these sums by an order offset of 1e-5.
+        qn = q**n
+        num: complex = g
+        den: complex = 1.0 - qn * q
+        # The guards skip building an empty iterator on every term.
+        if upper:
+            for a in upper:
+                num *= 1.0 - a * qn
+        if lower:
+            for b in lower:
+                f = 1.0 - b * qn
+                if f == 0:
+                    raise ParameterPole(
+                        f"lower parameter {b} annihilates the denominator at n={n}"
+                    )
+                den *= f
+        prev = ta
+        t = t * num / den  # t_(n+1)
+        ta = abs(t)
+        if ta == 0:
+            return s, 0.0, n + 1
+        if ta < tol * abs(s) and n >= 1 and ta < _RHO_CAP * prev:
+            rho = ta / prev
+            return s + t, ta * rho / (1.0 - rho), n + 2
+        g *= qw
+    raise NonConvergence(f"q-series did not converge within {base.max_terms} terms")
+
+
 def basic_hyper(
     upper: Sequence[complex],
     lower: Sequence[complex],
@@ -153,7 +222,6 @@ def basic_hyper(
     ((-1)^n q^(n(n-1)/2))^(s-r+1) z^n.  For the balanced non-terminating
     case (s - r + 1 == 0) the series requires |z| < 1.
     """
-    q = base.q
     w = len(lower) - len(upper) + 1
     if z == 0:
         return SeriesValue(1.0, 0.0, 1)
@@ -161,37 +229,7 @@ def basic_hyper(
         raise NonConvergence(
             f"balanced non-terminating series requires |z| < 1, got |z|={abs(z)}"
         )
-    s: complex = 0.0
-    t: complex = 1.0
-    prev_abs = 0.0
-    n = 0
-    while n < base.max_terms:
-        s += t
-        # Ratio t_{n+1} / t_n.
-        num: complex = 1.0
-        for a in upper:
-            num *= 1.0 - a * q**n
-        den: complex = 1.0 - q ** (n + 1)
-        for b in lower:
-            f = 1.0 - b * q**n
-            if f == 0:
-                raise ParameterPole(
-                    f"lower parameter {b} annihilates the denominator at n={n}"
-                )
-            den *= f
-        prev_abs = abs(t)
-        t = t * num / den * z * ((-1.0) * q**n) ** w
-        n += 1
-        if t == 0:
-            return SeriesValue(s, 0.0, n)
-        ta = abs(t)
-        if n >= 2 and ta < base.tol * abs(s) and prev_abs > 0:
-            rho = ta / prev_abs
-            if rho < _RHO_CAP:
-                return SeriesValue(s, ta * rho / (1.0 - rho), n)
-    raise NonConvergence(
-        f"hypergeometric series did not converge within {base.max_terms} terms"
-    )
+    return SeriesValue(*_qseries(upper, lower, base, z * (-1.0) ** w, w))
 
 
 def qdiff_apply(f: Callable[[complex], complex], z: complex, base: QBase) -> complex:

@@ -21,9 +21,11 @@ from typing import Dict, List, Sequence
 
 from .errors import DomainError, NonConvergence, PoleError
 from .qcalc import (
+    _RHO_CAP,
     LatticePoint,
     QBase,
     SeriesValue,
+    _qseries,
     lattice_decompose,
     qgamma,
     qpoch_finite,
@@ -46,8 +48,6 @@ __all__ = [
 ]
 
 _VALID_PAIRS = {(1, 2), (2, 0), (3, 1)}
-
-_RHO_CAP = 0.99
 
 # Unit roundoff of a double.
 _EPS = 2.0**-53
@@ -128,24 +128,7 @@ def qexp_eval(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
     if kind.j == 2:
         return qpoch_infinite(-u, base)
     # Type 3 series: sum q^(n(n-1)/4) u^n / (q;q)_n.
-    if u == 0:
-        return SeriesValue(1.0, 0.0, 1)
-    s: complex = 0.0
-    t: complex = 1.0
-    prev = 0.0
-    n = 0
-    rq = math.sqrt(q)
-    while n < base.max_terms:
-        s += t
-        prev = abs(t)
-        t = t * rq**n * u / (1.0 - q ** (n + 1))
-        n += 1
-        ta = abs(t)
-        if n >= 2 and ta < base.tol * abs(s) and prev > 0:
-            rho = ta / prev
-            if rho < _RHO_CAP:
-                return SeriesValue(s, ta * rho / (1.0 - rho), n)
-    raise NonConvergence(f"type-3 series did not converge within {base.max_terms} terms")
+    return SeriesValue(*_qseries((), (), base, u, 0.5))
 
 
 def classical_limit_check(
@@ -181,20 +164,9 @@ def _bessel_i_base_q(kind: KindTag, l: int, base: QBase) -> float:
     q = base.q
     d = kind.delta
     y = q ** (d / 4.0) / (1.0 - q)
-    pref = y**l / qgamma(l + 1, base)
-    s = 0.0
-    p1 = 1.0
-    p2 = 1.0
-    n = 0
-    while n < base.max_terms:
-        t = q ** ((2 - d) / 2.0 * n * (n + l)) * (1.0 - q) ** (2 * n) * y ** (2 * n) / (p1 * p2)
-        s += t
-        if n > 3 and t < base.tol * s:
-            return pref * s
-        p1 *= 1.0 - q ** (n + 1)
-        p2 *= 1.0 - q ** (l + 1 + n)
-        n += 1
-    raise NonConvergence("modified Bessel series for expansion coefficient did not converge")
+    x = (1.0 - q) ** 2 * y * y * q ** ((2 - d) * (l + 1) / 2.0)
+    s = _qseries((), (q ** (l + 1),), base, x, 2 - d)[0]
+    return y**l / qgamma(l + 1, base) * s
 
 
 def lambda_laurent_coeff(
@@ -216,19 +188,8 @@ def lambda_laurent_coeff(
     if method != "sum":
         raise ValueError(f"unknown method {method!r}")
     outer = q ** ((2 - d) / 4.0 * l * (l - 1)) / qpoch_finite(q, base, l).real
-    s = 0.0
-    p1 = 1.0  # (q;q)_k
-    p2 = 1.0  # (q^(l+1);q)_k
-    k = 0
-    while k < base.max_terms:
-        t = q ** ((2 - d) / 2.0 * k * (k + l) + d / 2.0 * k) / (p1 * p2)
-        s += t
-        if k > 3 and t < base.tol * s:
-            return outer * s
-        p1 *= 1.0 - q ** (k + 1)
-        p2 *= 1.0 - q ** (l + 1 + k)
-        k += 1
-    raise NonConvergence("inner coefficient sum did not converge")
+    x = q ** ((2 - d) * (l + 1) / 2.0 + d / 2.0)
+    return outer * _qseries((), (q ** (l + 1),), base, x, 2 - d)[0]
 
 
 def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTable:

@@ -6,6 +6,10 @@ import pytest
 
 import reference_values as ref
 from qfunc.cli import main
+from qfunc.harness import asymptotic_decay_report
+from qfunc.qbessel import BesselSpec, bessel_asymptotic, bessel_reference
+from qfunc.qcalc import QBase, lattice_decompose
+from qfunc.qexp import KindTag
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +181,23 @@ class TestAsym:
         header, rows = parse_csv(out)
         assert header[-3:] == ["ratio", "phi_min", "phi_max"]
         assert float(rows[0][5]) <= float(rows[0][6])
+
+    def test_rel_error_follows_tol(self, capsys):
+        # Every column, rel_error included, comes from the command's base.
+        argv = ["asym", "--selector", "I:2", "--q", "0.5", "--n-start", "-2", "--n-stop", "-2"]
+        _, out, _ = run_cli(capsys, *argv)
+        assert float(parse_csv(out)[1][0][3]) == asymptotic_decay_report(
+            "I:2", (0.5, 0.25, 0.3), [-2]
+        )[0][1]
+        _, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
+        base = QBase(0.5, tol=1e-3)
+        spec = BesselSpec(KindTag.from_j(2), "I", 0.25)
+        u = 0.5 ** (-2 + 0.3)
+        exact = bessel_reference(spec, u, base)
+        leading = bessel_asymptotic(spec, lattice_decompose(u, base), base).leading
+        row = parse_csv(out)[1][0]
+        assert float(row[1]) == abs(exact)
+        assert float(row[3]) == abs(exact - leading) / abs(leading)
 
     def test_empty_range_emits_header_only(self, capsys):
         code, out, _ = run_cli(

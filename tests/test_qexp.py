@@ -84,6 +84,31 @@ class TestEval:
             assert d[0] > d[1] > d[2]
 
 
+def _exp3_oracle(q, u):
+    """e3(u) = sum q^(n(n-1)/4) u^n / (q;q)_n in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q, u = mpmath.mpf(q), mpmath.mpc(u)
+        s, t, n = mpmath.mpf(0), mpmath.mpf(1), 0
+        while abs(t) > mpmath.mpf(10) ** -45 * max(abs(s), 1) or n < 5:
+            s += t
+            t *= q ** (mpmath.mpf(n) / 2) * u / (1 - q ** (n + 1))
+            n += 1
+        return complex(s)
+
+
+class TestTailBound:
+    # At tol = 1e-6 truncation dominates the error, so this tests the tail
+    # bound.  At tol = 1e-12 rounding can dominate, and err_estimate carries
+    # no rounding term yet, so the same comparison can still under-report.
+    @pytest.mark.parametrize("q", [0.2, 0.35, 0.5, 0.65, 0.8])
+    def test_type3_estimate_bounds_oracle_error(self, q):
+        base = QBase(q, tol=1e-6)
+        for u in (0.05, 0.3, 1.0, 2.0, -1.5, 0.5 + 0.5j, 5.0):
+            got = qexp_eval(K3, u, base)
+            assert got.err_estimate >= abs(got.value - _exp3_oracle(q, u)), (q, u)
+
+
 class TestLaurent:
     @pytest.mark.parametrize(
         "kind,expected",
