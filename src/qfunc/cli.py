@@ -4,7 +4,7 @@ coefficient dumps, and verification-suite runs.
 Output is deterministic: CSV (RFC 4180, header row, shortest round-trip
 decimals) or JSON lines, with no timestamps unless --stamp is given.
 Exit codes: 0 success, 1 failed verification checks, 2 usage/config
-errors, 64 if any evaluation row failed.
+errors, 64 if any evaluation row failed or a command raised a QfuncError.
 """
 
 from __future__ import annotations
@@ -371,6 +371,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except QfuncError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 64
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ class QfuncError(Exception):
 
 
 class DomainError(QfuncError):
-    """Argument outside the mathematical domain of the operation."""
+    """Argument outside the mathematical domain of the operation, or a
+    value there that a double cannot hold."""
 
 
 class NonConvergence(QfuncError):

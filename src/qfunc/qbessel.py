@@ -14,9 +14,10 @@ at the API boundary and nowhere else.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -96,7 +97,7 @@ class PhiBracket:
 
     phi_min: float
     phi_max: float
-    samples: List[Tuple[str, float, float]]
+    samples: Tuple[Tuple[str, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,12 @@ def bessel_combination(
 
 
 def bessel_value(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
-    """Dispatch to the series (J, I) or combination (Y, K) path."""
+    """Dispatch to the series (J, I) or combination (Y, K) path.
+
+    A non-finite z raises DomainError.
+    """
+    if not cmath.isfinite(z):
+        raise DomainError(f"q^2-Bessel functions need a finite argument, got z={z}")
     if spec.family in ("J", "I"):
         return bessel_series(spec, z, base)
     return bessel_combination(spec.family, spec.kind, spec.nu, z, base)
@@ -351,15 +357,22 @@ def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
     return CoeffPair(l=l, sign=sign, c1=c1, c2=c2, c3=math.sqrt(prod))
 
 
-def _type3_tables(nu: float, window: int, base: QBase) -> Tuple[List[float], List[float]]:
-    """Geometric-mean coefficient tables (descending l=1..L, ascending l=0..L)."""
-    cm = [type3_coeff(l, "minus", nu, base).c3 for l in range(1, window + 1)]
-    cp = [type3_coeff(l, "plus", nu, base).c3 for l in range(window + 1)]
+@functools.lru_cache(maxsize=32)
+def _type3_tables(
+    nu: float, window: int, base: QBase
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Geometric-mean coefficient tables (descending l=1..L, ascending l=0..L).
+
+    Memoized per (nu, window, base), at most 32 entries process-wide; the
+    tables are tuples because every caller shares the cached object.
+    """
+    cm = tuple(type3_coeff(l, "minus", nu, base).c3 for l in range(1, window + 1))
+    cp = tuple(type3_coeff(l, "plus", nu, base).c3 for l in range(window + 1))
     return cm, cp
 
 
 def _two_sided_i3(
-    nu: float, w: complex, cm: List[float], cp: List[float], base: QBase
+    nu: float, w: complex, cm: Sequence[float], cp: Sequence[float], base: QBase
 ) -> complex:
     """Two-sided series of the type-3 I family at complex argument w."""
     an = a_nu(nu, base)
@@ -593,7 +606,9 @@ def type3_asymptotic_bracket(
     The mean-value factor is only located inside a parameter rectangle,
     so the estimate comes with a [phi_min, phi_max] bracket obtained by
     grid sampling; membership of the exact-to-leading ratio in that
-    bracket is the testable claim.
+    bracket is the testable claim.  The bracket depends on (nu, q) only:
+    it comes from the bounded, process-wide memo of _phi_bracket, so the
+    points of one table share it, bit-identical to an uncached bracket.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
@@ -636,8 +651,17 @@ def type3_asymptotic_bracket(
     return est, _phi_bracket(nu, base)
 
 
+@functools.lru_cache(maxsize=32)
 def _phi_bracket(nu: float, base: QBase, grid: int = 64, h: float = 1e-6) -> PhiBracket:
-    """Sample phi1 over alpha and phi2 over beta and bracket their product."""
+    """Sample phi1 over alpha and phi2 over beta and bracket their product.
+
+    The bracket depends on (nu, q) only, not on the lattice point, so it
+    is memoized per (nu, base) in a process-wide cache of at most 32
+    entries and every point of one table shares one computation of its
+    128 basic_hyper sums.  A hit returns the object an uncached call
+    built, so results are bit-identical; NegativeProduct is raised again
+    on every call, as errors are not cached.
+    """
     q = base.q
     upper = [q ** (nu + 0.5), q ** (-nu + 0.5)]
     # phi1's series needs alpha*q < 1; cap the sampled range so the series
@@ -666,5 +690,5 @@ def _phi_bracket(nu: float, base: QBase, grid: int = 64, h: float = 1e-6) -> Phi
         p2.append(v)
         samples.append(("beta", beta, v))
     return PhiBracket(
-        phi_min=min(p1) * min(p2), phi_max=max(p1) * max(p2), samples=samples
+        phi_min=min(p1) * min(p2), phi_max=max(p1) * max(p2), samples=tuple(samples)
     )

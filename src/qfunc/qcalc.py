@@ -29,6 +29,7 @@ products bound the log-tail by sum |a q^k| <= |a q^K| / (1 - q).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -133,8 +134,14 @@ def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def qgamma(alpha: float, base: QBase) -> float:
-    """The q-gamma function (q;q)_inf / (q^alpha;q)_inf * (1-q)^(1-alpha)."""
+    """The q-gamma function (q;q)_inf / (q^alpha;q)_inf * (1-q)^(1-alpha).
+
+    Memoized per (alpha, base) in a process-wide cache bounded to 256
+    entries; a hit returns the float an uncached call computes, bit for
+    bit.  A pole raises PoleError on every call, as errors are not cached.
+    """
     if alpha <= 0 and float(alpha).is_integer():
         raise PoleError(f"q-gamma has a pole at nonpositive integer alpha={alpha}")
     q = base.q

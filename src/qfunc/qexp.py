@@ -112,9 +112,13 @@ def qexp_eval(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
 
     Type 1 uses the reciprocal infinite product (valid for every non-pole
     u); type 2 the entire product; type 3 its everywhere-convergent series.
+    A non-finite u, or a value or error bound that overflows a double,
+    raises DomainError.
     """
     q = base.q
     u = complex(u)
+    if not cmath.isfinite(u):
+        raise DomainError(f"q-exponential needs a finite argument, got u={u}")
     if kind.j == 1:
         m = _nearest_pole_index(u, q)
         pole = q ** (-m)
@@ -124,11 +128,15 @@ def qexp_eval(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
         if prod.value == 0:
             raise PoleError(f"u={u} lies on a pole of the reciprocal product")
         v = 1.0 / prod.value
-        return SeriesValue(v, abs(v) * prod.err_estimate / abs(prod.value), prod.terms_used)
-    if kind.j == 2:
-        return qpoch_infinite(-u, base)
-    # Type 3 series: sum q^(n(n-1)/4) u^n / (q;q)_n.
-    return SeriesValue(*_qseries((), (), base, u, 0.5))
+        sv = SeriesValue(v, abs(v) * prod.err_estimate / abs(prod.value), prod.terms_used)
+    elif kind.j == 2:
+        sv = qpoch_infinite(-u, base)
+    else:
+        # Type 3 series: sum q^(n(n-1)/4) u^n / (q;q)_n.
+        sv = SeriesValue(*_qseries((), (), base, u, 0.5))
+    if not (cmath.isfinite(sv.value) and math.isfinite(sv.err_estimate)):
+        raise DomainError(f"type-{kind.j} q-exponential overflows a double at u={u}")
+    return sv
 
 
 def classical_limit_check(

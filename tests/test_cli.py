@@ -135,6 +135,29 @@ class TestEval:
         _, rows = parse_csv(out)
         assert float(rows[0][7]) == pytest.approx(ref.LAMBDA2_AT_2_Q05, rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "fn,kind,u",
+        [
+            ("qexp", "1", "inf"),
+            ("qexp", "1", "nan"),
+            ("qexp", "2", "inf,1"),
+            ("qexp", "3", "1,nan"),
+            ("besselJ", "2", "inf"),
+            ("besselK", "3", "nan"),
+            ("lambda", "1", "nan"),
+            ("qexp", "1", "1e300"),
+            ("qexp", "2", "1e300"),
+            ("lambda", "2", "1e300"),
+        ],
+    )
+    def test_non_finite_input_or_value_is_an_error_row(self, capsys, fn, kind, u):
+        code, out, _ = run_cli(
+            capsys, "eval", "--fn", fn, "--kind", kind, "--q", "0.5", "--u", u
+        )
+        assert code == 64
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["error"].startswith("DomainError: ")
+
     def test_no_points_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--fn", "qexp", "--q", "0.5")
         assert code == 2
@@ -219,6 +242,14 @@ class TestAsym:
     def test_bad_selector(self, capsys):
         code, _, err = run_cli(capsys, "asym", "--selector", "Q:9", "--q", "0.5")
         assert code == 2 and "selector" in err
+
+    @pytest.mark.parametrize("selector,nu", [("I:3", "2.5"), ("K:3", "1.2")])
+    def test_library_error_exits_64(self, capsys, selector, nu):
+        code, out, err = run_cli(
+            capsys, "asym", "--selector", selector, "--q", "0.5", "--nu", nu
+        )
+        assert code == 64 and out == ""
+        assert err.startswith("error: NegativeProduct: ") and err.count("\n") == 1
 
 
 class TestLaurent:

@@ -1,6 +1,8 @@
 import pytest
 
-from qfunc.harness import CheckResult, SuiteConfig, asymptotic_decay_report, run_suite
+from qfunc import qbessel
+from qfunc.harness import CheckResult, SuiteConfig, _decay_rows, asymptotic_decay_report, run_suite
+from qfunc.qcalc import QBase
 
 SMALL = SuiteConfig(q_grid=(0.5,), nu_grid=(0.25,), lattice_points=((-3, 0.3),))
 
@@ -124,3 +126,17 @@ class TestDecayReport:
         rows = asymptotic_decay_report("K:1", (0.25, 0.25, 0.3), range(-2, -9, -1))
         errs = [e for _, e in rows[2:]]
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    def test_type3_table_builds_its_bracket_once(self, monkeypatch):
+        built = []
+        real = qbessel.PhiBracket
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(qbessel, "PhiBracket", counting)
+        qbessel._phi_bracket.cache_clear()
+        rows = _decay_rows("I:3", (0.5, 0.25, 0.3), range(-2, -9, -1), QBase(0.5))
+        assert len(rows) == 7
+        assert len(built) == 1

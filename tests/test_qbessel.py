@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
-from qfunc.errors import DomainError, NonConvergence, ParameterPole
-from qfunc.qcalc import QBase, lattice_decompose
+from qfunc import qbessel
+from qfunc.errors import DomainError, NegativeProduct, NonConvergence, ParameterPole
+from qfunc.qcalc import QBase, lattice_decompose, qgamma
 from qfunc.qexp import KindTag
 from qfunc.qbessel import (
     BesselSpec,
@@ -311,3 +312,44 @@ class TestAsymptotics:
         _, bracket = type3_asymptotic_bracket("I", 0.5, pt, BASE)
         assert bracket.phi_min == pytest.approx(1.0, abs=1e-9)
         assert bracket.phi_max == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNonFiniteArgument:
+    @pytest.mark.parametrize("family", ["J", "Y", "I", "K"])
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_domain_error(self, family, z):
+        for kind in (K1, K2, K3):
+            with pytest.raises(DomainError):
+                bessel_value(BesselSpec(kind, family, 0.25), z, BASE)
+
+
+class TestMemos:
+    """qgamma, _phi_bracket and _type3_tables are memoized per (q, nu)."""
+
+    @pytest.mark.parametrize(
+        "alpha,q", [(0.25, 0.0625), (0.75, 0.25), (1.25, 0.64), (2.0, 0.5), (-1.5, 0.8)]
+    )
+    def test_qgamma_equals_uncached(self, alpha, q):
+        base = QBase(q)
+        assert qgamma(alpha, base) == qgamma.__wrapped__(alpha, base)
+
+    @pytest.mark.parametrize("nu,q", [(0.25, 0.5), (0.5, 0.25), (1.5, 0.8)])
+    def test_phi_bracket_equals_uncached(self, nu, q):
+        base = QBase(q)
+        cached = qbessel._phi_bracket(nu, base)
+        assert cached == qbessel._phi_bracket.__wrapped__(nu, base)
+        assert isinstance(cached.samples, tuple)
+        assert all(isinstance(s, tuple) for s in cached.samples)
+
+    @pytest.mark.parametrize("nu,window,q", [(0.25, 5, 0.5), (0.75, 8, 0.25)])
+    def test_type3_tables_equal_uncached(self, nu, window, q):
+        base = QBase(q)
+        tables = qbessel._type3_tables(nu, window, base)
+        assert tables == qbessel._type3_tables.__wrapped__(nu, window, base)
+        assert isinstance(tables, tuple) and all(isinstance(t, tuple) for t in tables)
+
+    def test_negative_product_is_raised_on_every_call(self):
+        base = QBase(0.5)
+        for _ in range(2):
+            with pytest.raises(NegativeProduct):
+                qbessel._phi_bracket(2.5, base)

@@ -97,6 +97,19 @@ def _exp3_oracle(q, u):
         return complex(s)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("kind", [K1, K2, K3])
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, complex(0.5, math.inf)])
+    def test_non_finite_argument(self, kind, u):
+        with pytest.raises(DomainError):
+            qexp_eval(kind, u, BASE)
+
+    @pytest.mark.parametrize("kind", [K1, K2])
+    def test_overflowing_value(self, kind):
+        with pytest.raises(DomainError):
+            qexp_eval(kind, 1e300, BASE)
+
+
 class TestTailBound:
     # At tol = 1e-6 truncation dominates the error, so this tests the tail
     # bound.  At tol = 1e-12 rounding can dominate, and err_estimate carries
