@@ -39,7 +39,6 @@ from .qbessel import (
     BesselSpec,
     CoeffPair,
     PhiBracket,
-    QFactors,
     a_nu,
     bessel_asymptotic,
     bessel_combination,
@@ -51,7 +50,6 @@ from .qbessel import (
     bessel_type3_repr,
     bessel_value,
     phi_nu,
-    q_factors,
     type3_asymptotic_bracket,
     type3_coeff,
     wronskian,

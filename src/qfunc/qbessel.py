@@ -1,10 +1,15 @@
 """q^2-Bessel functions of types 1-3: J, Y, I and K families.
 
 Series definitions, the Y/K combinations with their integer-order limit
-procedure, second-solution representations through the terminating-type
-hypergeometric factor Phi, two-sided expansion coefficients, the type-3
-geometric-mean construction, difference equations, Wronskians, and the
-large-argument leading terms.
+procedure, two-sided expansion coefficients, the type-3 geometric-mean
+construction, difference equations and Wronskians.
+
+Every second-solution representation and every large-argument leading
+term is one family map, `_family`: the J/Y/I/K combination of a factor
+f(w) taken at w = +-u (I), -u (K) or +-iu (J, Y).  The callers differ only
+in f: e(w) Phi(w) for `bessel_phi_repr`, the two-sided type-3 series for
+`bessel_type3_repr`, and the lattice leading term of e(w) with Phi
+replaced by 1 for `bessel_asymptotic` and `type3_asymptotic_bracket`.
 
 Argument convention: public entry points taking z mean F(2(1-q^2)z; q^2);
 representation-based operations take u = (1-q^2)z.  The conversion lives
@@ -16,8 +21,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Tuple
 
 from .errors import (
     DomainError,
@@ -36,13 +41,12 @@ from .qcalc import (
     qgamma,
     qpoch_infinite,
 )
-from .qexp import AsymptoticEstimate, KindTag, qexp_eval
+from .qexp import AsymptoticEstimate, KindTag, lambda_product, qexp_asymptotic, qexp_eval
 
 __all__ = [
     "BesselSpec",
     "CoeffPair",
     "PhiBracket",
-    "QFactors",
     "a_nu",
     "phi_nu",
     "bessel_series",
@@ -56,7 +60,6 @@ __all__ = [
     "bessel_diffeq_residual",
     "wronskian",
     "wronskian_closed",
-    "q_factors",
     "bessel_asymptotic",
     "type3_asymptotic_bracket",
 ]
@@ -98,16 +101,6 @@ class PhiBracket:
     phi_min: float
     phi_max: float
     samples: Tuple[Tuple[str, float, float], ...]
-
-
-@dataclass(frozen=True)
-class QFactors:
-    """The four exponential-product ratios entering the leading terms."""
-
-    plus: complex
-    minus: complex
-    plus_i: complex
-    minus_i: complex
 
 
 def _cpow(z: complex, s: float) -> complex:
@@ -249,15 +242,62 @@ def bessel_value(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
     return bessel_combination(spec.family, spec.kind, spec.nu, z, base)
 
 
-def _e(kind: KindTag, w: complex, base: QBase) -> complex:
-    return qexp_eval(kind, w, base).value
+def _family(
+    family: str,
+    nu: float,
+    u: complex,
+    f: Callable[[complex], Tuple[complex, float, int]],
+    base: QBase,
+) -> SeriesValue:
+    """The family map: sum_w c_w f(w), bounded by sum_w |c_w| err(f(w)).
+
+    f(w) returns (value, error bound, terms used).  Each c_w is a common
+    prefactor times a unit-modulus factor.  With r = sqrt(2u),
+    k = q^(-nu^2+1/2) (1-q^2) / (2 a_nu r) and alpha = (2nu+1) pi/4:
+
+      I: a_nu/r at w = u, and (a_nu/r) i e^(i nu pi) at w = -u;
+      K: k at w = -u;
+      J: (a_nu/r) e^(-+i alpha) at w = +-iu;
+      Y: -+i (k/pi) e^(-+i alpha) at w = +-iu.
+
+    For u > 0, real a_nu and an f with real Taylor coefficients, the two
+    +-iu terms are conjugate and J and Y are real.
+    """
+    q = base.q
+    an = a_nu(nu, base)
+    r = cmath.sqrt(2.0 * u)
+    if family == "I":
+        pref = an / r
+        points = ((u, 1.0), (-u, 1j * cmath.exp(1j * nu * math.pi)))
+    elif family == "K":
+        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * an * r)
+        points = ((-u, 1.0),)
+    else:
+        alpha = math.pi / 4.0 + nu * math.pi / 2.0
+        minus, plus = cmath.exp(-1j * alpha), cmath.exp(1j * alpha)
+        if family == "J":
+            pref = an / r
+            points = ((1j * u, minus), (-1j * u, plus))
+        else:
+            pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * math.pi * an * r)
+            points = ((1j * u, -1j * minus), (-1j * u, 1j * plus))
+    s: complex = 0.0
+    err = 0.0
+    terms = 0
+    for w, rot in points:
+        fv, fe, ft = f(w)
+        s += rot * fv
+        err += fe
+        terms += ft
+    return SeriesValue(pref * s, abs(pref) * err, terms)
 
 
 def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
     """Second-solution representation at u = (1-q^2)z, types 1 and 2 only.
 
-    Exact only at half-integer orders.  At other orders sqrt(u) I_nu and
-    sqrt(u) K_nu carry u^(+-nu+1/2) and are not single-valued around 0,
+    The family map of f(w) = e(w) Phi_nu(w), with Phi's bound as the bound
+    of f.  Exact only at half-integer orders.  At other orders sqrt(u) I_nu
+    and sqrt(u) K_nu carry u^(+-nu+1/2) and are not single-valued around 0,
     while this representation is single-valued on its annulus, so every
     family carries a connection error that oscillates in u.  At nu = 1/4
     it reaches about 6e-5 for K at q = 0.25 and 4e-9 at q = 0.5, and 7e-2
@@ -265,41 +305,13 @@ def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
     """
     if spec.kind.j not in (1, 2):
         raise ValueError("phi representation exists for types 1 and 2 only")
-    q = base.q
-    nu = spec.nu
-    kind = spec.kind
-    an = a_nu(nu, base)
-    root = cmath.sqrt(2.0 * u)
-    if spec.family == "I":
-        p = phi_nu(nu, u, base)
-        m = phi_nu(nu, -u, base)
-        val = an / root * (
-            _e(kind, u, base) * p.value
-            + 1j * cmath.exp(1j * nu * math.pi) * _e(kind, -u, base) * m.value
-        )
-        err = abs(an / root) * (p.err_estimate + m.err_estimate)
-        return SeriesValue(val, err, p.terms_used + m.terms_used)
-    if spec.family == "K":
-        m = phi_nu(nu, -u, base)
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * an * root)
-        val = pref * _e(kind, -u, base) * m.value
-        return SeriesValue(val, abs(pref) * m.err_estimate, m.terms_used)
-    # J and Y combine the rotated arguments +-iu in conjugate-symmetric form.
-    pp = phi_nu(nu, 1j * u, base)
-    mm = phi_nu(nu, -1j * u, base)
-    pval = _e(kind, 1j * u, base) * pp.value
-    mval = _e(kind, -1j * u, base) * mm.value
-    alpha = math.pi / 4.0 + nu * math.pi / 2.0
-    if spec.family == "J":
-        pref = an / root
-        val = pref * (cmath.exp(-1j * alpha) * pval + cmath.exp(1j * alpha) * mval)
-    else:
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * math.pi * an * root)
-        val = pref * (
-            -1j * cmath.exp(-1j * alpha) * pval + 1j * cmath.exp(1j * alpha) * mval
-        )
-    err = abs(pref) * (pp.err_estimate + mm.err_estimate)
-    return SeriesValue(val, err, pp.terms_used + mm.terms_used)
+
+    def f(w: complex) -> Tuple[complex, float, int]:
+        phi = phi_nu(spec.nu, w, base)
+        e = qexp_eval(spec.kind, w, base).value
+        return e * phi.value, phi.err_estimate, phi.terms_used
+
+    return _family(spec.family, spec.nu, u, f, base)
 
 
 def bessel_laurent_coeff(
@@ -371,70 +383,39 @@ def _type3_tables(
     return cm, cp
 
 
-def _two_sided_i3(
-    nu: float, w: complex, cm: Sequence[float], cp: Sequence[float], base: QBase
-) -> complex:
-    """Two-sided series of the type-3 I family at complex argument w."""
-    an = a_nu(nu, base)
-    rot = 1j * cmath.exp(1j * nu * math.pi)
-    s: complex = 0.0
-    for idx, c in enumerate(cm):
-        l = idx + 1
-        s += (1.0 + rot * (-1.0) ** l) * c * _cpow(w, -float(l))
-    for l, c in enumerate(cp):
-        s += (1.0 + rot * (-1.0) ** l) * c * _cpow(w, float(l))
-    return an / cmath.sqrt(2.0 * w) * s
-
-
 def bessel_type3_repr(
     family: str, nu: float, u: complex, window: int, base: QBase
 ) -> SeriesValue:
     """Two-sided type-3 series at u = (1-q^2)z; requires |u| > q.
 
-    The window doubles (up to three times) until the outermost ascending
-    band contributes below tolerance.  J and Y are obtained by rotating
-    the I-family series to +-iu and combining.
+    The family map of f(w) = sum_l c_l w^l over the geometric-mean tables,
+    with the outermost bands as the bound of f.  The window doubles (up to
+    three times) until those bands contribute below tolerance.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    q = base.q
-    if abs(u) <= q:
-        raise DomainError(f"two-sided series requires |u| > q, got |u|={abs(u)}")
+    au = abs(u)
+    if au <= base.q:
+        raise DomainError(f"two-sided series requires |u| > q, got |u|={au}")
     if family == "Y" and float(nu).is_integer():
         raise DomainError("integer-order Y has no direct two-sided form here")
     L = max(2, window)
     for _ in range(4):
         cm, cp = _type3_tables(nu, L, base)
-        band = abs(cp[L] * _cpow(u, float(L))) + abs(cm[L - 1] * _cpow(u, -float(L)))
-        core = abs(cp[0]) + abs(u) * abs(cp[1] if len(cp) > 1 else 0.0)
+        band = abs(cp[L]) * au**L + abs(cm[L - 1]) * au**-L
+        core = abs(cp[0]) + au * abs(cp[1])
         if band <= base.tol * max(core, 1e-300):
             break
         L *= 2
     else:
         raise NonConvergence(f"two-sided series still truncating at window {L}")
-    terms = 2 * L + 1
-    if family == "I":
-        val = _two_sided_i3(nu, u, cm, cp, base)
-        return SeriesValue(val, band, terms)
-    if family == "K":
-        an = a_nu(nu, base)
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * an * cmath.sqrt(2.0 * u))
-        s: complex = 0.0
-        for idx, c in enumerate(cm):
-            l = idx + 1
-            s += (-1.0) ** l * c * _cpow(u, -float(l))
-        for l, c in enumerate(cp):
-            s += (-1.0) ** l * c * _cpow(u, float(l))
-        return SeriesValue(pref * s, abs(pref) * band, terms)
-    # Rotation to the oscillatory families.
-    jp = cmath.exp(-1j * nu * math.pi / 2.0) * _two_sided_i3(nu, 1j * u, cm, cp, base)
-    if family == "J":
-        return SeriesValue(jp, band, terms)
-    jm = cmath.exp(1j * nu * math.pi / 2.0) * _two_sided_i3(-nu, 1j * u, cm, cp, base)
-    b2 = base.squared()
-    pref = q ** (-nu * nu + nu) / math.pi * qgamma(nu, b2) * qgamma(1.0 - nu, b2)
-    val = pref * (math.cos(nu * math.pi) * jp - jm)
-    return SeriesValue(val, abs(pref) * 2.0 * band, terms)
+
+    def f(w: complex) -> Tuple[complex, float, int]:
+        s = sum(c * w**l for l, c in enumerate(cp))
+        s += sum(c * w**-l for l, c in enumerate(cm, 1))
+        return s, band, 0
+
+    return replace(_family(family, nu, u, f, base), terms_used=2 * L + 1)
 
 
 def bessel_diffeq_residual(spec: BesselSpec, z: complex, base: QBase) -> float:
@@ -500,83 +481,51 @@ def wronskian_closed(
     return pref * qpoch_infinite(-arg, b2).value  # entire-product exponential
 
 
-def q_factors(kind: KindTag, point: LatticePoint, base: QBase) -> QFactors:
-    """The four exponential-product ratios at a real positive lattice point."""
-    if kind.j not in (1, 2):
-        raise ValueError("ratio factors exist for types 1 and 2 only")
+def _leading(
+    family: str,
+    nu: float,
+    point: LatticePoint,
+    slope: float,
+    offset: float,
+    g: Callable[[complex], complex],
+    base: QBase,
+) -> AsymptoticEstimate:
+    """The leading term q^scale sum_w c_w g(w) at a real positive lattice point.
+
+    scale = slope N + offset with N = n(n-1) + 2 lam n is the same at every
+    w = +-u, +-iu; g(w) is the leading term of the family's factor at w
+    without it.
+    """
     if abs(point.theta) > 1e-12:
-        raise DomainError("ratio factors are defined for real positive u only")
-    q = base.q
+        raise DomainError("leading terms are defined for real positive u only")
     n, lam = point.n, point.lam
-    lo = q**lam
-    hi = q ** (1.0 - lam)
-    far = q ** (1.0 - n - lam)
-    e = lambda w: _e(kind, w, base)
-    return QFactors(
-        plus=e(lo) * e(hi) / e(far),
-        minus=e(-lo) * e(-hi) / e(-far),
-        plus_i=e(1j * lo) * e(-1j * hi) / e(-1j * far),
-        minus_i=e(-1j * lo) * e(1j * hi) / e(1j * far),
+    big_n = n * (n - 1) + 2.0 * lam * n
+    scale = slope * big_n + offset
+    c = _family(family, nu, base.q ** (n + lam), lambda w: (g(w), 0.0, 0), base).value
+    return AsymptoticEstimate(
+        leading=base.q**scale * c, scale_exponent=scale, phase=1.0, constant=c, N=big_n
     )
 
 
 def bessel_asymptotic(
     spec: BesselSpec, point: LatticePoint, base: QBase
 ) -> AsymptoticEstimate:
-    """Leading-order value for types 1 and 2 at a real positive lattice point."""
-    if spec.kind.j not in (1, 2):
-        raise ValueError("leading terms here cover types 1 and 2 only")
-    if abs(point.theta) > 1e-12:
-        raise DomainError("leading terms are defined for real positive u only")
-    q = base.q
-    j = spec.kind.j
-    nu = spec.nu
-    n, lam = point.n, point.lam
-    u = q ** (n + lam)
-    big_n = n * (n - 1) + 2.0 * lam * n
-    scale = big_n / 2.0 if j == 1 else -big_n / 2.0
-    an = a_nu(nu, base)
-    root = math.sqrt(2.0 * u)
+    """Leading-order value for types 1 and 2 at a real positive lattice point.
+
+    The family map of the lattice leading term of e(w) (`qexp_asymptotic`,
+    the exact lattice form of e(w) e(q/w)), with Phi replaced by 1.
+    """
     kind = spec.kind
-    lo = q**lam
-    hi = q ** (1.0 - lam)
-    e = lambda w: _e(kind, w, base)
-    phase: complex = 1.0
-    if spec.family == "I":
-        ph_p = cmath.exp(1j * math.pi * n) if j == 1 else 1.0
-        ph_m = cmath.exp(1j * math.pi * n) if j == 2 else 1.0
-        bracket = ph_p * e(lo) * e(hi) + 1j * cmath.exp(
-            1j * nu * math.pi
-        ) * ph_m * e(-lo) * e(-hi)
-        pref = an / root
-    elif spec.family == "K":
-        phase = cmath.exp(1j * math.pi * n) if j == 2 else 1.0
-        bracket = e(-lo) * e(-hi)
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * an * root)
-    else:
-        p_c = e(1j * lo) * e(-1j * hi)
-        m_c = e(-1j * lo) * e(1j * hi)
-        if j == 1:
-            ph_p = cmath.exp(3j * math.pi * n / 2.0)
-        else:
-            ph_p = cmath.exp(-1j * math.pi * n / 2.0)
-        ph_m = cmath.exp(1j * math.pi * n / 2.0)
-        if spec.family == "J":
-            alpha = (2.0 * nu + 1.0) * math.pi / 4.0
-            bracket = cmath.exp(-1j * alpha) * ph_p * p_c + cmath.exp(1j * alpha) * ph_m * m_c
-            pref = an / root
-        else:
-            beta = (2.0 * nu - 1.0) * math.pi / 4.0
-            bracket = -cmath.exp(-1j * beta) * ph_p * p_c - cmath.exp(1j * beta) * ph_m * m_c
-            pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * math.pi * an * root)
-    leading = pref * q**scale * phase * bracket
-    return AsymptoticEstimate(
-        leading=leading,
-        scale_exponent=scale,
-        phase=phase,
-        constant=bracket,
-        N=big_n,
-    )
+    if kind.j not in (1, 2):
+        raise ValueError("leading terms here cover types 1 and 2 only")
+
+    def g(w: complex) -> complex:
+        pt = LatticePoint(w, point.n, point.lam, cmath.phase(w))
+        est = qexp_asymptotic(kind, pt, base)
+        return est.phase * est.constant
+
+    slope = 0.5 if kind.j == 1 else -0.5
+    return _leading(spec.family, spec.nu, point, slope, 0.0, g, base)
 
 
 def bessel_reference(spec: BesselSpec, u: complex, base: QBase) -> complex:
@@ -603,51 +552,21 @@ def type3_asymptotic_bracket(
 ) -> Tuple[AsymptoticEstimate, PhiBracket]:
     """Type-3 leading form together with the sampled mean-value bracket.
 
-    The mean-value factor is only located inside a parameter rectangle,
-    so the estimate comes with a [phi_min, phi_max] bracket obtained by
-    grid sampling; membership of the exact-to-leading ratio in that
-    bracket is the testable claim.  The bracket depends on (nu, q) only:
-    it comes from the bounded, process-wide memo of _phi_bracket, so the
-    points of one table share it, bit-identical to an uncached bracket.
+    The leading form is the family map of q^(-2N/3-1/24) e3(w0) e3(q/w0),
+    w0 = q^lam w/|w|, with Phi replaced by 1.  The mean-value factor is
+    only located inside a parameter rectangle, so the estimate comes with
+    a [phi_min, phi_max] bracket obtained by grid sampling; membership of
+    the exact-to-leading ratio in that bracket is the testable claim.  The
+    bracket depends on (nu, q) only: it comes from the bounded,
+    process-wide memo of _phi_bracket, so the points of one table share
+    it, bit-identical to an uncached bracket.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    if abs(point.theta) > 1e-12:
-        raise DomainError("leading terms are defined for real positive u only")
-    q = base.q
-    n, lam = point.n, point.lam
-    u = q ** (n + lam)
-    big_n = n * (n - 1) + 2.0 * lam * n
-    scale = -2.0 / 3.0 * big_n - 1.0 / 24.0
     kind = KindTag.from_j(3)
-    an = a_nu(nu, base)
-    root = math.sqrt(2.0 * u)
-    lo = q**lam
-    hi = q ** (1.0 - lam)
-    e = lambda w: _e(kind, w, base)
-    phase: complex = 1.0
-    if family == "I":
-        bracket = e(lo) * e(hi) + 1j * cmath.exp(1j * nu * math.pi) * e(-lo) * e(-hi)
-        pref = an / root
-    elif family == "K":
-        bracket = e(-lo) * e(-hi)
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * an * root)
-    elif family == "J":
-        phase = cmath.exp(-1j * (2.0 * nu + 1.0) * math.pi / 4.0)
-        bracket = e(1j * lo) * e(-1j * hi) + 1j * cmath.exp(1j * nu * math.pi) * e(
-            -1j * lo
-        ) * e(1j * hi)
-        pref = an / root
-    else:
-        phase = -cmath.exp(-1j * (2.0 * nu - 1.0) * math.pi / 4.0)
-        bracket = e(1j * lo) * e(-1j * hi) + 1j * cmath.exp(1j * nu * math.pi) * e(
-            -1j * lo
-        ) * e(1j * hi)
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * math.pi * an * root)
-    leading = pref * q**scale * phase * bracket
-    est = AsymptoticEstimate(
-        leading=leading, scale_exponent=scale, phase=phase, constant=bracket, N=big_n
-    )
+    lo = base.q**point.lam
+    g = lambda w: lambda_product(kind, lo * w / abs(w), base)
+    est = _leading(family, nu, point, -2.0 / 3.0, -1.0 / 24.0, g, base)
     return est, _phi_bracket(nu, base)
 
 

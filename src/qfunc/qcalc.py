@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -141,12 +142,17 @@ def qgamma(alpha: float, base: QBase) -> float:
     Memoized per (alpha, base) in a process-wide cache bounded to 256
     entries; a hit returns the float an uncached call computes, bit for
     bit.  A pole raises PoleError on every call, as errors are not cached.
+    A product below the smallest normal double (q near 1: (q;q)_inf is
+    about exp(-pi^2 / (6 (1-q)))) has lost its digits, so it raises
+    DomainError instead of returning a wrong value.
     """
     if alpha <= 0 and float(alpha).is_integer():
         raise PoleError(f"q-gamma has a pole at nonpositive integer alpha={alpha}")
     q = base.q
     num = qpoch_infinite(q, base).value.real
     den = qpoch_infinite(q**alpha, base).value.real
+    if min(abs(num), abs(den)) < sys.float_info.min:
+        raise DomainError(f"q-gamma products underflow a double at q={q}, alpha={alpha}")
     return num / den * (1.0 - q) ** (1.0 - alpha)
 
 
@@ -175,8 +181,9 @@ def _qseries(
     Sums t_n = prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] q^(weight n(n-1)/2) z^n
     until n >= 2, |t_n| < tol |s| and rho = |t_n / t_(n-1)| < _RHO_CAP,
     and returns (s + t_n, |t_n| rho / (1 - rho), terms summed): the tail
-    past t_n is bounded as geometric.  A plain tuple, so that callers
-    which rescale the sum build one SeriesValue, not two.
+    past t_n is bounded as geometric.  An infinite or NaN term raises
+    DomainError at once.  A plain tuple, so that callers which rescale
+    the sum build one SeriesValue, not two.
     """
     q = base.q
     tol = base.tol
@@ -185,6 +192,7 @@ def _qseries(
     s: complex = 0.0
     t: complex = 1.0  # t_n
     ta = 1.0
+    inf = math.inf
     for n in range(base.max_terms):
         s += t
         # One power per term, not a running product that drifts by an ulp
@@ -208,8 +216,10 @@ def _qseries(
         prev = ta
         t = t * num / den  # t_(n+1)
         ta = abs(t)
-        if ta == 0:
-            return s, 0.0, n + 1
+        if not 0.0 < ta < inf:
+            if ta == 0:
+                return s, 0.0, n + 1
+            raise DomainError(f"q-series term {n + 1} is not finite: {t}")
         if ta < tol * abs(s) and n >= 1 and ta < _RHO_CAP * prev:
             rho = ta / prev
             return s + t, ta * rho / (1.0 - rho), n + 2

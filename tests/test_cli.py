@@ -147,12 +147,23 @@ class TestEval:
             ("lambda", "1", "nan"),
             ("qexp", "1", "1e300"),
             ("qexp", "2", "1e300"),
+            ("qexp", "3", "1e300"),
             ("lambda", "2", "1e300"),
         ],
     )
     def test_non_finite_input_or_value_is_an_error_row(self, capsys, fn, kind, u):
         code, out, _ = run_cli(
             capsys, "eval", "--fn", fn, "--kind", kind, "--q", "0.5", "--u", u
+        )
+        assert code == 64
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["error"].startswith("DomainError: ")
+
+    def test_underflowing_q_gamma_is_an_error_row(self, capsys):
+        # Base q^2 = 0.999: (q^2;q^2)_inf underflows inside the Y combination.
+        code, out, _ = run_cli(
+            capsys, "eval", "--fn", "besselY", "--kind", "2", "--nu", "0.25",
+            "--q", "0.9995", "--z", "1",
         )
         assert code == 64
         header, rows = parse_csv(out)

@@ -23,7 +23,6 @@ from qfunc.qbessel import (
     bessel_type3_repr,
     bessel_value,
     phi_nu,
-    q_factors,
     type3_asymptotic_bracket,
     type3_coeff,
     wronskian,
@@ -234,7 +233,7 @@ class TestTypeThreeRepresentation:
     def test_exact_at_half_integer_order(self):
         u = 3.0
         z = u / (1.0 - BASE.q**2)
-        for family in ("I", "K"):
+        for family in ("I", "K", "J", "Y"):
             got = bessel_type3_repr(family, 0.5, u, 12, BASE).value
             want = bessel_value(BesselSpec(K3, family, 0.5), z, BASE).value
             assert abs(got - want) <= 1e-11 * max(abs(want), 1e-10)
@@ -246,31 +245,6 @@ class TestTypeThreeRepresentation:
             bessel_type3_repr("Y", 1.0, 3.0, 12, BASE)
         with pytest.raises(ValueError):
             bessel_type3_repr("X", 0.5, 3.0, 12, BASE)
-
-
-class TestQFactors:
-    def test_frozen_values(self):
-        pt = lattice_decompose(BASE.q ** (-4 + 0.3), BASE)
-        f = q_factors(K2, pt, BASE)
-        assert abs(f.plus - ref.QFACTOR_PLUS_J2) < 1e-11 * abs(ref.QFACTOR_PLUS_J2)
-        assert abs(f.minus - ref.QFACTOR_MINUS_J2) < 1e-11
-        assert abs(f.plus_i - ref.QFACTOR_PLUS_I_J2) < 1e-11 * abs(ref.QFACTOR_PLUS_I_J2)
-        assert abs(f.minus_i - ref.QFACTOR_MINUS_I_J2) < 1e-11 * abs(
-            ref.QFACTOR_MINUS_I_J2
-        )
-
-    def test_conjugate_symmetry_on_positive_axis(self):
-        pt = lattice_decompose(BASE.q ** (-3 + 0.6), BASE)
-        for kind in (K1, K2):
-            f = q_factors(kind, pt, BASE)
-            assert f.minus_i == pytest.approx(f.plus_i.conjugate(), rel=1e-12)
-
-    def test_requires_real_positive_point(self):
-        pt = lattice_decompose(-BASE.q**-3, BASE)
-        with pytest.raises(DomainError):
-            q_factors(K2, pt, BASE)
-        with pytest.raises(ValueError):
-            q_factors(K3, lattice_decompose(BASE.q**-3, BASE), BASE)
 
 
 class TestAsymptotics:
@@ -299,6 +273,13 @@ class TestAsymptotics:
         with pytest.raises(ValueError):
             bessel_asymptotic(BesselSpec(K3, "I", 0.25), pt, BASE)
 
+    def test_leading_terms_require_real_positive_point(self):
+        pt = lattice_decompose(-BASE.q**-3, BASE)
+        with pytest.raises(DomainError):
+            bessel_asymptotic(BesselSpec(K2, "K", 0.25), pt, BASE)
+        with pytest.raises(DomainError):
+            type3_asymptotic_bracket("J", 0.25, pt, BASE)
+
     def test_type3_bracket_sanity(self):
         pt = lattice_decompose(BASE.q ** (-4 + 0.3), BASE)
         est, bracket = type3_asymptotic_bracket("K", 0.25, pt, BASE)
@@ -306,6 +287,22 @@ class TestAsymptotics:
         assert est.scale_exponent == pytest.approx(
             -2.0 / 3.0 * est.N - 1.0 / 24.0
         )
+
+    @pytest.mark.parametrize("family", ["J", "Y"])
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.8])
+    def test_oscillatory_leading_terms_are_real(self, family, q):
+        # On u > 0 the family map pairs +-iu with conjugate coefficients,
+        # so every J and Y leading term is real.
+        base = QBase(q)
+        for n in range(-2, -9, -1):
+            pt = lattice_decompose(q ** (n + 0.3), base)
+            leads = [
+                bessel_asymptotic(BesselSpec(kind, family, 0.25), pt, base).leading
+                for kind in (K1, K2)
+            ]
+            leads.append(type3_asymptotic_bracket(family, 0.25, pt, base)[0].leading)
+            for lead in leads:
+                assert abs(lead.imag) <= 1e-12 * abs(lead)
 
     def test_type3_bracket_degenerates_at_half_integer_order(self):
         pt = lattice_decompose(BASE.q ** (-4 + 0.3), BASE)

@@ -108,6 +108,14 @@ class TestQGamma:
         with pytest.raises(PoleError):
             qgamma(alpha, BASE)
 
+    @pytest.mark.parametrize("q", [0.998, 0.999])
+    def test_underflowing_products_raise(self, q):
+        # (q;q)_inf is about exp(-pi^2 / (6 (1-q))): below the smallest
+        # normal double here.  At 0.998 the subnormal products gave 0.00946
+        # against the true 3.6232; at 0.999 they divided zero by zero.
+        with pytest.raises(DomainError):
+            qgamma(0.25, QBase(q))
+
     @given(x=st.floats(0.2, 3.0), q=st.floats(0.1, 0.9))
     @settings(max_examples=60)
     def test_functional_equation(self, x, q):
