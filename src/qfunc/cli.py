@@ -229,6 +229,8 @@ def cmd_asym(args) -> int:
 
 
 def cmd_laurent(args) -> int:
+    if args.window < 1:
+        raise ValueError(f"window must be at least 1, got {args.window}")
     base = QBase(args.q, tol=args.tol, max_terms=args.max_terms)
     if args.which == "lambda":
         table = lambda_laurent_table(KindTag.from_j(args.kind), args.window, base)

@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence
 
 from .errors import DomainError, NonConvergence, PoleError
 from .qcalc import (
+    _EPS,
     _RHO_CAP,
     LatticePoint,
     QBase,
@@ -48,9 +49,6 @@ __all__ = [
 ]
 
 _VALID_PAIRS = {(1, 2), (2, 0), (3, 1)}
-
-# Unit roundoff of a double.
-_EPS = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,9 @@ def lambda_laurent_coeff(
 
 
 def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTable:
-    """Tabulate coefficients a_l for |l| <= window."""
+    """Tabulate coefficients a_l for |l| <= window; window < 1 raises ValueError."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     coeffs: Dict[int, float] = {}
     for l in range(window + 1):
         a = lambda_laurent_coeff(kind, l, base)
@@ -257,7 +257,8 @@ def lambda_laurent_eval(
     sum |a_l u^l| = Lambda(|u|); err_estimate adds
     (tol + (2 window + 1) eps) Lambda(|u|) for the coefficients' relative
     error and the rounding of the sum.  Near arg u = pi that term can
-    exceed |Lambda(u)| by orders of magnitude.
+    exceed |Lambda(u)| by orders of magnitude.  A window below 1 raises
+    ValueError.
     """
     if u == 0:
         raise DomainError("two-sided expansion is undefined at u = 0")

@@ -169,6 +169,16 @@ class TestEval:
         header, rows = parse_csv(out)
         assert dict(zip(header, rows[0]))["error"].startswith("DomainError: ")
 
+    @pytest.mark.parametrize("kind,u", [("1", "0.9"), ("2", "-0.9")])
+    def test_underflowing_product_is_an_error_row(self, capsys, kind, u):
+        # Was a PoleError row for type 1, and 0.0 with exit 0 for type 2.
+        code, out, _ = run_cli(
+            capsys, "eval", "--fn", "qexp", "--kind", kind, "--q", "0.9995", "--u", u
+        )
+        assert code == 64
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["error"].startswith("DomainError: ")
+
     def test_no_points_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--fn", "qexp", "--q", "0.5")
         assert code == 2
@@ -277,6 +287,14 @@ class TestLaurent:
         for l, want in enumerate(ref.LAURENT_J2_Q05):
             if l <= 3:
                 assert table[l] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("which", ["lambda", "bessel"])
+    def test_window_below_one_is_usage_error(self, capsys, which):
+        code, out, err = run_cli(
+            capsys, "laurent", "--which", which, "--q", "0.5", "--window", "-3"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: window must be at least 1")
 
     def test_bessel_table_columns(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,9 @@
 import cmath
+import functools
 import math
+import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +67,69 @@ class TestPochhammerFinite:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+_ORACLE_BITS = 240
+
+
+@functools.lru_cache(maxsize=None)
+def _qpoch_oracle(a, q):
+    """(a;q)_inf to 40 digits, by a route that shares nothing with the library.
+
+    The factors with |a q^k| > (1 - q) / 1000 are multiplied in 240-bit
+    fixed point on Python integers, from the exact binary values of a and
+    q (mpmath's pure-Python products take about 8 times as long for the
+    15,000 factors q = 0.999 needs).  The rest, (x;q)_inf, is Euler's sum
+    sum_n (-1)^n q^(n(n-1)/2) x^n / (q;q)_n (Gasper & Rahman (1.3.16)), whose
+    term ratio is at most |x| / (1 - q) = 1e-3.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    bits = _ORACLE_BITS
+    qf = Fraction(q)
+    q_num, q_shift = qf.numerator, qf.denominator.bit_length() - 1
+    a = complex(a)
+    fr = int(Fraction(a.real) * 2**bits)
+    fi = int(Fraction(a.imag) * 2**bits)
+    stop = int((1 - q) / 1000 * 2**bits) ** 2
+    one = 1 << bits
+    pr, pi, scale = one, 0, 0  # the prefix is (pr + i pi) 2^(scale - bits)
+    while fr * fr + fi * fi > stop:
+        gr = one - fr
+        pr, pi = (pr * gr + pi * fi) >> bits, (pi * gr - pr * fi) >> bits
+        n = max(abs(pr), abs(pi)).bit_length() - bits
+        if n > 0:
+            pr, pi, scale = pr >> n, pi >> n, scale + n
+        elif n < -8:
+            pr, pi, scale = pr << -n, pi << -n, scale + n
+        fr, fi = (fr * q_num) >> q_shift, (fi * q_num) >> q_shift
+    with mpmath.workdps(40):
+        mq = mpmath.mpf(q)
+        x = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
+        s, t, n = mpmath.mpf(0), mpmath.mpf(1), 0
+        while n < 2 or abs(t) > mpmath.mpf(10) ** -45 * abs(s):
+            s += t
+            t *= -x * mq**n / (1 - mq ** (n + 1))
+            n += 1
+        prefix = mpmath.mpc(mpmath.ldexp(pr, scale - bits), mpmath.ldexp(pi, scale - bits))
+        return prefix * s
+
+
+def _qpoch_grid(seed=2006, per_q=20):
+    """Seeded (q, a): |a| log-uniform on [1e-4, 3.2], half real, half complex."""
+    rng = random.Random(seed)
+    grid = []
+    for q in (0.2, 0.5, 0.8, 0.9, 0.99, 0.999):
+        for i in range(per_q):
+            mag = 10 ** rng.uniform(-4.0, math.log10(3.2))
+            if i % 2:
+                a = mag * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            else:
+                a = rng.choice((-1.0, 1.0)) * mag
+            grid.append((q, a))
+    return grid
+
+
+_QPOCH_GRID = _qpoch_grid()
+
+
 class TestPochhammerInfinite:
     def test_zero_argument(self):
         sv = qpoch_infinite(0.0, BASE)
@@ -85,6 +152,52 @@ class TestPochhammerInfinite:
             exact *= 1.0 - f
             f *= q
         assert abs(sv.value - exact) <= max(sv.err_estimate, 1e-14)
+
+    def test_small_argument_near_one_is_short(self):
+        # The plain product needed 27,618 factors here.
+        sv = qpoch_infinite(1e-3, QBase(0.999))
+        assert sv.terms_used <= 10
+        assert abs(sv.value - _qpoch_oracle(1e-3, 0.999)) <= sv.err_estimate
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, complex(0.5, -math.inf)])
+    def test_non_finite_argument(self, a):
+        with pytest.raises(DomainError):
+            qpoch_infinite(a, BASE)
+
+    def test_non_finite_value(self):
+        with pytest.raises(DomainError):
+            qpoch_infinite(1e300 + 1e300j, BASE)
+
+    def test_underflow_is_a_domain_error(self):
+        # (0.9; 0.9995)_inf is about exp(-2600): below the smallest double,
+        # with no factor that vanishes.  The plain product returned 0.0.
+        with pytest.raises(DomainError):
+            qpoch_infinite(0.9, QBase(0.9995))
+
+    def test_prefix_outside_double_range_still_gives_the_value(self):
+        # The prefix of (10; 0.999)_inf peaks near e^1931 and exp(-s) is
+        # about e^-1126; the product itself is about e^-534.
+        sv = qpoch_infinite(10.0, QBase(0.999))
+        assert 0.0 < sv.value < 1e-230
+        assert abs(sv.value - _qpoch_oracle(10.0, 0.999)) <= sv.err_estimate
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_error_estimate_bounds_oracle(self, tol):
+        mpmath = pytest.importorskip("mpmath")
+        bad = []
+        for q, a in _QPOCH_GRID:
+            exact = _qpoch_oracle(a, q)
+            try:
+                sv = qpoch_infinite(a, QBase(q, tol=tol))
+            except DomainError:
+                # Only where the value itself leaves the normal doubles.
+                if sys.float_info.min <= abs(exact) <= sys.float_info.max:
+                    bad.append((q, a, "raised"))
+                continue
+            err = abs(mpmath.mpc(sv.value) - exact)
+            if not err <= sv.err_estimate:
+                bad.append((q, a, float(err), sv.err_estimate))
+        assert not bad
 
     @given(a=st.floats(-0.9, 0.9), q=st.floats(0.1, 0.9))
     @settings(max_examples=60)

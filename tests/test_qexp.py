@@ -80,8 +80,8 @@ class TestEval:
 
     def test_classical_limit_distances_shrink(self):
         for kind in (K1, K2, K3):
-            d = classical_limit_check(kind, 0.5, [0.9, 0.99, 0.999])
-            assert d[0] > d[1] > d[2]
+            d = classical_limit_check(kind, 0.5, [0.9, 0.99, 0.999, 0.9999, 0.99999])
+            assert d[0] > d[1] > d[2] > d[3] > d[4]
 
 
 def _exp3_oracle(q, u):
@@ -110,6 +110,15 @@ class TestNonFinite:
     def test_overflowing_value(self, kind):
         with pytest.raises(DomainError):
             qexp_eval(kind, 1e300, BASE)
+
+    # (0.9; 0.9995)_inf is about exp(-2600).  Type 1 divided by the zero it
+    # underflowed to and reported a pole; type 2 returned 0.0 with a zero
+    # error bound.
+    @pytest.mark.parametrize("kind,u", [(K1, 0.9), (K2, -0.9)])
+    def test_underflowing_product_is_not_a_pole_or_zero(self, kind, u):
+        with pytest.raises(DomainError) as info:
+            qexp_eval(kind, u, QBase(0.9995))
+        assert type(info.value) is DomainError
 
 
 class TestTailBound:
@@ -152,6 +161,16 @@ class TestLaurent:
     def test_table_window(self):
         t = lambda_laurent_table(K2, 5, BASE)
         assert set(t.coeffs) == set(range(-5, 6))
+
+    @pytest.mark.parametrize("kind", [K1, K2, K3])
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, kind, window):
+        # Type 1 at window -1 used to return 66.64 for the true 59.32, and
+        # window 0 raised KeyError for types 2 and 3.
+        with pytest.raises(ValueError):
+            lambda_laurent_table(kind, window, BASE)
+        with pytest.raises(ValueError):
+            lambda_laurent_eval(kind, 0.7, window, BASE)
 
     @pytest.mark.parametrize("kind", [K2, K3])
     def test_two_sided_matches_product_entire_kinds(self, kind):
