@@ -23,7 +23,7 @@ from .errors import QfuncError
 from .harness import SuiteConfig, _decay_rows, run_suite
 from .qcalc import QBase
 from .qexp import KindTag, lambda_laurent_table, lambda_product, qexp_eval
-from .qbessel import BesselSpec, bessel_value, type3_coeff
+from .qbessel import BesselSpec, _geometric_mean, _laurent_tables, bessel_value
 
 __all__ = ["OutputRecord", "main"]
 
@@ -142,7 +142,7 @@ def _eval_args(args) -> List[complex]:
         start, stop, count = args.grid
         n = int(count)
         if n < 1:
-            raise argparse.ArgumentTypeError("grid count must be >= 1")
+            raise ValueError(f"grid count must be at least 1, got {count:g}")
         step = (stop - start) / (n - 1) if n > 1 else 0.0
         points.extend(complex(start + i * step, 0.0) for i in range(n))
     return points
@@ -238,13 +238,13 @@ def cmd_laurent(args) -> int:
         rows = [[str(l), _fmt(table.coeffs[l])] for l in sorted(table.coeffs)]
     else:
         header = ["l", "sign", "c1", "c2", "c3"]
+        (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables((1, 2), args.nu, 0, args.window, base)
+        sides = [(-l, "minus", m1[l - 1], m2[l - 1]) for l in range(args.window, 0, -1)]
+        sides += [(l, "plus", p1[l], p2[l]) for l in range(args.window + 1)]
         rows = []
-        for l in range(args.window, 0, -1):
-            c = type3_coeff(l, "minus", args.nu, base)
-            rows.append([str(-l), "minus", _fmt(c.c1), _fmt(c.c2), _fmt(c.c3)])
-        for l in range(0, args.window + 1):
-            c = type3_coeff(l, "plus", args.nu, base)
-            rows.append([str(l), "plus", _fmt(c.c1), _fmt(c.c2), _fmt(c.c3)])
+        for l, sign, c1, c2 in sides:
+            c3 = _geometric_mean(c1, c2, 0.0, 0.0, abs(l), sign, args.nu)[0]
+            rows.append([str(l), sign, _fmt(c1), _fmt(c2), _fmt(c3)])
     _emit_rows(header, rows, args.format, sys.stdout)
     return 0
 

@@ -23,6 +23,7 @@ from .qexp import (
     lambda_closed_form,
     lambda_laurent_coeff,
     lambda_laurent_eval,
+    lambda_laurent_table,
     lambda_product,
     qexp_asymptotic,
     qexp_eval,
@@ -30,16 +31,16 @@ from .qexp import (
 )
 from .qbessel import (
     BesselSpec,
+    _laurent_tables,
+    _type3_tables,
     bessel_asymptotic,
     bessel_diffeq_residual,
-    bessel_laurent_coeff,
     bessel_phi_repr,
     bessel_reference,
     bessel_series,
     bessel_type3_repr,
     bessel_value,
     type3_asymptotic_bracket,
-    type3_coeff,
     wronskian,
     wronskian_closed,
 )
@@ -168,8 +169,9 @@ def _check_laurent_coeff_methods(cfg: SuiteConfig, rng: random.Random, fault: fl
         base = QBase(q)
         for j in (1, 2, 3):
             kind = KindTag.from_j(j)
+            table = lambda_laurent_table(kind, 10, base).coeffs
             for l in range(0, 11):
-                a = lambda_laurent_coeff(kind, l, base, method="sum")
+                a = table[l]
                 b = lambda_laurent_coeff(kind, l, base, method="bessel")
                 w.feed(_rel(fault * a, b), f"j={j}, q={q}, l={l}")
     return w
@@ -374,23 +376,18 @@ def _recursion_residuals(
     """Residuals of the two-step coefficient recursion for one type.
 
     b_k for k >= 0 are the ascending coefficients, b_(-l) the descending
-    ones; the recursion steps k -> k-2 with the delta-weighted factor.
+    ones, all read from one table; the recursion steps k -> k-2 with the
+    delta-weighted factor.
     """
     q = base.q
+    d = KindTag.from_j(j).delta
     if j == 3:
-        d = 1
-        # A uniform rescale of all coefficients would cancel out of the
-        # homogeneous two-step recursion, so corruption targets one entry.
-        coeff = lambda k: (scale if k == 0 else 1.0) * (
-            type3_coeff(k, "plus", nu, base).c3
-            if k >= 0
-            else type3_coeff(-k, "minus", nu, base).c3
-        )
+        minus, plus = _type3_tables(nu, kmax + 2, base)[:2]
     else:
-        d = KindTag.from_j(j).delta
-        coeff = lambda k: bessel_laurent_coeff(
-            KindTag.from_j(j), k if k >= 0 else -k, "plus" if k >= 0 else "minus", nu, base
-        )
+        plus, minus = _laurent_tables((j,), nu, 0, kmax + 2, base)[0][:2]
+    # A uniform rescale of all coefficients would cancel out of the
+    # homogeneous two-step recursion, so corruption targets one entry.
+    coeff = lambda k: (scale if k == 0 else 1.0) * (plus[k] if k >= 0 else minus[-k - 1])
     out = []
     for k in range(-kmax, kmax + 1):
         den = (1.0 - q ** (-nu + k - 0.5)) * (1.0 - q ** (nu + k - 0.5))
@@ -434,11 +431,12 @@ def _check_coeff_bound(cfg: SuiteConfig, rng: random.Random, fault: float) -> _W
             p1 = 1.0
             p2 = 1.0
             p3 = 1.0
+            c3 = _type3_tables(nu, 20, base)[0]
             for l in range(1, 21):
                 p1 *= 1.0 - q ** (-nu + 0.5) * q ** (l - 1)
                 p2 *= 1.0 - q ** (nu + 0.5) * q ** (l - 1)
                 p3 *= 1.0 - q ** (2 * l)
-                lhs = fault * type3_coeff(l, "minus", nu, base).c3
+                lhs = fault * c3[l - 1]
                 rhs = front * abs(p1) * abs(p2) * q**l / p3
                 w.feed(max(0.0, (lhs - rhs) / rhs), f"q={q}, nu={nu}, l={l}")
     return w

@@ -1,8 +1,9 @@
 """q^2-Bessel functions of types 1-3: J, Y, I and K families.
 
 Series definitions, the Y/K combinations with their integer-order limit
-procedure, two-sided expansion coefficients, the type-3 geometric-mean
-construction, difference equations and Wronskians.
+procedure, two-sided expansion coefficients (one Cauchy-product table per
+type, `_laurent_tables`), the type-3 geometric-mean construction,
+difference equations and Wronskians.
 
 Every second-solution representation and every large-argument leading
 term is one family map, `_family`: the J/Y/I/K combination of a factor
@@ -33,6 +34,7 @@ from .errors import (
     PoleError,
 )
 from .qcalc import (
+    _EPS,
     LatticePoint,
     QBase,
     SeriesValue,
@@ -41,7 +43,17 @@ from .qcalc import (
     qgamma,
     qpoch_infinite,
 )
-from .qexp import AsymptoticEstimate, KindTag, lambda_product, qexp_asymptotic, qexp_eval
+from .qexp import (
+    AsymptoticEstimate,
+    KindTag,
+    _cauchy_table,
+    _cauchy_terms,
+    _exp_table,
+    _poch_table,
+    lambda_product,
+    qexp_asymptotic,
+    qexp_eval,
+)
 
 __all__ = [
     "BesselSpec",
@@ -314,73 +326,137 @@ def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
     return _family(spec.family, spec.nu, u, f, base)
 
 
-def bessel_laurent_coeff(
-    kind: KindTag, l: int, sign: str, nu: float, base: QBase
-) -> float:
-    """Two-sided expansion coefficient c_{l+-} of the type-1 or type-2
-    product e(u) Phi(u), in factored form: outer Pochhammer ratio times a
-    convergent inner sum."""
-    if kind.j not in (1, 2):
-        raise ValueError("expansion coefficients exist for types 1 and 2 only")
+def _phi_table(nu: float, q: float, n: int) -> Tuple[List[float], float]:
+    """F_m = (q^(nu+1/2);q)_m (q^(-nu+1/2);q)_m / (q^2;q^2)_m for m < n, the
+    coefficients of Phi_nu in (q/u)^m, and their relative rounding bound
+    in units of eps.  The caller has checked that (q^2;q^2)_inf is a
+    normal double."""
+    pa, ra = _poch_table(nu + 0.5, 1, q, n)
+    pm, rm = _poch_table(0.5 - nu, 1, q, n)
+    p2, r2 = _poch_table(2.0, 2, q, n)
+    return [x * y / z for x, y, z in zip(pa, pm, p2)], ra + rm + r2 + 2.0
+
+
+def _laurent_tables(
+    js: Tuple[int, ...], nu: float, lo: int, hi: int, base: QBase
+) -> List[Tuple[List[float], List[float], List[float], List[float]]]:
+    """Two-sided coefficients of e(u) Phi_nu(u) for each type j in js (1, 2).
+
+    Per type: (ascending, descending, their bounds), the ascending c_l for
+    l = lo..hi and the descending c_(-l) for l = max(lo, 1)..hi, from the
+    coefficient table (`qexp._cauchy_table`) of the exponential's
+    coefficients E and Phi's F (`_phi_table`).
+
+    F's step ratio r_i = |1 - a x||1 - b x| / (1 - q^2 x^2), x = q^i,
+    a = q^(nu+1/2), b = q^(-nu+1/2), is at most 1 once a x and b x are:
+    then its numerator is 1 - (a + b) x + q x^2, as a b = q, and
+    a + b >= 2 sqrt(q) >= q + q^2.  That happens from i = h =
+    ceil(|nu| - 1/2) on, so the product B_F of max(1, r_i) over i < h
+    bounds every |F_(k+m) / F_k|, and every F_m from m = h on has one
+    sign.  (q;q)_inf below the smallest normal double raises DomainError.
+    """
+    q = base.q
+    a, b = q ** (nu + 0.5), q ** (0.5 - nu)
+    h = max(0, math.ceil(abs(nu) - 0.5))
+    log_b = -math.log(qpoch_infinite(q, base).value.real)
+    for i in range(h):
+        x = q**i
+        log_b += max(0.0, math.log(abs((1.0 - a * x) * (1.0 - b * x)) / (1.0 - q * q * x * x)))
+    ws = [(2 - KindTag.from_j(j).delta) / 2.0 for j in js]
+    ms = [_cauchy_terms(w, log_b, base) for w in ws]
+    n = hi + max(ms)
+    f, rel_f = _phi_table(nu, q, n)
+    if not (min(f[h:]) >= 0 or max(f[h:]) <= 0):
+        h = n  # rounding flipped a sign the derivation rules out: sum every |t|
+    out = []
+    for w, m in zip(ws, ms):
+        e, rel_e = _exp_table(w, q, n)
+        ls, lm = range(lo, hi + 1), range(max(lo, 1), hi + 1)
+        out.append(_cauchy_table(e, f, rel_e + rel_f, m, log_b, q, ls, lm, h))
+    return out
+
+
+def _check_index(l: int, sign: str) -> None:
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if sign == "minus" and l < 1:
         raise ValueError("descending coefficients require l >= 1")
     if sign == "plus" and l < 0:
         raise ValueError("ascending coefficients require l >= 0")
-    q = base.q
-    d = kind.delta
-    ap = q ** (nu + 0.5)
-    am = q ** (-nu + 0.5)
-    w = (2 - d) / 2.0
-    if sign == "minus":
-        outer = 1.0
-        f1, f2, f3 = am, ap, q * q
-        for _ in range(l):
-            outer *= (1.0 - f1) * (1.0 - f2) / (1.0 - f3)
-            f1 *= q
-            f2 *= q
-            f3 *= q * q
-        outer *= q**l
-        ql = q ** (l + 1)
-        return outer * _qseries((am * q**l, ap * q**l), (ql, -ql), base, q, w)[0]
-    outer = q ** ((2 - d) / 4.0 * l * (l - 1))
-    for i in range(l):
-        outer /= 1.0 - q ** (i + 1)
-    x = q ** ((2 - d) / 2.0 * l + 1)
-    return outer * _qseries((am, ap), (q ** (l + 1), -q), base, x, w)[0]
 
 
-def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
-    """The type-1 and type-2 coefficients with their geometric mean c3.
+def bessel_laurent_coeff(
+    kind: KindTag, l: int, sign: str, nu: float, base: QBase
+) -> float:
+    """Two-sided expansion coefficient c_{l+-} of the type-1 or type-2
+    product e(u) Phi(u): one entry of the coefficient table
+    (`_laurent_tables`)."""
+    if kind.j not in (1, 2):
+        raise ValueError("expansion coefficients exist for types 1 and 2 only")
+    _check_index(l, sign)
+    plus, minus, _, _ = _laurent_tables((kind.j,), nu, l, l, base)[0]
+    return plus[0] if sign == "plus" else minus[0]
 
-    c3 = sqrt(c1 c2) is the quantity the coefficient bound is stated for;
-    it is not the type-3 coefficient.  The exact one, the Laurent
-    coefficient of e3(u) Phi(u) (a DFT on |u| = 1 gives it), differs: at
-    q = 0.5, nu = 1/4, c_0 is 1.10766 against c3 = 1.11424.
+
+def _geometric_mean(
+    c1: float, c2: float, e1: float, e2: float, l: int, sign: str, nu: float
+) -> Tuple[float, float]:
+    """c3 = sqrt(c1 c2) with its bound, from c1 and c2 known to within e1 and e2.
+
+    The true product lies between max(0, |c1| - e1) max(0, |c2| - e2) and
+    (|c1| + e1)(|c2| + e2); the bound is the larger distance of c3 from the
+    square roots of the two, plus 4 eps of the upper one for rounding.
+    c1 c2 < 0 raises NegativeProduct.
     """
-    c1 = bessel_laurent_coeff(KindTag.from_j(1), l, sign, nu, base)
-    c2 = bessel_laurent_coeff(KindTag.from_j(2), l, sign, nu, base)
     prod = c1 * c2
     if prod < 0:
         raise NegativeProduct(
             f"coefficient product c1*c2 = {prod} < 0 at (l={l}, sign={sign}, nu={nu})"
         )
-    return CoeffPair(l=l, sign=sign, c1=c1, c2=c2, c3=math.sqrt(prod))
+    c3 = math.sqrt(prod)
+    a1, a2 = abs(c1), abs(c2)
+    hi = math.sqrt((a1 + e1) * (a2 + e2))
+    lo = math.sqrt(max(0.0, a1 - e1) * max(0.0, a2 - e2))
+    return c3, max(hi - c3, c3 - lo) + 4.0 * _EPS * hi
+
+
+def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
+    """The type-1 and type-2 coefficients with their geometric mean c3.
+
+    c3 = sqrt(c1 c2) is what the type-3 series of the library is made of:
+    the family map of sum_l c3_l w^l reproduces the type-3 `bessel_series`
+    (delta = 1) to within 7e-16 at nu = 1/2, 3/2 and 5/2 (I and J, u = 2
+    and 3 e^(0.7i), q = 0.5), while the Laurent coefficients of e3(u)
+    Phi(u), the other candidate, miss it by 0.14 to 0.28 at nu = 3/2.
+    Why the geometric mean is exact is open (ROADMAP item 1).
+    """
+    _check_index(l, sign)
+    (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables((1, 2), nu, l, l, base)
+    c1, c2 = (p1[0], p2[0]) if sign == "plus" else (m1[0], m2[0])
+    c3 = _geometric_mean(c1, c2, 0.0, 0.0, l, sign, nu)[0]
+    return CoeffPair(l=l, sign=sign, c1=c1, c2=c2, c3=c3)
 
 
 @functools.lru_cache(maxsize=32)
 def _type3_tables(
     nu: float, window: int, base: QBase
-) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Geometric-mean coefficient tables (descending l=1..L, ascending l=0..L).
+) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
+    """Geometric-mean tables (descending l=1..L, ascending l=0..L) and their bounds.
 
-    Memoized per (nu, window, base), at most 32 entries process-wide; the
-    tables are tuples because every caller shares the cached object.
+    One type-1 and one type-2 coefficient table (`_laurent_tables`);
+    NegativeProduct at the first descending, then ascending, l with
+    c1 c2 < 0.  Memoized per (nu, window, base), at most 32 entries
+    process-wide; the tables are tuples because every caller shares the
+    cached object.
     """
-    cm = tuple(type3_coeff(l, "minus", nu, base).c3 for l in range(1, window + 1))
-    cp = tuple(type3_coeff(l, "plus", nu, base).c3 for l in range(window + 1))
-    return cm, cp
+    (p1, m1, ep1, em1), (p2, m2, ep2, em2) = _laurent_tables((1, 2), nu, 0, window, base)
+    cm, em = zip(
+        *(_geometric_mean(*t, l, "minus", nu) for l, t in enumerate(zip(m1, m2, em1, em2), 1))
+    )
+    cp, ep = zip(
+        *(_geometric_mean(*t, l, "plus", nu) for l, t in enumerate(zip(p1, p2, ep1, ep2)))
+    )
+    return cm, cp, em, ep
 
 
 def bessel_type3_repr(
@@ -389,8 +465,17 @@ def bessel_type3_repr(
     """Two-sided type-3 series at u = (1-q^2)z; requires |u| > q.
 
     The family map of f(w) = sum_l c_l w^l over the geometric-mean tables,
-    with the outermost bands as the bound of f.  The window doubles (up to
-    three times) until those bands contribute below tolerance.
+    summed by Horner's rule in w and in 1/w.  The window doubles (up to
+    three times) until the outermost bands contribute below tolerance.
+    The bound of f is those bands plus sum_l (e_l + g |c_l|) |w|^l, with
+    e_l the coefficients' own bound (`_type3_tables`) and g = 10 (L + 1)
+    eps for Horner's rule: at most 4 eps per step for the complex product
+    and sum, and 6 eps per power for 1/w.  So err_estimate is
+    sum_w |c_w| (bands + rounding) and grows with the cancellation in f,
+    as for K, whose single point w = -u alternates the signs.  The
+    prefactor's own rounding and the connection error to the true
+    function at orders other than half-integers (`bessel_phi_repr`) stay
+    outside the bound.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
@@ -401,7 +486,7 @@ def bessel_type3_repr(
         raise DomainError("integer-order Y has no direct two-sided form here")
     L = max(2, window)
     for _ in range(4):
-        cm, cp = _type3_tables(nu, L, base)
+        cm, cp, em, ep = _type3_tables(nu, L, base)
         band = abs(cp[L]) * au**L + abs(cm[L - 1]) * au**-L
         core = abs(cp[0]) + au * abs(cp[1])
         if band <= base.tol * max(core, 1e-300):
@@ -409,11 +494,22 @@ def bessel_type3_repr(
         L *= 2
     else:
         raise NonConvergence(f"two-sided series still truncating at window {L}")
+    g = 10.0 * (L + 1) * _EPS
 
     def f(w: complex) -> Tuple[complex, float, int]:
-        s = sum(c * w**l for l, c in enumerate(cp))
-        s += sum(c * w**-l for l, c in enumerate(cm, 1))
-        return s, band, 0
+        v = 1.0 / w
+        aw = abs(w)
+        s: complex = 0.0
+        r = 0.0
+        for c, e in zip(reversed(cp), reversed(ep)):
+            s = s * w + c
+            r = r * aw + e + g * abs(c)
+        t: complex = 0.0
+        rt = 0.0
+        for c, e in zip(reversed(cm), reversed(em)):
+            t = (t + c) * v
+            rt = (rt + e + g * abs(c)) / aw
+        return s + t, band + r + rt, 0
 
     return replace(_family(family, nu, u, f, base), terms_used=2 * L + 1)
 

@@ -13,16 +13,16 @@ ch. 1), with d = delta = 2, 0, 1 for types 1, 2, 3:
   basic_hyper (rPhis)         a_i             b_j                s-r+1    (-1)^(s-r+1) z
   qexp_eval type 3            -               -                  1/2      u
   bessel_series (base q^2)    -               q^(2nu+2)          2-d      -+(1-q^2)^2 z^2 q^((2-d)(1+nu))
-  lambda_laurent_coeff,       -               q^(l+1)            2-d      q^((2-d)(l+1)/2 + d/2)
-    _bessel_i_base_q
-  bessel_laurent_coeff minus  q^(-+nu+1/2+l)  q^(l+1), -q^(l+1)  (2-d)/2  q
-  bessel_laurent_coeff plus   q^(-+nu+1/2)    q^(l+1), -q        (2-d)/2  q^((2-d)l/2 + 1)
+  _bessel_i_base_q            -               q^(l+1)            2-d      q^((2-d)(l+1)/2 + d/2)
 
 The kernel stops at the first n >= 2 with |t_n| < tol |s| and term ratio
 rho = |t_n / t_(n-1)| < 0.99, returns s + t_n, and bounds the tail past
 t_n by |t_n| rho / (1 - rho).  That bound assumes the ratio has settled
 and carries no rounding term.  The two-sided sums (qexp._type1_tail,
-lambda_laurent_eval, bessel_type3_repr) keep their own loops.
+lambda_laurent_eval, bessel_type3_repr) keep their own loops.  The
+two-sided coefficients are no term-ratio series: every one is a dot
+product of two precomputed sequences (`qexp._cauchy_table`), summed to eps
+whatever tol is.
 
 An infinite product (a;q)_inf is the one other loop, in two stages.  The
 factor prefix multiplies (1 - a q^k) while |a q^k| > r(q) =

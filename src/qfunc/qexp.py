@@ -10,6 +10,15 @@ The self-reciprocal products L(u) = e^(j)(u) e^(j)(q/u) admit two-sided
 (Laurent) expansions, satisfy one-step functional equations (a four-term
 relation for type 3), and have discrete closed forms on the lattice
 |u| = q^(n+lam) that drive the large-argument asymptotics.
+
+Every two-sided coefficient table of the package, of L here and of the
+Bessel products e(u) Phi(u) in `qbessel`, is one routine
+(`_cauchy_table`): the Laurent product E(u) F(q/u) of two Taylor
+sequences built once, with each coefficient a single C-level dot product
+over slices, cut at a term count derived from a bound on the sequences
+(`_cauchy_terms`) so that the truncation stays below min(tol, eps) of the
+sum of |terms|.  The coefficients are therefore good to a rounding bound
+that does not depend on tol.
 """
 
 from __future__ import annotations
@@ -17,11 +26,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, NonConvergence, PoleError
 from .qcalc import (
     _EPS,
+    _LN2,
     _RHO_CAP,
     LatticePoint,
     QBase,
@@ -29,7 +41,6 @@ from .qcalc import (
     _qseries,
     lattice_decompose,
     qgamma,
-    qpoch_finite,
     qpoch_infinite,
 )
 
@@ -175,14 +186,140 @@ def _bessel_i_base_q(kind: KindTag, l: int, base: QBase) -> float:
     return y**l / qgamma(l + 1, base) * s
 
 
+def _poch_table(c: float, step: int, q: float, n: int) -> Tuple[List[float], float]:
+    """(q^c; q^step)_k for k < n, and a bound on their relative rounding error.
+
+    Factor i is 1 - x_i with x_i = q^(c + step i), one pow of the exact q.
+    In units of eps its relative error is at most 2 (the subtraction and
+    the running product) plus (2 + |ln q| (|c| + |c + step i|)) |x_i| /
+    |1 - x_i|: the pow, within one ulp, and its rounded exponent,
+    amplified by the factor's sensitivity.  Factors with x_i < 2^-60 are 1.0 in double and are not
+    formed, which adds 2^-7 / (1 - q^step).  A factor that is exactly 0
+    makes every later entry an exact 0.
+    """
+    lq = -math.log(q)
+    k0 = min(n - 1, max(0, math.ceil((60.0 * _LN2 / lq - c) / step)))
+    exps = [c + step * i for i in range(k0)]
+    xs = [q**e for e in exps]
+    fs = [1.0 - x for x in xs]
+    p = list(accumulate(fs, mul, initial=1.0))
+    p += p[-1:] * (n - 1 - k0)
+    sens = sum((2.0 + lq * (abs(c) + abs(e))) * x / abs(f) for e, x, f in zip(exps, xs, fs) if f)
+    return p, 2.0 * k0 + sens + 2.0**-7 / (1.0 - q**step)
+
+
+def _exp_table(w: float, q: float, n: int) -> Tuple[List[float], float]:
+    """E_k = q^(w k(k-1)/2) / (q;q)_k for k < n, and their relative rounding
+    bound in units of eps.
+
+    With w = (2 - delta) / 2 (0, 1, 1/2 for types 1, 2, 3) these are the
+    Taylor coefficients of the type's exponential.  The caller has checked
+    that (q;q)_inf is a normal double, so no division overflows.
+    """
+    p, rel = _poch_table(1.0, 1, q, n)
+    return [q ** (w * (k * (k - 1) // 2)) / x for k, x in enumerate(p)], rel + 3.0
+
+
+def _abs_sum(a: Sequence[float], bq: Sequence[float], l: int, c: float, k: int) -> float:
+    """sum_i |a_(l+i) bq_i| of the dot product c = sum_i a_(l+i) bq_i whose
+    terms share one sign from i = k on: the first k terms, plus |c| less
+    their sum."""
+    if k <= 0:
+        return abs(c)
+    head = [a[l + i] * bq[i] for i in range(min(k, len(bq)))]
+    return sum(map(abs, head)) + abs(c - sum(head))
+
+
+def _cauchy_terms(w: float, log_bound: float, base: QBase) -> int:
+    """The number of terms M of every dot product of a coefficient table.
+
+    A table is the Laurent product E(u) F(q/u) of two Taylor series, E an
+    exponential's (`_cauchy_table`).  Every ratio of E's entries obeys
+    |E_(k+i) / E_k| <= q^(w i(i-1)/2) / (q;q)_inf, as
+    (q^(k+1);q)_i >= (q;q)_inf; with B_F bounding F's ratios the same
+    way, without the Gaussian, every term of a coefficient is
+    |t_i| <= |t_0| e^log_bound q^(w i(i-1)/2 + i), log_bound =
+    ln(B_E B_F).  The tail past M terms is then below |t_0| e^log_bound
+    q^(w M(M-1)/2 + M) / (1 - q), and M is the least count that puts it
+    at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.  More than
+    max_terms raises NonConvergence.
+    """
+    q = base.q
+    y = (log_bound - math.log((1.0 - q) * min(base.tol, _EPS))) / -math.log(q)
+    if w == 0:
+        m = math.ceil(y)
+    else:
+        b = 1.0 - w / 2.0  # w M(M-1)/2 + M = (w/2) M^2 + b M
+        m = math.ceil((math.sqrt(b * b + 2.0 * w * y) - b) / w)
+    if m > base.max_terms:
+        raise NonConvergence(f"coefficient table needs {m} terms, more than {base.max_terms}")
+    return max(1, m)
+
+
+def _cauchy_table(
+    e: Sequence[float],
+    f: Sequence[float],
+    rel: float,
+    m: int,
+    log_bound: float,
+    q: float,
+    ls: range,
+    lm: range,
+    h: int,
+) -> Tuple[List[float], List[float], List[float], List[float]]:
+    """The one coefficient routine: the Laurent product E(u) F(q/u).
+
+    Returns (ascending, descending, their bounds): c_l = sum_i e_(l+i) f_i
+    q^i for l in ls and c_(-l) = q^l sum_i f_(l+i) e_i q^i for l in lm,
+    each one C-level dot product over slices of M = m terms
+    (`_cauchy_terms`).  The bound of each is kappa eps sum |t| + eta:
+    kappa adds rel (both sequences' rounding), 2 for the pow q^i, 2 for
+    the products, M - 1 for the sum, 1 for the truncation and 3 for q^l, and
+    eta = M e^log_bound 2^-1074 covers terms that underflow.  f's entries
+    share one sign from index h on (`_abs_sum`).  A non-finite
+    coefficient raises DomainError.
+    """
+    qpow = [q**i for i in range(m)]
+    eq = list(map(mul, e, qpow))
+    fq = list(map(mul, f, qpow))
+    plus = [sum(map(mul, e[l : l + m], fq)) for l in ls]
+    minus = [sum(map(mul, f[l : l + m], eq)) for l in lm]
+    if not all(map(math.isfinite, plus + minus)):
+        raise DomainError("two-sided coefficients overflow a double")
+    kappa = (rel + m + 7.0) * _EPS
+    eta = math.exp(log_bound + math.log(m) - 1074.0 * _LN2)
+    bp = [kappa * _abs_sum(e, fq, l, c, h) + eta for l, c in zip(ls, plus)]
+    bm = [kappa * q**l * _abs_sum(f, eq, l, c, h - l) + eta for l, c in zip(lm, minus)]
+    return plus, [q**l * c for l, c in zip(lm, minus)], bp, bm
+
+
+def _lambda_coeffs(
+    kind: KindTag, lo: int, hi: int, base: QBase
+) -> Tuple[List[float], List[float]]:
+    """Coefficients a_l, l = lo..hi, of Lambda(u) = e(u) e(q/u), and their bounds.
+
+    The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf and
+    every term is positive.  A product (q;q)_inf below the smallest
+    normal double (q near 1) raises DomainError.
+    """
+    q = base.q
+    w = (2 - kind.delta) / 2.0
+    log_b = -2.0 * math.log(qpoch_infinite(q, base).value.real)
+    m = _cauchy_terms(w, log_b, base)
+    e, rel = _exp_table(w, q, hi + m)
+    a, _, b, _ = _cauchy_table(e, e, 2.0 * rel, m, log_b, q, range(lo, hi + 1), range(0), 0)
+    return a, b
+
+
 def lambda_laurent_coeff(
     kind: KindTag, l: int, base: QBase, method: str = "sum"
 ) -> float:
     """Coefficient a_l of u^l in the two-sided expansion of the product.
 
-    method "sum" evaluates the explicit inner sum directly; method
-    "bessel" routes through the equivalent modified-Bessel value at base
-    q.  The two agree and their equality is a test elsewhere.
+    method "sum" reads one entry of the coefficient table
+    (`_lambda_coeffs`); method "bessel" routes through the equivalent
+    modified-Bessel value at base q.  The two agree and their equality is
+    a test elsewhere.
     """
     if l < 0:
         # Mirror symmetry: a_(-l) = q^l * a_l.
@@ -193,22 +330,30 @@ def lambda_laurent_coeff(
         return q ** ((2 - d) / 4.0 * l * l - l / 2.0) * _bessel_i_base_q(kind, l, base)
     if method != "sum":
         raise ValueError(f"unknown method {method!r}")
-    outer = q ** ((2 - d) / 4.0 * l * (l - 1)) / qpoch_finite(q, base, l).real
-    x = q ** ((2 - d) * (l + 1) / 2.0 + d / 2.0)
-    return outer * _qseries((), (q ** (l + 1),), base, x, 2 - d)[0]
+    return _lambda_coeffs(kind, l, l, base)[0][0]
+
+
+def _lambda_table(
+    kind: KindTag, window: int, base: QBase
+) -> Tuple[LaurentTable, List[float]]:
+    """The table of a_l, |l| <= window, with the bounds of a_0..a_window."""
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
+    a, bounds = _lambda_coeffs(kind, 0, window, base)
+    coeffs: Dict[int, float] = {0: a[0]}
+    for l in range(1, window + 1):
+        coeffs[l] = a[l]
+        coeffs[-l] = base.q**l * a[l]
+    return LaurentTable(kind=kind, window=window, coeffs=coeffs), bounds
 
 
 def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTable:
-    """Tabulate coefficients a_l for |l| <= window; window < 1 raises ValueError."""
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    coeffs: Dict[int, float] = {}
-    for l in range(window + 1):
-        a = lambda_laurent_coeff(kind, l, base)
-        coeffs[l] = a
-        if l > 0:
-            coeffs[-l] = base.q**l * a
-    return LaurentTable(kind=kind, window=window, coeffs=coeffs)
+    """Tabulate coefficients a_l for |l| <= window; window < 1 raises ValueError.
+
+    One coefficient table: a_(-l) = q^l a_l, since with F = E the
+    descending dot products repeat the ascending ones term for term.
+    """
+    return _lambda_table(kind, window, base)[0]
 
 
 def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
@@ -249,15 +394,16 @@ def lambda_laurent_eval(
 ) -> SeriesValue:
     """Evaluate the two-sided expansion sum_l a_l u^l.
 
-    The coefficients |l| <= window come from `lambda_laurent_coeff`.  For
-    types 2 and 3 they decay like a Gaussian, and the part beyond the
-    window is bounded from the decay of the outermost bands.  Type-1
-    coefficients tend to (q;q)_inf^-2, so that part is summed in closed
-    form instead (`_type1_tail`).  Every a_l is positive, so
-    sum |a_l u^l| = Lambda(|u|); err_estimate adds
-    (tol + (2 window + 1) eps) Lambda(|u|) for the coefficients' relative
-    error and the rounding of the sum.  Near arg u = pi that term can
-    exceed |Lambda(u)| by orders of magnitude.  A window below 1 raises
+    The coefficients |l| <= window come from the coefficient table
+    (`_lambda_table`).  For types 2 and 3 they decay like a Gaussian, and
+    the part beyond the window is bounded from the decay of the outermost
+    bands.  Type-1 coefficients tend to (q;q)_inf^-2, so that part is
+    summed in closed form instead (`_type1_tail`).  err_estimate adds
+    sum_l b_l |u|^l for the coefficients' own bounds b_l, which do not
+    depend on tol, and (2 window + 3) eps Lambda(|u|) for the rounding of
+    the sum and of q^l a_l: every a_l is positive, so
+    sum |a_l u^l| = Lambda(|u|).  Near arg u = pi that term can exceed
+    |Lambda(u)| by orders of magnitude.  A window below 1 raises
     ValueError.
     """
     if u == 0:
@@ -267,12 +413,14 @@ def lambda_laurent_eval(
         raise DomainError(
             f"type-1 two-sided expansion requires q < |u| < 1, got |u|={abs(u)}"
         )
-    table = lambda_laurent_table(kind, window, base)
+    table, bounds = _lambda_table(kind, window, base)
     s: complex = 0.0
     for l in range(-window, window + 1):
         s += table.coeffs[l] * u**l
     terms = 2 * window + 1
-    err = (base.tol + terms * _EPS) * lambda_product(kind, abs(u), base).real
+    au = abs(u)
+    err = (terms + 2) * _EPS * lambda_product(kind, au, base).real
+    err += bounds[0] + sum(b * (au**l + (q / au) ** l) for l, b in enumerate(bounds[1:], 1))
     if kind.j == 1:
         tail = _type1_tail(u, window, base)
         return SeriesValue(s + tail.value, err + tail.err_estimate, terms + tail.terms_used)

@@ -7,7 +7,7 @@ import pytest
 import reference_values as ref
 from qfunc.cli import main
 from qfunc.harness import asymptotic_decay_report
-from qfunc.qbessel import BesselSpec, bessel_asymptotic, bessel_reference
+from qfunc.qbessel import BesselSpec, bessel_asymptotic, bessel_reference, type3_coeff
 from qfunc.qcalc import QBase, lattice_decompose
 from qfunc.qexp import KindTag
 
@@ -184,6 +184,15 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_grid_count_below_one_is_usage_error(self, capsys, count):
+        # Used to escape as an ArgumentTypeError traceback with exit 1.
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "qexp", "--q", "0.5", "--grid", "0", "1", count
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid count must be at least 1")
+
 
 class TestAsym:
     def test_qexp_table(self, capsys):
@@ -308,6 +317,19 @@ class TestLaurent:
         by_l = {int(r[0]): r for r in rows}
         assert float(by_l[1][2]) == pytest.approx(ref.COEFF_PLUS_J1[1], rel=1e-9)
         assert float(by_l[-1][3]) == pytest.approx(ref.COEFF_MINUS_J2[0], rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [0.25, 0.75])
+    def test_bessel_rows_equal_library_coefficients(self, capsys, nu):
+        code, out, _ = run_cli(
+            capsys, "laurent", "--which", "bessel", "--q", "0.8", "--nu", repr(nu),
+            "--window", "6",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        base = QBase(0.8)
+        for l, sign, c1, c2, c3 in rows:
+            pair = type3_coeff(abs(int(l)), sign, nu, base)
+            assert (float(c1), float(c2), float(c3)) == (pair.c1, pair.c2, pair.c3)
 
 
 class TestVerify:

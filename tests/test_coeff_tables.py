@@ -1,0 +1,170 @@
+"""Two-sided coefficient tables against a 40-digit mpmath oracle.
+
+Every table is one Cauchy product of two precomputed sequences, the
+exponential's E_k = q^(w k(k-1)/2) / (q;q)_k and Phi's
+F_m = (q^(nu+1/2);q)_m (q^(-nu+1/2);q)_m / (q^2;q^2)_m.  The oracle sums
+the same products in 40-digit arithmetic far past double precision and
+checks each double coefficient against the bound the table routine
+derives for it.  The type-3 representation is checked the same way,
+against the geometric-mean series summed in 30-digit arithmetic.
+"""
+
+import math
+import random
+
+import pytest
+
+from qfunc import qbessel, qexp
+from qfunc.qbessel import bessel_type3_repr
+from qfunc.qcalc import QBase
+from qfunc.qexp import KindTag
+
+EPS = 2.0**-53
+WINDOW = 160
+TOLS = (1e-6, 1e-12)
+
+
+def _oracle_sequences(mpmath, q, w, nu, n):
+    """E_k (k < n) for weight w, and F_m (m < n) for order nu, in mpmath."""
+    one = mpmath.mpf(1)
+    e, p, g, step = [], one, one, one  # g = q^(w k(k-1)/2), step = q^(w k)
+    qw = q**w
+    for k in range(n):
+        e.append(g / p)
+        p *= 1 - q ** (k + 1)
+        g *= step
+        step *= qw
+    if nu is None:
+        return e, None
+    a, b = q ** (nu + one / 2), q ** (one / 2 - nu)
+    f, p = [], one
+    for m in range(n):
+        f.append(p)
+        x = q**m
+        p *= (1 - a * x) * (1 - b * x) / (1 - q * q * x * x)
+    return e, f
+
+
+def _oracle_terms(q, w):
+    """Terms past which every oracle tail is below 1e-45 of its sum."""
+    lq = -math.log(q)
+    if w == 0:
+        return math.ceil(60 * math.log(10) / lq)
+    return math.ceil(math.sqrt(2 * 60 * math.log(10) / (w * lq))) + 20
+
+
+def _sample_ls(rng):
+    return sorted({0, 1, 2, WINDOW} | set(rng.sample(range(3, WINDOW), 7)))
+
+
+def _oracle_grid():
+    rng = random.Random(20061008)
+    cases = []
+    for q in (0.2, 0.5, 0.8, 0.9):
+        for j in (1, 2, 3):
+            cases.append((q, j, None, _sample_ls(rng)))
+        for nu in (0.1, 0.25, 0.75, 0.95):
+            for j in (1, 2):
+                cases.append((q, j, nu, _sample_ls(rng)))
+    return cases
+
+
+def test_tables_are_within_their_bound_of_the_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    bad = []
+    with mpmath.workdps(40):
+        for q, j, nu, ls in _oracle_grid():
+            kind = KindTag.from_j(j)
+            w = (2 - kind.delta) / 2
+            m = _oracle_terms(q, w)
+            qm = mpmath.mpf(q)
+            e, f = _oracle_sequences(mpmath, qm, w, None if nu is None else mpmath.mpf(nu), WINDOW + m)
+            qpow = [qm**i for i in range(m)]
+            eq = [x * y for x, y in zip(e, qpow)]
+            fq = eq if f is None else [x * y for x, y in zip(f, qpow)]
+            exact = {l: mpmath.fdot(e[l : l + m], fq) for l in ls}
+            if f is not None:
+                exact.update({-l: qm**l * mpmath.fdot(f[l : l + m], eq) for l in ls if l})
+            for tol in TOLS:
+                base = QBase(q, tol=tol)
+                if f is None:
+                    a, bounds = qexp._lambda_coeffs(kind, 0, WINDOW, base)
+                    got = {l: (a[l], bounds[l]) for l in ls}
+                else:
+                    plus, minus, bp, bm = qbessel._laurent_tables((j,), nu, 0, WINDOW, base)[0]
+                    got = {l: (plus[l], bp[l]) for l in ls}
+                    got.update({-l: (minus[l - 1], bm[l - 1]) for l in ls if l})
+                for l, (value, bound) in got.items():
+                    err = abs(mpmath.mpf(value) - exact[l])
+                    if not err <= bound:
+                        bad.append((q, j, nu, tol, l, float(err), bound))
+    assert bad == [], bad
+
+
+def test_table_rows_equal_single_coefficients():
+    base = QBase(0.8)
+    plus, minus, _, _ = qbessel._laurent_tables((1,), 0.75, 0, 12, base)[0]
+    k1 = KindTag.from_j(1)
+    assert [qbessel.bessel_laurent_coeff(k1, l, "plus", 0.75, base) for l in range(13)] == plus
+    assert [qbessel.bessel_laurent_coeff(k1, l, "minus", 0.75, base) for l in range(1, 13)] == minus
+    table = qexp.lambda_laurent_table(k1, 12, base).coeffs
+    assert all(qexp.lambda_laurent_coeff(k1, l, base) == table[l] for l in range(-12, 13))
+
+
+def _type3_oracle(mpmath, family, nu, u, q, window):
+    """The family map of the geometric-mean series sum_l sqrt(c1_l c2_l) w^l."""
+    qm, num, um = mpmath.mpf(q), mpmath.mpf(nu), mpmath.mpf(u)
+    m = _oracle_terms(q, 0)
+    e1, f = _oracle_sequences(mpmath, qm, 0, num, window + m)
+    e2, _ = _oracle_sequences(mpmath, qm, 1, None, window + m)
+    qpow = [qm**i for i in range(m)]
+    fq = [x * y for x, y in zip(f, qpow)]
+    c = {}
+    for l in range(window + 1):
+        c[l] = mpmath.sqrt(mpmath.fdot(e1[l : l + m], fq) * mpmath.fdot(e2[l : l + m], fq))
+        if l:
+            c1 = mpmath.fdot(f[l : l + m], [x * y for x, y in zip(e1, qpow)])
+            c2 = mpmath.fdot(f[l : l + m], [x * y for x, y in zip(e2, qpow)])
+            c[-l] = qm**l * mpmath.sqrt(c1 * c2)
+    series = lambda w: mpmath.fsum(cl * w**l for l, cl in c.items())
+    q2 = qm * qm
+    an = mpmath.sqrt(
+        qm ** (0.5 - num) * (1 - q2)
+        / (2 * mpmath.qgamma(num, q2) * mpmath.qgamma(1 - num, q2) * mpmath.sin(num * mpmath.pi))
+    )
+    r = mpmath.sqrt(2 * um)
+    k = qm ** (0.5 - num * num) * (1 - q2) / (2 * an * r)
+    i = mpmath.mpc(0, 1)
+    alpha = mpmath.pi / 4 + num * mpmath.pi / 2
+    if family == "I":
+        return an / r * (series(um) + i * mpmath.exp(i * num * mpmath.pi) * series(-um))
+    if family == "K":
+        return k * series(-um)
+    if family == "J":
+        return an / r * (mpmath.exp(-i * alpha) * series(i * um) + mpmath.exp(i * alpha) * series(-i * um))
+    return k / mpmath.pi * (
+        -i * mpmath.exp(-i * alpha) * series(i * um) + i * mpmath.exp(i * alpha) * series(-i * um)
+    )
+
+
+@pytest.mark.parametrize(
+    "family,q,nu,u",
+    [
+        ("K", 0.716, 0.6, 3.42),
+        ("K", 0.756, 0.3, 1.38),
+        ("Y", 0.792, 0.7, 3.80),
+        ("J", 0.607, 0.595, 3.70),
+        ("I", 0.355, 0.383, 2.58),
+    ],
+)
+def test_type3_repr_bound_counts_coefficient_rounding(family, q, nu, u):
+    # Before the bound counted the coefficients' rounding it reported
+    # 1e-30 where the error was 6e-11.  The prefactor's own rounding, a
+    # few eps of the value, stays outside the bound.
+    mpmath = pytest.importorskip("mpmath")
+    sv = bessel_type3_repr(family, nu, u, 20, QBase(q))
+    window = (sv.terms_used - 1) // 2 + 20
+    with mpmath.workdps(30):
+        exact = _type3_oracle(mpmath, family, nu, u, q, window)
+        err = float(abs(sv.value - exact))
+        assert err <= sv.err_estimate + 16 * EPS * float(abs(exact))
