@@ -217,7 +217,7 @@ def cmd_asym(args) -> int:
     header = ["n", "exact_abs", "asym_abs", "rel_error"]
     if head != "qexp" and j == 3:
         header += ["ratio", "phi_min", "phi_max"]
-    base = QBase(args.q, tol=args.tol, max_terms=args.max_terms)
+    base = _base_from_args(args)
     rows = [
         [str(n)] + [_fmt(x) for x in (abs(exact), abs(leading), rel, *extra)]
         for n, exact, leading, rel, extra in _decay_rows(
@@ -231,7 +231,7 @@ def cmd_asym(args) -> int:
 def cmd_laurent(args) -> int:
     if args.window < 1:
         raise ValueError(f"window must be at least 1, got {args.window}")
-    base = QBase(args.q, tol=args.tol, max_terms=args.max_terms)
+    base = _base_from_args(args)
     if args.which == "lambda":
         table = lambda_laurent_table(KindTag.from_j(args.kind), args.window, base)
         header = ["l", "coeff"]
@@ -312,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--tol", type=float, default=1e-12)
     common.add_argument("--max-terms", type=int, default=100000)
-    common.add_argument("--seed", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="qfunc",
@@ -358,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lau.add_argument("--window", type=int, default=10)
     p_lau.set_defaults(func=cmd_laurent)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    p_ver = sub.add_parser("verify", help="run the verification suite")
+    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--config", help="flat key=value config file")
     p_ver.add_argument("--stamp", action="store_true", help="include a timestamp in the report")
     p_ver.set_defaults(func=cmd_verify)

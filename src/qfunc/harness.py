@@ -382,7 +382,7 @@ def _recursion_residuals(
     q = base.q
     d = KindTag.from_j(j).delta
     if j == 3:
-        minus, plus = _type3_tables(nu, kmax + 2, base)[:2]
+        plus, minus = _type3_tables(nu, kmax + 2, base)[:2]
     else:
         plus, minus = _laurent_tables((j,), nu, 0, kmax + 2, base)[0][:2]
     # A uniform rescale of all coefficients would cancel out of the
@@ -431,7 +431,7 @@ def _check_coeff_bound(cfg: SuiteConfig, rng: random.Random, fault: float) -> _W
             p1 = 1.0
             p2 = 1.0
             p3 = 1.0
-            c3 = _type3_tables(nu, 20, base)[0]
+            c3 = _type3_tables(nu, 20, base)[1]
             for l in range(1, 21):
                 p1 *= 1.0 - q ** (-nu + 0.5) * q ** (l - 1)
                 p2 *= 1.0 - q ** (nu + 0.5) * q ** (l - 1)

@@ -49,6 +49,8 @@ from .qexp import (
     _cauchy_table,
     _cauchy_terms,
     _exp_table,
+    _laurent_sum,
+    _laurent_window,
     _poch_table,
     lambda_product,
     qexp_asymptotic,
@@ -337,15 +339,8 @@ def _phi_table(nu: float, q: float, n: int) -> Tuple[List[float], float]:
     return [x * y / z for x, y, z in zip(pa, pm, p2)], ra + rm + r2 + 2.0
 
 
-def _laurent_tables(
-    js: Tuple[int, ...], nu: float, lo: int, hi: int, base: QBase
-) -> List[Tuple[List[float], List[float], List[float], List[float]]]:
-    """Two-sided coefficients of e(u) Phi_nu(u) for each type j in js (1, 2).
-
-    Per type: (ascending, descending, their bounds), the ascending c_l for
-    l = lo..hi and the descending c_(-l) for l = max(lo, 1)..hi, from the
-    coefficient table (`qexp._cauchy_table`) of the exponential's
-    coefficients E and Phi's F (`_phi_table`).
+def _phi_bound(nu: float, base: QBase) -> Tuple[float, int]:
+    """(log_bound, h) of the coefficient tables of e(u) Phi_nu(u).
 
     F's step ratio r_i = |1 - a x||1 - b x| / (1 - q^2 x^2), x = q^i,
     a = q^(nu+1/2), b = q^(-nu+1/2), is at most 1 once a x and b x are:
@@ -353,7 +348,8 @@ def _laurent_tables(
     a + b >= 2 sqrt(q) >= q + q^2.  That happens from i = h =
     ceil(|nu| - 1/2) on, so the product B_F of max(1, r_i) over i < h
     bounds every |F_(k+m) / F_k|, and every F_m from m = h on has one
-    sign.  (q;q)_inf below the smallest normal double raises DomainError.
+    sign.  log_bound = ln(B_F / (q;q)_inf), as `qexp._cauchy_terms` takes
+    it.  (q;q)_inf below the smallest normal double raises DomainError.
     """
     q = base.q
     a, b = q ** (nu + 0.5), q ** (0.5 - nu)
@@ -362,6 +358,22 @@ def _laurent_tables(
     for i in range(h):
         x = q**i
         log_b += max(0.0, math.log(abs((1.0 - a * x) * (1.0 - b * x)) / (1.0 - q * q * x * x)))
+    return log_b, h
+
+
+def _laurent_tables(
+    js: Tuple[int, ...], nu: float, lo: int, hi: int, base: QBase
+) -> List[Tuple[List[float], List[float], List[float], List[float]]]:
+    """Two-sided coefficients of e(u) Phi_nu(u) for each type j in js (1, 2).
+
+    Per type: (ascending, descending, their bounds), the ascending c_l for
+    l = lo..hi and the descending c_(-l) for l = max(lo, 1)..hi, from the
+    coefficient table (`qexp._cauchy_table`) of the exponential's
+    coefficients E and Phi's F (`_phi_table`), with the bound of
+    `_phi_bound`.
+    """
+    q = base.q
+    log_b, h = _phi_bound(nu, base)
     ws = [(2 - KindTag.from_j(j).delta) / 2.0 for j in js]
     ms = [_cauchy_terms(w, log_b, base) for w in ws]
     n = hi + max(ms)
@@ -441,7 +453,7 @@ def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
 def _type3_tables(
     nu: float, window: int, base: QBase
 ) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
-    """Geometric-mean tables (descending l=1..L, ascending l=0..L) and their bounds.
+    """Geometric-mean rows l <= window in `qexp._cauchy_table`'s layout.
 
     One type-1 and one type-2 coefficient table (`_laurent_tables`);
     NegativeProduct at the first descending, then ascending, l with
@@ -456,7 +468,7 @@ def _type3_tables(
     cp, ep = zip(
         *(_geometric_mean(*t, l, "plus", nu) for l, t in enumerate(zip(p1, p2, ep1, ep2)))
     )
-    return cm, cp, em, ep
+    return cp, cm, ep, em
 
 
 def bessel_type3_repr(
@@ -464,18 +476,15 @@ def bessel_type3_repr(
 ) -> SeriesValue:
     """Two-sided type-3 series at u = (1-q^2)z; requires |u| > q.
 
-    The family map of f(w) = sum_l c_l w^l over the geometric-mean tables,
-    summed by Horner's rule in w and in 1/w.  The window doubles (up to
-    three times) until the outermost bands contribute below tolerance.
-    The bound of f is those bands plus sum_l (e_l + g |c_l|) |w|^l, with
-    e_l the coefficients' own bound (`_type3_tables`) and g = 10 (L + 1)
-    eps for Horner's rule: at most 4 eps per step for the complex product
-    and sum, and 6 eps per power for 1/w.  So err_estimate is
-    sum_w |c_w| (bands + rounding) and grows with the cancellation in f,
-    as for K, whose single point w = -u alternates the signs.  The
-    prefactor's own rounding and the connection error to the true
-    function at orders other than half-integers (`bessel_phi_repr`) stay
-    outside the bound.
+    The family map of f(w) = sum_l c_l w^l over the geometric-mean tables
+    (`_type3_tables`), summed by `qexp._laurent_sum` to the window of
+    `qexp._laurent_window`, at least max(2, window), whose tail joins the
+    bound.  As c_l^2 = c1_l c2_l, the rows obey the type-2 Gaussian at half
+    its weight ascending and the type-1 decay q^l descending.  The bound grows
+    with the cancellation in f, as for K, whose single point w = -u
+    alternates the signs.  The prefactor's own rounding and the
+    connection error at orders other than half-integers
+    (`bessel_phi_repr`) stay outside it.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
@@ -484,32 +493,15 @@ def bessel_type3_repr(
         raise DomainError(f"two-sided series requires |u| > q, got |u|={au}")
     if family == "Y" and float(nu).is_integer():
         raise DomainError("integer-order Y has no direct two-sided form here")
-    L = max(2, window)
-    for _ in range(4):
-        cm, cp, em, ep = _type3_tables(nu, L, base)
-        band = abs(cp[L]) * au**L + abs(cm[L - 1]) * au**-L
-        core = abs(cp[0]) + au * abs(cp[1])
-        if band <= base.tol * max(core, 1e-300):
-            break
-        L *= 2
-    else:
-        raise NonConvergence(f"two-sided series still truncating at window {L}")
-    g = 10.0 * (L + 1) * _EPS
+    # |E_k| <= q^(w k(k-1)/2) / (q;q)_inf and |F_m| <= B_F bound every row of
+    # both tables by C q^(w l(l-1)/2) and C q^l, C = e^log_bound / (1 - q).
+    log_c = _phi_bound(nu, base)[0] - math.log1p(-base.q)
+    L, tail = _laurent_window((0.5, 0.0), log_c, max(2, window), au, base)
+    tables = _type3_tables(nu, L, base)
 
     def f(w: complex) -> Tuple[complex, float, int]:
-        v = 1.0 / w
-        aw = abs(w)
-        s: complex = 0.0
-        r = 0.0
-        for c, e in zip(reversed(cp), reversed(ep)):
-            s = s * w + c
-            r = r * aw + e + g * abs(c)
-        t: complex = 0.0
-        rt = 0.0
-        for c, e in zip(reversed(cm), reversed(em)):
-            t = (t + c) * v
-            rt = (rt + e + g * abs(c)) / aw
-        return s + t, band + r + rt, 0
+        s, err = _laurent_sum(tables, w)
+        return s, err + tail, 0
 
     return replace(_family(family, nu, u, f, base), terms_used=2 * L + 1)
 

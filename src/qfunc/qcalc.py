@@ -18,11 +18,11 @@ ch. 1), with d = delta = 2, 0, 1 for types 1, 2, 3:
 The kernel stops at the first n >= 2 with |t_n| < tol |s| and term ratio
 rho = |t_n / t_(n-1)| < 0.99, returns s + t_n, and bounds the tail past
 t_n by |t_n| rho / (1 - rho).  That bound assumes the ratio has settled
-and carries no rounding term.  The two-sided sums (qexp._type1_tail,
-lambda_laurent_eval, bessel_type3_repr) keep their own loops.  The
-two-sided coefficients are no term-ratio series: every one is a dot
-product of two precomputed sequences (`qexp._cauchy_table`), summed to eps
-whatever tol is.
+and carries no rounding term.  The two-sided sums are one Horner evaluator
+(`qexp._laurent_sum`) over coefficients that are dot products of two
+precomputed sequences (`qexp._cauchy_table`), summed to eps whatever tol
+is; their window and tail come from the coefficients' a-priori bound
+(`qexp._laurent_window`), not from the terms.
 
 An infinite product (a;q)_inf is the one other loop, in two stages.  The
 factor prefix multiplies (1 - a q^k) while |a q^k| > r(q) =
@@ -285,6 +285,17 @@ def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
     return False
 
 
+def _geometric_tail(prev: float, ta: float) -> float:
+    """The one tail model, ta rho / (1 - rho) with rho = ta / prev, past terms
+    of moduli prev and ta: 0 when ta = 0, inf while rho >= _RHO_CAP."""
+    if ta == 0:
+        return 0.0
+    if ta >= _RHO_CAP * prev:
+        return math.inf
+    rho = ta / prev
+    return ta * rho / (1.0 - rho)
+
+
 def _qseries(
     upper: Sequence[complex],
     lower: Sequence[complex],
@@ -337,8 +348,7 @@ def _qseries(
                 return s, 0.0, n + 1
             raise DomainError(f"q-series term {n + 1} is not finite: {t}")
         if ta < tol * abs(s) and n >= 1 and ta < _RHO_CAP * prev:
-            rho = ta / prev
-            return s + t, ta * rho / (1.0 - rho), n + 2
+            return s + t, _geometric_tail(prev, ta), n + 2
         g *= qw
     raise NonConvergence(f"q-series did not converge within {base.max_terms} terms")
 

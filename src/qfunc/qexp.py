@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
@@ -34,10 +35,10 @@ from .errors import DomainError, NonConvergence, PoleError
 from .qcalc import (
     _EPS,
     _LN2,
-    _RHO_CAP,
     LatticePoint,
     QBase,
     SeriesValue,
+    _geometric_tail,
     _qseries,
     lattice_decompose,
     qgamma,
@@ -182,7 +183,7 @@ def _bessel_i_base_q(kind: KindTag, l: int, base: QBase) -> float:
     d = kind.delta
     y = q ** (d / 4.0) / (1.0 - q)
     x = (1.0 - q) ** 2 * y * y * q ** ((2 - d) * (l + 1) / 2.0)
-    s = _qseries((), (q ** (l + 1),), base, x, 2 - d)[0]
+    s = _qseries((), (q ** (l + 1),), replace(base, tol=min(base.tol, _EPS)), x, 2 - d)[0]
     return y**l / qgamma(l + 1, base) * s
 
 
@@ -295,12 +296,12 @@ def _cauchy_table(
 
 def _lambda_coeffs(
     kind: KindTag, lo: int, hi: int, base: QBase
-) -> Tuple[List[float], List[float]]:
-    """Coefficients a_l, l = lo..hi, of Lambda(u) = e(u) e(q/u), and their bounds.
+) -> Tuple[List[float], List[float], List[float], List[float]]:
+    """Rows l = lo..hi of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
 
-    The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf and
-    every term is positive.  A product (q;q)_inf below the smallest
-    normal double (q near 1) raises DomainError.
+    The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf, every
+    term is positive and a_(-l) = q^l a_l.  A product (q;q)_inf below the
+    smallest normal double (q near 1) raises DomainError.
     """
     q = base.q
     w = (2 - kind.delta) / 2.0
@@ -308,7 +309,92 @@ def _lambda_coeffs(
     m = _cauchy_terms(w, log_b, base)
     e, rel = _exp_table(w, q, hi + m)
     a, _, b, _ = _cauchy_table(e, e, 2.0 * rel, m, log_b, q, range(lo, hi + 1), range(0), 0)
-    return a, b
+    ls = range(max(lo, 1), hi + 1)
+    k = ls.start - lo
+    minus = [q**l * x for l, x in zip(ls, a[k:])]
+    # The product q^l a_l can underflow: its bound keeps that 2^-1074.
+    bminus = [q**l * x + 2.0**-1074 for l, x in zip(ls, b[k:])]
+    return a, minus, b, bminus
+
+
+def _laurent_sum(
+    rows: Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]], w: complex
+) -> Tuple[complex, float]:
+    """sum_l plus_l w^l + sum_(l>=1) minus_l w^(-l) by Horner's rule in w and
+    in 1/w, over rows (plus, minus, bplus, bminus), l <= L, in
+    `_cauchy_table`'s layout, and its bound sum_l (b_l + g |c_l|) |w|^l.
+    g = 10 (L + 1) eps covers Horner's rule (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 5): at most 4 eps per step for the complex
+    product and sum, 6 eps per power of 1/w.  A sum or bound that overflows
+    raises DomainError.
+    """
+    plus, minus, bplus, bminus = rows
+    g = 10.0 * len(plus) * _EPS
+    v = 1.0 / w
+    aw = abs(w)
+    s: complex = 0.0
+    r = 0.0
+    for c, b in zip(reversed(plus), reversed(bplus)):
+        s = s * w + c
+        r = r * aw + b + g * abs(c)
+    t: complex = 0.0
+    rt = 0.0
+    for c, b in zip(reversed(minus), reversed(bminus)):
+        t = (t + c) * v
+        rt = (rt + b + g * abs(c)) / aw
+    if not (cmath.isfinite(s + t) and math.isfinite(r + rt)):
+        raise DomainError(f"two-sided sum at |w|={aw} overflows a double")
+    return s + t, r + rt
+
+
+def _least_n(a: float, b: float, y: float) -> int:
+    """The least n past the vertex with a n(n-1) + b n >= y (b > 0 if a = 0)."""
+    if a == 0:
+        return math.ceil(y / b)
+    return math.ceil((math.sqrt(max(0.0, (b - a) ** 2 + 4.0 * a * y)) + a - b) / (2.0 * a))
+
+
+def _laurent_window(
+    ws: Tuple[float, float], log_c: float, window: int, au: float, base: QBase
+) -> Tuple[int, float]:
+    """The one window rule of the two-sided sums: (L, the tail past L at |w| = au).
+
+    The caller's C = e^log_c bounds every row past `window`:
+    |c_l| <= C q^(w l(l-1)/2) and |c_(-l)| <= C q^(v l(l-1)/2 + l), (w, v) = ws.
+    So each side's terms are at most C e^(-a n(n-1) - b n): a = w ln(1/q) / 2
+    and b = -ln au ascending, a = v ln(1/q) / 2 and b = ln(au / q)
+    descending.  Past the parabola's vertex the ratio e^(-2 a n - b) falls,
+    and the tail from term n on is at most term n over (1 - its ratio).
+    L >= window is the least window that puts each side's tail below tol
+    times the parabola's peak (the quadratic formula, as in `_cauchy_terms`,
+    solved again with the ratio at the first root).  A non-finite au or a
+    peak beyond the double range raises DomainError, L above max_terms
+    NonConvergence.
+    """
+    if not math.isfinite(au):
+        raise DomainError(f"two-sided series at non-finite |u|={au}")
+    lq = -math.log(base.q)
+    sides = [(ws[0] * lq / 2.0, -math.log(au)), (ws[1] * lq / 2.0, math.log(au) + lq)]
+    peak = 0.0
+    for a, b in sides:
+        if a:
+            n = max(0, round(0.5 - b / (2.0 * a)))
+            peak = max(peak, -a * n * (n - 1) - b * n)
+    if log_c + peak > math.log(sys.float_info.max):
+        raise DomainError(f"two-sided series at |u|={au} overflows a double")
+    y = -peak - math.log(base.tol)
+    L = window
+    for a, b in sides:
+        n = _least_n(a, b, y)
+        L = max(L, _least_n(a, b, y - math.log(-math.expm1(-2.0 * a * n - b))) - 1)
+    if L > base.max_terms:
+        raise NonConvergence(f"two-sided series needs window {L}, more than {base.max_terms}")
+    n = L + 1
+    tail = sum(
+        math.exp(log_c - a * n * (n - 1) - b * n - math.log(-math.expm1(-2.0 * a * n - b)))
+        for a, b in sides
+    )
+    return L, tail
 
 
 def lambda_laurent_coeff(
@@ -318,8 +404,8 @@ def lambda_laurent_coeff(
 
     method "sum" reads one entry of the coefficient table
     (`_lambda_coeffs`); method "bessel" routes through the equivalent
-    modified-Bessel value at base q.  The two agree and their equality is
-    a test elsewhere.
+    modified-Bessel value at base q, summed to min(tol, eps) as the table
+    is.  Their agreement is a test elsewhere.
     """
     if l < 0:
         # Mirror symmetry: a_(-l) = q^l * a_l.
@@ -333,27 +419,14 @@ def lambda_laurent_coeff(
     return _lambda_coeffs(kind, l, l, base)[0][0]
 
 
-def _lambda_table(
-    kind: KindTag, window: int, base: QBase
-) -> Tuple[LaurentTable, List[float]]:
-    """The table of a_l, |l| <= window, with the bounds of a_0..a_window."""
+def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTable:
+    """Tabulate coefficients a_l for |l| <= window; window < 1 raises ValueError."""
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    a, bounds = _lambda_coeffs(kind, 0, window, base)
-    coeffs: Dict[int, float] = {0: a[0]}
-    for l in range(1, window + 1):
-        coeffs[l] = a[l]
-        coeffs[-l] = base.q**l * a[l]
-    return LaurentTable(kind=kind, window=window, coeffs=coeffs), bounds
-
-
-def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTable:
-    """Tabulate coefficients a_l for |l| <= window; window < 1 raises ValueError.
-
-    One coefficient table: a_(-l) = q^l a_l, since with F = E the
-    descending dot products repeat the ascending ones term for term.
-    """
-    return _lambda_table(kind, window, base)[0]
+    plus, minus, _, _ = _lambda_coeffs(kind, 0, window, base)
+    coeffs: Dict[int, float] = dict(enumerate(plus))
+    coeffs.update((-l, c) for l, c in enumerate(minus, 1))
+    return LaurentTable(kind=kind, window=window, coeffs=coeffs)
 
 
 def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
@@ -378,12 +451,12 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
         ta = abs(t)
         m += 1
         if ta <= base.tol * abs(s):
-            rho = ta / prev if prev else 0.0
-            if rho >= _RHO_CAP:
+            tail = _geometric_tail(prev, ta)
+            if tail == math.inf:
                 raise NonConvergence(f"type-1 tail beyond window {window} is not yet geometric")
             qq = qpoch_infinite(q, base)
             inv = 1.0 / qq.value.real**2
-            err = inv * (ta * rho / (1.0 - rho) + abs(s) * 2.0 * qq.err_estimate / qq.value.real)
+            err = inv * (tail + abs(s) * 2.0 * qq.err_estimate / qq.value.real)
             return SeriesValue(s * inv, err, m)
         prev = ta
     raise NonConvergence(f"type-1 tail did not converge within {base.max_terms} terms")
@@ -392,73 +465,57 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
 def lambda_laurent_eval(
     kind: KindTag, u: complex, window: int, base: QBase
 ) -> SeriesValue:
-    """Evaluate the two-sided expansion sum_l a_l u^l.
+    """Evaluate the two-sided expansion sum_l a_l u^l by `_laurent_sum`.
 
-    The coefficients |l| <= window come from the coefficient table
-    (`_lambda_table`).  For types 2 and 3 they decay like a Gaussian, and
-    the part beyond the window is bounded from the decay of the outermost
-    bands.  Type-1 coefficients tend to (q;q)_inf^-2, so that part is
-    summed in closed form instead (`_type1_tail`).  err_estimate adds
-    sum_l b_l |u|^l for the coefficients' own bounds b_l, which do not
-    depend on tol, and (2 window + 3) eps Lambda(|u|) for the rounding of
-    the sum and of q^l a_l: every a_l is positive, so
-    sum |a_l u^l| = Lambda(|u|).  Near arg u = pi that term can exceed
-    |Lambda(u)| by orders of magnitude.  A window below 1 raises
-    ValueError.
+    Every a_l is positive, so the bound's rounding term is 10 (L + 1) eps
+    Lambda(|u|), which near arg u = pi can exceed |Lambda(u)| by orders of
+    magnitude.  Types 2 and 3 sum to the window of `_laurent_window`, at
+    least `window`, and add its tail; type-1 coefficients tend to
+    (q;q)_inf^-2, so that part is summed in closed form instead
+    (`_type1_tail`).  A window below 1 raises ValueError.
     """
     if u == 0:
         raise DomainError("two-sided expansion is undefined at u = 0")
-    q = base.q
-    if kind.j == 1 and not q < abs(u) < 1.0:
-        raise DomainError(
-            f"type-1 two-sided expansion requires q < |u| < 1, got |u|={abs(u)}"
-        )
-    table, bounds = _lambda_table(kind, window, base)
-    s: complex = 0.0
-    for l in range(-window, window + 1):
-        s += table.coeffs[l] * u**l
-    terms = 2 * window + 1
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     au = abs(u)
-    err = (terms + 2) * _EPS * lambda_product(kind, au, base).real
-    err += bounds[0] + sum(b * (au**l + (q / au) ** l) for l, b in enumerate(bounds[1:], 1))
     if kind.j == 1:
-        tail = _type1_tail(u, window, base)
-        return SeriesValue(s + tail.value, err + tail.err_estimate, terms + tail.terms_used)
-    # Tail estimate from the decay of the outermost bands.
-    for hi, lo in ((window, window - 1), (-window, -(window - 1))):
-        t_hi = abs(table.coeffs[hi] * u**hi)
-        t_lo = abs(table.coeffs[lo] * u**lo)
-        if t_hi == 0:
-            continue
-        if t_lo == 0 or t_hi / t_lo >= _RHO_CAP:
-            raise NonConvergence(
-                f"coefficient decay is not yet geometric at window {window}"
+        if not base.q < au < 1.0:
+            raise DomainError(
+                f"type-1 two-sided expansion requires q < |u| < 1, got |u|={au}"
             )
-        rho = t_hi / t_lo
-        err += t_hi * rho / (1.0 - rho)
-    return SeriesValue(s, err, terms)
+        s, err = _laurent_sum(_lambda_coeffs(kind, 0, window, base), u)
+        tail = _type1_tail(u, window, base)
+        terms = 2 * window + 1 + tail.terms_used
+        return SeriesValue(s + tail.value, err + tail.err_estimate, terms)
+    q = base.q
+    w = (2 - kind.delta) / 2.0
+    # For l > window, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1 give
+    # a_l <= q^(w l(l-1)/2) e(x) / (q;q)_inf, x = q^(1 + w (window + 1)).
+    ex = qexp_eval(kind, q ** (1.0 + w * (window + 1)), base)
+    log_c = math.log(ex.value.real + ex.err_estimate) - math.log(qpoch_infinite(q, base).value.real)
+    L, tail = _laurent_window((w, w), log_c, window, au, base)
+    s, err = _laurent_sum(_lambda_coeffs(kind, 0, L, base), u)
+    return SeriesValue(s, err + tail, 2 * L + 1)
 
 
 def lambda_closed_form(kind: KindTag, u: complex, base: QBase) -> complex:
     """Discrete lattice realization of the self-reciprocal product.
 
-    For types 1 and 2 this is an exact identity.  For type 3 it is the
-    growth-envelope model with the q^(-1/24) normalization, and it is not
-    even an order-of-magnitude scale: at 50 random lattice points with
-    q in (0.2, 0.8) and n in [-8, 3], |closed/direct| spans 6.6e-11 to
-    546.  Lambda_3 has no one-step quasi-periodicity to build an exact
-    form from, since e3 satisfies only e3(u) - e3(qu) = u e3(sqrt(q) u).
+    For types 1 and 2 this is an exact identity, the leading term of
+    `qexp_asymptotic`.  For type 3 it is the growth-envelope model with
+    the q^(-1/24) normalization, and it is not even an order-of-magnitude
+    scale: at 50 random lattice points with q in (0.2, 0.8) and n in
+    [-8, 3], |closed/direct| spans 6.6e-11 to 546.  Lambda_3 has no
+    one-step quasi-periodicity to build an exact form from, since e3
+    satisfies only e3(u) - e3(qu) = u e3(sqrt(q) u).
     """
-    q = base.q
     p = lattice_decompose(u, base)
+    if kind.j != 3:
+        return qexp_asymptotic(kind, p, base).leading
+    q = base.q
     n, lam, th = p.n, p.lam, p.theta
-    u0 = q**lam * cmath.exp(1j * th)
-    c = lambda_product(kind, u0, base)
-    if kind.j == 1:
-        return c * cmath.exp(1j * (th + math.pi) * n) * q ** (n * (n - 1) / 2.0 + lam * n)
-    if kind.j == 2:
-        return c * cmath.exp(-1j * th * n) * q ** (-n * (n - 1) / 2.0 - lam * n)
-    c3 = q ** (-1.0 / 24.0) * c
+    c3 = q ** (-1.0 / 24.0) * lambda_product(kind, q**lam * cmath.exp(1j * th), base)
     return c3 * q ** (-2.0 / 3.0 * n * (n - 1) - 4.0 / 3.0 * n * lam) * cmath.exp(
         -4j * th * n / 3.0
     )

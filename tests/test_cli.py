@@ -381,3 +381,21 @@ class TestArgparse:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--fn", "gamma", "--q", "0.5", "--u", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--format", "json"],
+            ["verify", "--tol", "1e-6"],
+            ["verify", "--max-terms", "10"],
+            ["eval", "--fn", "qexp", "--q", "0.5", "--u", "1", "--seed", "1"],
+            ["asym", "--selector", "qexp:1", "--q", "0.5", "--seed", "1"],
+            ["laurent", "--q", "0.5", "--seed", "1"],
+        ],
+    )
+    def test_option_the_command_ignores_is_usage_error(self, capsys, argv):
+        # Each command takes only the options it reads; these were accepted
+        # and ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

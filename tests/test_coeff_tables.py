@@ -88,7 +88,7 @@ def test_tables_are_within_their_bound_of_the_oracle():
             for tol in TOLS:
                 base = QBase(q, tol=tol)
                 if f is None:
-                    a, bounds = qexp._lambda_coeffs(kind, 0, WINDOW, base)
+                    a, _, bounds, _ = qexp._lambda_coeffs(kind, 0, WINDOW, base)
                     got = {l: (a[l], bounds[l]) for l in ls}
                 else:
                     plus, minus, bp, bm = qbessel._laurent_tables((j,), nu, 0, WINDOW, base)[0]

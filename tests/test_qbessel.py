@@ -238,6 +238,29 @@ class TestTypeThreeRepresentation:
             want = bessel_value(BesselSpec(K3, family, 0.5), z, BASE).value
             assert abs(got - want) <= 1e-11 * max(abs(want), 1e-10)
 
+    def test_each_band_is_computed_once(self, monkeypatch):
+        # The window used to double 20 -> 40 -> 80 here, and each doubling
+        # rebuilt both coefficient tables from l = 0.
+        rows = []
+        table = qbessel._cauchy_table
+
+        def counting(*args):
+            rows.extend(args[6])
+            rows.extend(-l for l in args[7])
+            return table(*args)
+
+        monkeypatch.setattr(qbessel, "_cauchy_table", counting)
+        qbessel._type3_tables.cache_clear()
+        sv = bessel_type3_repr("I", 0.25, 0.8, 20, QBase(0.5))
+        L = (sv.terms_used - 1) // 2
+        assert L > 20
+        assert sorted(rows) == sorted(2 * list(range(-L, L + 1)))  # types 1 and 2
+
+    @pytest.mark.parametrize("u", [1e10, math.inf])
+    def test_sum_outside_the_doubles_is_a_domain_error(self, u):
+        with pytest.raises(DomainError):
+            bessel_type3_repr("I", 0.25, u, 20, QBase(0.5))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bessel_type3_repr("I", 0.5, 0.4, 12, BASE)

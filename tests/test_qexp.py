@@ -150,6 +150,15 @@ class TestLaurent:
                 b = lambda_laurent_coeff(kind, l, BASE, method="bessel")
                 assert abs(a - b) < 1e-12 * abs(a)
 
+    def test_two_methods_agree_to_eps(self):
+        # The "bessel" route used to stop at tol, 3.9e-12 from the table here.
+        base = QBase(0.8)
+        for kind in (K1, K2, K3):
+            for l in range(0, 11):
+                a = lambda_laurent_coeff(kind, l, base)
+                b = lambda_laurent_coeff(kind, l, base, method="bessel")
+                assert abs(a - b) <= 1e-14 * abs(a), (kind.j, l)
+
     def test_mirror_symmetry(self):
         for kind in (K1, K2, K3):
             for l in (1, 2, 5):
@@ -178,6 +187,40 @@ class TestLaurent:
             direct = lambda_product(kind, u, BASE)
             sv = lambda_laurent_eval(kind, u, 40, BASE)
             assert abs(sv.value - direct) < 1e-10 * abs(direct)
+
+    @pytest.mark.parametrize("kind", [K2, K3])
+    @pytest.mark.parametrize("u,window", [(2.0, 3), (0.3 + 3j, 4)])
+    def test_small_window_grows(self, kind, u, window):
+        # A window this small used to be summed as given: Lambda_3(2) came
+        # out 39.25 +- 387 for 53.329, and at 0.3+3i it raised NonConvergence.
+        base = QBase(0.5)
+        sv = lambda_laurent_eval(kind, u, window, base)
+        assert abs(sv.value - lambda_product(kind, u, base)) <= sv.err_estimate
+        assert sv.terms_used > 2 * window + 1
+
+    @pytest.mark.parametrize("kind,u", [(K3, 1e4), (K3, 5e-5), (K2, 1e6)])
+    def test_far_from_the_unit_circle(self, kind, u):
+        # The outermost terms at window 40 are near e^99; a window rule
+        # that formed |u|^L raised OverflowError here.
+        base = QBase(0.5)
+        sv = lambda_laurent_eval(kind, u, 40, base)
+        assert abs(sv.value - lambda_product(kind, u, base)) <= sv.err_estimate
+
+    def test_bound_stays_close_near_q_one(self):
+        # The tail bound's constant must follow the coefficients: near q = 1
+        # the generic (q;q)_inf^-2 / (1 - q) is 3e19 here, and the bound
+        # would read 0.11 of the value for a true error of 5e-12.
+        base = QBase(0.932)
+        u = 2.79 * cmath.exp(-0.89j)
+        sv = lambda_laurent_eval(K2, u, 40, base)
+        direct = lambda_product(K2, u, base)
+        assert abs(sv.value - direct) <= sv.err_estimate <= 1e-9 * abs(direct)
+
+    @pytest.mark.parametrize("kind", [K2, K3])
+    @pytest.mark.parametrize("u", [1e200, math.inf, complex(math.nan, 0.0)])
+    def test_sum_outside_the_doubles_is_a_domain_error(self, kind, u):
+        with pytest.raises(DomainError):
+            lambda_laurent_eval(kind, u, 40, QBase(0.5))
 
     def test_two_sided_matches_product_type1_annulus(self):
         # The part beyond the window is summed in closed form; the reported
