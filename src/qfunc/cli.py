@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import QfuncError
 from .harness import SuiteConfig, _decay_rows, run_suite

@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 from .qcalc import QBase, lattice_decompose, qgamma
 from .qexp import (

@@ -9,8 +9,9 @@ Every second-solution representation and every large-argument leading
 term is one family map, `_family`: the J/Y/I/K combination of a factor
 f(w) taken at w = +-u (I), -u (K) or +-iu (J, Y).  The callers differ only
 in f: e(w) Phi(w) for `bessel_phi_repr`, the two-sided type-3 series for
-`bessel_type3_repr`, and the lattice leading term of e(w) with Phi
-replaced by 1 for `bessel_asymptotic` and `type3_asymptotic_bracket`.
+`bessel_type3_repr`, and the lattice leading term of e(w) from
+`qexp.qexp_asymptotic`, with Phi replaced by 1, for `bessel_asymptotic`
+(all three types; `type3_asymptotic_bracket` adds the sampled bracket).
 
 Argument convention: public entry points taking z mean F(2(1-q^2)z; q^2);
 representation-based operations take u = (1-q^2)z.  The conversion lives
@@ -52,7 +53,6 @@ from .qexp import (
     _laurent_sum,
     _laurent_window,
     _poch_table,
-    lambda_product,
     qexp_asymptotic,
     qexp_eval,
 )
@@ -478,12 +478,12 @@ def bessel_type3_repr(
 
     The family map of f(w) = sum_l c_l w^l over the geometric-mean tables
     (`_type3_tables`), summed by `qexp._laurent_sum` to the window of
-    `qexp._laurent_window`, at least max(2, window), whose tail joins the
-    bound.  As c_l^2 = c1_l c2_l, the rows obey the type-2 Gaussian at half
-    its weight ascending and the type-1 decay q^l descending.  The bound grows
-    with the cancellation in f, as for K, whose single point w = -u
-    alternates the signs.  The prefactor's own rounding and the
-    connection error at orders other than half-integers
+    `qexp._laurent_window`, at least max(2, window); its tail past the
+    derived window joins the bound.  As c_l^2 = c1_l c2_l, the rows obey
+    the type-2 Gaussian at half its weight ascending and the type-1 decay
+    q^l descending.  The bound grows with the cancellation in f, as for K,
+    whose single point w = -u alternates the signs.  The prefactor's own
+    rounding and the connection error at orders other than half-integers
     (`bessel_phi_repr`) stay outside it.
     """
     if family not in _FAMILIES:
@@ -496,11 +496,11 @@ def bessel_type3_repr(
     # |E_k| <= q^(w k(k-1)/2) / (q;q)_inf and |F_m| <= B_F bound every row of
     # both tables by C q^(w l(l-1)/2) and C q^l, C = e^log_bound / (1 - q).
     log_c = _phi_bound(nu, base)[0] - math.log1p(-base.q)
-    L, tail = _laurent_window((0.5, 0.0), log_c, max(2, window), au, base)
+    L, k, tail = _laurent_window((0.5, 0.0), lambda n: log_c, max(2, window), au, base)
     tables = _type3_tables(nu, L, base)
 
     def f(w: complex) -> Tuple[complex, float, int]:
-        s, err = _laurent_sum(tables, w)
+        s, err = _laurent_sum(tables, w, k)
         return s, err + tail, 0
 
     return replace(_family(family, nu, u, f, base), terms_used=2 * L + 1)
@@ -569,51 +569,30 @@ def wronskian_closed(
     return pref * qpoch_infinite(-arg, b2).value  # entire-product exponential
 
 
-def _leading(
-    family: str,
-    nu: float,
-    point: LatticePoint,
-    slope: float,
-    offset: float,
-    g: Callable[[complex], complex],
-    base: QBase,
+def bessel_asymptotic(
+    spec: BesselSpec, point: LatticePoint, base: QBase
 ) -> AsymptoticEstimate:
-    """The leading term q^scale sum_w c_w g(w) at a real positive lattice point.
+    """Leading-order value of any type at a real positive lattice point.
 
-    scale = slope N + offset with N = n(n-1) + 2 lam n is the same at every
-    w = +-u, +-iu; g(w) is the leading term of the family's factor at w
-    without it.
+    The family map of the lattice leading term of e(w) (`qexp_asymptotic`)
+    at w = +-u, +-iu, with Phi replaced by 1.  Every w shares |w|, so the
+    scale q^(scale_exponent) is common: N/2 for type 1, -N/2 for type 2
+    and -N - n/2 for type 3, N = n(n-1) + 2 lam n.  For types 1 and 2 the
+    term at w is the exact lattice form of e(w) e(q/w).
     """
     if abs(point.theta) > 1e-12:
         raise DomainError("leading terms are defined for real positive u only")
     n, lam = point.n, point.lam
-    big_n = n * (n - 1) + 2.0 * lam * n
-    scale = slope * big_n + offset
-    c = _family(family, nu, base.q ** (n + lam), lambda w: (g(w), 0.0, 0), base).value
-    return AsymptoticEstimate(
-        leading=base.q**scale * c, scale_exponent=scale, phase=1.0, constant=c, N=big_n
-    )
+    ests: List[AsymptoticEstimate] = []
 
+    def f(w: complex) -> Tuple[complex, float, int]:
+        est = qexp_asymptotic(spec.kind, LatticePoint(w, n, lam, cmath.phase(w)), base)
+        ests.append(est)
+        return est.phase * est.constant, 0.0, 0
 
-def bessel_asymptotic(
-    spec: BesselSpec, point: LatticePoint, base: QBase
-) -> AsymptoticEstimate:
-    """Leading-order value for types 1 and 2 at a real positive lattice point.
-
-    The family map of the lattice leading term of e(w) (`qexp_asymptotic`,
-    the exact lattice form of e(w) e(q/w)), with Phi replaced by 1.
-    """
-    kind = spec.kind
-    if kind.j not in (1, 2):
-        raise ValueError("leading terms here cover types 1 and 2 only")
-
-    def g(w: complex) -> complex:
-        pt = LatticePoint(w, point.n, point.lam, cmath.phase(w))
-        est = qexp_asymptotic(kind, pt, base)
-        return est.phase * est.constant
-
-    slope = 0.5 if kind.j == 1 else -0.5
-    return _leading(spec.family, spec.nu, point, slope, 0.0, g, base)
+    c = _family(spec.family, spec.nu, base.q ** (n + lam), f, base).value
+    est = ests[0]
+    return replace(est, leading=base.q**est.scale_exponent * c, phase=1.0, constant=c)
 
 
 def bessel_reference(spec: BesselSpec, u: complex, base: QBase) -> complex:
@@ -638,29 +617,27 @@ def bessel_reference(spec: BesselSpec, u: complex, base: QBase) -> complex:
 def type3_asymptotic_bracket(
     family: str, nu: float, point: LatticePoint, base: QBase
 ) -> Tuple[AsymptoticEstimate, PhiBracket]:
-    """Type-3 leading form together with the sampled mean-value bracket.
+    """The type-3 leading term (`bessel_asymptotic`) with the sampled
+    mean-value bracket (`_phi_bracket`).
 
-    The leading form is the family map of q^(-2N/3-1/24) e3(w0) e3(q/w0),
-    w0 = q^lam w/|w|, with Phi replaced by 1.  The mean-value factor is
-    only located inside a parameter rectangle, so the estimate comes with
-    a [phi_min, phi_max] bracket obtained by grid sampling; membership of
-    the exact-to-leading ratio in that bracket is the testable claim.  The
-    bracket depends on (nu, q) only: it comes from the bounded,
-    process-wide memo of _phi_bracket, so the points of one table share
-    it, bit-identical to an uncached bracket.
+    The leading term replaces Phi by 1; the bracket locates the mean-value
+    factor, and membership of the exact-to-leading ratio in it is the
+    testable claim.  The bracket depends on (nu, q) only, so the points of
+    one table share one memoized computation.
     """
-    if family not in _FAMILIES:
-        raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
-    kind = KindTag.from_j(3)
-    lo = base.q**point.lam
-    g = lambda w: lambda_product(kind, lo * w / abs(w), base)
-    est = _leading(family, nu, point, -2.0 / 3.0, -1.0 / 24.0, g, base)
-    return est, _phi_bracket(nu, base)
+    spec = BesselSpec(KindTag.from_j(3), family, nu)
+    return bessel_asymptotic(spec, point, base), _phi_bracket(nu, base)
 
 
 @functools.lru_cache(maxsize=32)
 def _phi_bracket(nu: float, base: QBase, grid: int = 64, h: float = 1e-6) -> PhiBracket:
     """Sample phi1 over alpha and phi2 over beta and bracket their product.
+
+    No connection bound has been derived that could replace the sampling.
+    One end of the bracket is sqrt(Phi_inf), Phi_inf =
+    2phi1(q^(nu+1/2), q^(-nu+1/2); -q; q, q), the limit of the geometric-mean
+    representation: phi_min at nu = 1/4 to within 7e-8 and phi_max at
+    nu = 3/4 to within 1.2e-7 (about the offset h) at q = 0.25, 0.5 and 0.8.
 
     The bracket depends on (nu, q) only, not on the lattice point, so it
     is memoized per (nu, base) in a process-wide cache of at most 32

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import DomainError, NonConvergence, PoleError
 from .qcalc import (
@@ -318,28 +318,40 @@ def _lambda_coeffs(
 
 
 def _laurent_sum(
-    rows: Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]], w: complex
+    rows: Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]],
+    w: complex,
+    k: int,
 ) -> Tuple[complex, float]:
     """sum_l plus_l w^l + sum_(l>=1) minus_l w^(-l) by Horner's rule in w and
     in 1/w, over rows (plus, minus, bplus, bminus), l <= L, in
     `_cauchy_table`'s layout, and its bound sum_l (b_l + g |c_l|) |w|^l.
     g = 10 (L + 1) eps covers Horner's rule (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 5): at most 4 eps per step for the complex
-    product and sum, 6 eps per power of 1/w.  A sum or bound that overflows
-    raises DomainError.
+    product and sum, 6 eps per power of 1/w.  A row past k takes |c_l| for
+    b_l: it is off by at most |c_l| plus its a-priori bound, and the
+    caller's tail from k on covers those (`_laurent_window`), so a bound
+    floor such as 2^-1074 is never multiplied by |w|^l there.  A sum or
+    bound that overflows raises DomainError.
     """
     plus, minus, bplus, bminus = rows
     g = 10.0 * len(plus) * _EPS
+    h = 1.0 + g
     v = 1.0 / w
     aw = abs(w)
     s: complex = 0.0
     r = 0.0
-    for c, b in zip(reversed(plus), reversed(bplus)):
+    for c in reversed(plus[k + 1 :]):
+        s = s * w + c
+        r = r * aw + h * abs(c)
+    for c, b in zip(reversed(plus[: k + 1]), reversed(bplus[: k + 1])):
         s = s * w + c
         r = r * aw + b + g * abs(c)
     t: complex = 0.0
     rt = 0.0
-    for c, b in zip(reversed(minus), reversed(bminus)):
+    for c in reversed(minus[k:]):
+        t = (t + c) * v
+        rt = (rt + h * abs(c)) / aw
+    for c, b in zip(reversed(minus[:k]), reversed(bminus[:k])):
         t = (t + c) * v
         rt = (rt + b + g * abs(c)) / aw
     if not (cmath.isfinite(s + t) and math.isfinite(r + rt)):
@@ -354,22 +366,31 @@ def _least_n(a: float, b: float, y: float) -> int:
     return math.ceil((math.sqrt(max(0.0, (b - a) ** 2 + 4.0 * a * y)) + a - b) / (2.0 * a))
 
 
-def _laurent_window(
-    ws: Tuple[float, float], log_c: float, window: int, au: float, base: QBase
-) -> Tuple[int, float]:
-    """The one window rule of the two-sided sums: (L, the tail past L at |w| = au).
+def _least_window(a: float, b: float, y: float) -> int:
+    """The least L at which a side's tail from L + 1 on, term L + 1 over
+    (1 - its ratio), is at most e^-y times C: the quadratic formula of
+    `_least_n`, solved again with the ratio at its first root."""
+    return _least_n(a, b, y - math.log(-math.expm1(-2.0 * a * _least_n(a, b, y) - b))) - 1
 
-    The caller's C = e^log_c bounds every row past `window`:
+
+def _laurent_window(
+    ws: Tuple[float, float], log_c: Callable[[int], float], window: int, au: float, base: QBase
+) -> Tuple[int, int, float]:
+    """The one window rule of the two-sided sums: (L, k, the tail past k at |w| = au).
+
+    The caller's C = e^log_c(n) bounds every row from n on:
     |c_l| <= C q^(w l(l-1)/2) and |c_(-l)| <= C q^(v l(l-1)/2 + l), (w, v) = ws.
     So each side's terms are at most C e^(-a n(n-1) - b n): a = w ln(1/q) / 2
     and b = -ln au ascending, a = v ln(1/q) / 2 and b = ln(au / q)
     descending.  Past the parabola's vertex the ratio e^(-2 a n - b) falls,
     and the tail from term n on is at most term n over (1 - its ratio).
-    L >= window is the least window that puts each side's tail below tol
-    times the parabola's peak (the quadratic formula, as in `_cauchy_terms`,
-    solved again with the ratio at the first root).  A non-finite au or a
-    peak beyond the double range raises DomainError, L above max_terms
-    NonConvergence.
+    `_least_window` gives the least window that puts each side's tail below
+    t times the parabola's peak, as `_cauchy_terms` gives a term count.
+    L >= window is that window at t = tol, the rows to sum; k <= L is it at
+    t = min(tol, eps), and the tail is taken from k + 1 on, so that the rows
+    past k, which `_laurent_sum` bounds by |c_l|, add at most about eps of
+    the peak.  A non-finite au or a peak beyond the double range raises
+    DomainError, L above max_terms NonConvergence.
     """
     if not math.isfinite(au):
         raise DomainError(f"two-sided series at non-finite |u|={au}")
@@ -380,21 +401,23 @@ def _laurent_window(
         if a:
             n = max(0, round(0.5 - b / (2.0 * a)))
             peak = max(peak, -a * n * (n - 1) - b * n)
-    if log_c + peak > math.log(sys.float_info.max):
-        raise DomainError(f"two-sided series at |u|={au} overflows a double")
-    y = -peak - math.log(base.tol)
-    L = window
+    y, ye = -peak - math.log(base.tol), -peak - math.log(min(base.tol, _EPS))
+    L, k = window, 0
     for a, b in sides:
-        n = _least_n(a, b, y)
-        L = max(L, _least_n(a, b, y - math.log(-math.expm1(-2.0 * a * n - b))) - 1)
+        L = max(L, _least_window(a, b, y))
+        k = max(k, _least_window(a, b, ye))
+    k = min(k, L)
+    c = log_c(k + 1)
+    if c + peak > math.log(sys.float_info.max):
+        raise DomainError(f"two-sided series at |u|={au} overflows a double")
     if L > base.max_terms:
         raise NonConvergence(f"two-sided series needs window {L}, more than {base.max_terms}")
-    n = L + 1
+    n = k + 1
     tail = sum(
-        math.exp(log_c - a * n * (n - 1) - b * n - math.log(-math.expm1(-2.0 * a * n - b)))
+        math.exp(c - a * n * (n - 1) - b * n - math.log(-math.expm1(-2.0 * a * n - b)))
         for a, b in sides
     )
-    return L, tail
+    return L, k, tail
 
 
 def lambda_laurent_coeff(
@@ -470,9 +493,9 @@ def lambda_laurent_eval(
     Every a_l is positive, so the bound's rounding term is 10 (L + 1) eps
     Lambda(|u|), which near arg u = pi can exceed |Lambda(u)| by orders of
     magnitude.  Types 2 and 3 sum to the window of `_laurent_window`, at
-    least `window`, and add its tail; type-1 coefficients tend to
-    (q;q)_inf^-2, so that part is summed in closed form instead
-    (`_type1_tail`).  A window below 1 raises ValueError.
+    least `window`, and add its tail past the derived window; type-1
+    coefficients tend to (q;q)_inf^-2, so that part is summed in closed
+    form instead (`_type1_tail`).  A window below 1 raises ValueError.
     """
     if u == 0:
         raise DomainError("two-sided expansion is undefined at u = 0")
@@ -484,41 +507,36 @@ def lambda_laurent_eval(
             raise DomainError(
                 f"type-1 two-sided expansion requires q < |u| < 1, got |u|={au}"
             )
-        s, err = _laurent_sum(_lambda_coeffs(kind, 0, window, base), u)
+        s, err = _laurent_sum(_lambda_coeffs(kind, 0, window, base), u, window)
         tail = _type1_tail(u, window, base)
         terms = 2 * window + 1 + tail.terms_used
         return SeriesValue(s + tail.value, err + tail.err_estimate, terms)
     q = base.q
     w = (2 - kind.delta) / 2.0
-    # For l > window, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1 give
-    # a_l <= q^(w l(l-1)/2) e(x) / (q;q)_inf, x = q^(1 + w (window + 1)).
-    ex = qexp_eval(kind, q ** (1.0 + w * (window + 1)), base)
-    log_c = math.log(ex.value.real + ex.err_estimate) - math.log(qpoch_infinite(q, base).value.real)
-    L, tail = _laurent_window((w, w), log_c, window, au, base)
-    s, err = _laurent_sum(_lambda_coeffs(kind, 0, L, base), u)
+    log_qq = math.log(qpoch_infinite(q, base).value.real)
+
+    def log_c(n: int) -> float:
+        # For l >= n, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1 give
+        # a_l <= q^(w l(l-1)/2) e(x) / (q;q)_inf, x = q^(1 + w n), and
+        # e(x) <= 1/(x;q)_inf <= exp(x / ((1 - q)(1 - x))) for x in [0, 1).
+        x = q ** (1.0 + w * n)
+        return x / ((1.0 - q) * (1.0 - x)) - log_qq
+
+    L, k, tail = _laurent_window((w, w), log_c, window, au, base)
+    s, err = _laurent_sum(_lambda_coeffs(kind, 0, L, base), u, k)
     return SeriesValue(s, err + tail, 2 * L + 1)
 
 
 def lambda_closed_form(kind: KindTag, u: complex, base: QBase) -> complex:
-    """Discrete lattice realization of the self-reciprocal product.
+    """Lattice form of the self-reciprocal product: the leading term of
+    `qexp_asymptotic` at u's lattice point, for every type.
 
-    For types 1 and 2 this is an exact identity, the leading term of
-    `qexp_asymptotic`.  For type 3 it is the growth-envelope model with
-    the q^(-1/24) normalization, and it is not even an order-of-magnitude
-    scale: at 50 random lattice points with q in (0.2, 0.8) and n in
-    [-8, 3], |closed/direct| spans 6.6e-11 to 546.  Lambda_3 has no
-    one-step quasi-periodicity to build an exact form from, since e3
-    satisfies only e3(u) - e3(qu) = u e3(sqrt(q) u).
+    For types 1 and 2 this is an exact identity.  For type 3 it is the
+    leading term of e3(u), which tends to Lambda_3(u) as n -> -inf, where
+    e3(q/u) tends to 1; Lambda_3 has no one-step quasi-periodicity to build
+    an exact form from, since e3 only satisfies e3(u) - e3(qu) = u e3(sqrt(q) u).
     """
-    p = lattice_decompose(u, base)
-    if kind.j != 3:
-        return qexp_asymptotic(kind, p, base).leading
-    q = base.q
-    n, lam, th = p.n, p.lam, p.theta
-    c3 = q ** (-1.0 / 24.0) * lambda_product(kind, q**lam * cmath.exp(1j * th), base)
-    return c3 * q ** (-2.0 / 3.0 * n * (n - 1) - 4.0 / 3.0 * n * lam) * cmath.exp(
-        -4j * th * n / 3.0
-    )
+    return qexp_asymptotic(kind, lattice_decompose(u, base), base).leading
 
 
 def qexp_functional_residual(kind: KindTag, u: complex, base: QBase) -> float:
@@ -549,18 +567,19 @@ def qexp_functional_residual(kind: KindTag, u: complex, base: QBase) -> float:
     return abs(t1 - t2 - t3 + t4) / scale
 
 
-def _jacobi_theta(w: complex, base: QBase) -> complex:
-    """Theta(w) = sum_{k in Z} q^(k(k-1)/4) w^k as a Jacobi triple product.
+def _theta_ratio(w: complex, base: QBase) -> complex:
+    """Theta(w) / (q;q)_inf, Theta(w) = sum_{k in Z} q^(k(k-1)/4) w^k, as three products.
 
-    With p = sqrt(q), Theta(w) = (p;p)_inf (-w;p)_inf (-p/w;p)_inf
-    (Gasper & Rahman, Basic Hypergeometric Series, section 1.6).
+    With p = sqrt(q), Theta(w) = (p;p)_inf (-w;p)_inf (-p/w;p)_inf (Jacobi
+    triple product; Gasper & Rahman, Basic Hypergeometric Series, 1.6) and
+    (p;p)_inf = (p;q)_inf (q;q)_inf (odd and even powers of p).
     """
     pb = QBase(math.sqrt(base.q), base.tol, base.max_terms)
     p = pb.q
     return (
-        qpoch_infinite(p, pb).value
-        * qpoch_infinite(-w, pb).value
+        qpoch_infinite(-w, pb).value
         * qpoch_infinite(-p / w, pb).value
+        * qpoch_infinite(p, base).value
     )
 
 
@@ -572,7 +591,7 @@ def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> Asymptot
     Lambda(u) = e(u) e(q/u): the dropped factor e(q/u) tends to 1 as
     n -> -inf.  For type 3 the terms of sum q^(k(k-1)/4) u^k/(q;q)_k peak
     at k ~ -2(n+lam), where (q;q)_k ~ (q;q)_inf, so e3(u) ~
-    q^(-N-n/2) e^(-2i theta n) Theta(u0)/(q;q)_inf (see `_jacobi_theta`);
+    q^(-N-n/2) e^(-2i theta n) Theta(u0)/(q;q)_inf (see `_theta_ratio`);
     its relative error shrinks by about q^2 per step in n.
     """
     q = base.q
@@ -582,7 +601,7 @@ def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> Asymptot
     if kind.j == 3:
         scale = -big_n - n / 2.0
         phase = cmath.exp(-2j * th * n)
-        c = _jacobi_theta(u0, base) / qpoch_infinite(q, base).value
+        c = _theta_ratio(u0, base)
     else:
         c = lambda_product(kind, u0, base)
         if kind.j == 1:

@@ -168,3 +168,55 @@ def test_type3_repr_bound_counts_coefficient_rounding(family, q, nu, u):
         exact = _type3_oracle(mpmath, family, nu, u, q, window)
         err = float(abs(sv.value - exact))
         assert err <= sv.err_estimate + 16 * EPS * float(abs(exact))
+
+
+def _lambda_oracle(mpmath, j, u, q):
+    """Lambda_j(u) = e(u) e(q/u) for j = 2, 3, summed in mpmath."""
+    qm, um = mpmath.mpf(q), mpmath.mpf(u)
+    if j == 2:
+        return mpmath.qp(-um, qm) * mpmath.qp(-qm / um, qm)
+
+    def e3(x):
+        s, t, k = mpmath.mpf(0), mpmath.mpf(1), 0  # t = q^(k(k-1)/4) x^k / (q;q)_k
+        while k < 2 or abs(t) > mpmath.mpf(10) ** -40 * abs(s):
+            s += t
+            t *= qm ** (mpmath.mpf(k) / 2) * x / (1 - qm ** (k + 1))
+            k += 1
+        return s
+
+    return e3(um) * e3(qm / um)
+
+
+@pytest.mark.parametrize(
+    "what,u,window",
+    [
+        ("I", 1000.0, 20),
+        ("I", 1000.0, 80),
+        ("I", 1000.0, 160),
+        ("I", 1000.0, 300),
+        (2, 1e10, 40),
+        (2, 1e10, 100),
+        (2, 1e10, 300),
+        (3, 50.0, 40),
+        (3, 50.0, 200),
+    ],
+)
+def test_bound_stays_small_past_the_derived_window(what, u, window):
+    # Rows whose coefficient underflowed keep a bound floor near 2^-1074
+    # (its square root for type 3); multiplied by |w|^l it used to reach
+    # 4.7e77 for I at window 80, 5.3e18 for Lambda_3(50) at window 200 and
+    # overflow (DomainError) at the larger windows, although every value
+    # is a double.  q = 0.5, and nu = 1/4 for I.
+    mpmath = pytest.importorskip("mpmath")
+    q = 0.5
+    if what == "I":
+        sv = bessel_type3_repr("I", 0.25, u, window, QBase(q))
+        with mpmath.workdps(30):
+            exact = _type3_oracle(mpmath, "I", 0.25, u, q, 80)
+    else:
+        sv = qexp.lambda_laurent_eval(KindTag.from_j(what), u, window, QBase(q))
+        with mpmath.workdps(30):
+            exact = _lambda_oracle(mpmath, what, u, q)
+    err = float(abs(sv.value - exact))
+    assert err <= sv.err_estimate + 16 * EPS * float(abs(exact))
+    assert sv.err_estimate <= 1e-11 * float(abs(exact))

@@ -291,11 +291,6 @@ class TestAsymptotics:
         assert est1.scale_exponent == pytest.approx(big_n / 2.0)
         assert est2.scale_exponent == pytest.approx(-big_n / 2.0)
 
-    def test_type3_rejected(self):
-        pt = lattice_decompose(BASE.q**-4, BASE)
-        with pytest.raises(ValueError):
-            bessel_asymptotic(BesselSpec(K3, "I", 0.25), pt, BASE)
-
     def test_leading_terms_require_real_positive_point(self):
         pt = lattice_decompose(-BASE.q**-3, BASE)
         with pytest.raises(DomainError):
@@ -307,9 +302,7 @@ class TestAsymptotics:
         pt = lattice_decompose(BASE.q ** (-4 + 0.3), BASE)
         est, bracket = type3_asymptotic_bracket("K", 0.25, pt, BASE)
         assert bracket.phi_min <= bracket.phi_max
-        assert est.scale_exponent == pytest.approx(
-            -2.0 / 3.0 * est.N - 1.0 / 24.0
-        )
+        assert est.scale_exponent == pytest.approx(-est.N - pt.n / 2.0)
 
     @pytest.mark.parametrize("family", ["J", "Y"])
     @pytest.mark.parametrize("q", [0.25, 0.5, 0.8])
@@ -321,11 +314,26 @@ class TestAsymptotics:
             pt = lattice_decompose(q ** (n + 0.3), base)
             leads = [
                 bessel_asymptotic(BesselSpec(kind, family, 0.25), pt, base).leading
-                for kind in (K1, K2)
+                for kind in (K1, K2, K3)
             ]
-            leads.append(type3_asymptotic_bracket(family, 0.25, pt, base)[0].leading)
             for lead in leads:
                 assert abs(lead.imag) <= 1e-12 * abs(lead)
+
+    @pytest.mark.parametrize("family", ["I", "J"])
+    def test_type3_leading_term_converges(self, family):
+        # q = 0.5, lam = 0.3: exact/leading tends to 1 at nu = 1/2, where Phi
+        # is 1, and to 1.03302 at nu = 1/4, by about q^2 per step in n.  The
+        # pinned q^(-2N/3-1/24) model read ratios above 1e5 here.
+        base = QBase(0.5)
+        u = base.q ** (-10 + 0.3)
+        pt = lattice_decompose(u, base)
+        ratios = {}
+        for nu in (0.5, 0.25):
+            spec = BesselSpec(K3, family, nu)
+            exact = bessel_value(spec, u / (1.0 - base.q**2), base).value
+            ratios[nu] = abs(exact) / abs(bessel_asymptotic(spec, pt, base).leading)
+        assert abs(ratios[0.5] - 1.0) < 1e-5
+        assert abs(ratios[0.25] - 1.03302) < 1e-4
 
     def test_type3_bracket_degenerates_at_half_integer_order(self):
         pt = lattice_decompose(BASE.q ** (-4 + 0.3), BASE)

@@ -296,13 +296,16 @@ class TestClosedForm:
             direct = lambda_product(kind, u, base)
             assert abs(closed - direct) < 1e-10 * abs(direct)
 
-    def test_type3_model_normalization_at_window_zero(self):
-        # The type-3 lattice form is a growth-envelope model: at n=0 it
-        # reproduces the product only up to its q^(-1/24) normalization.
-        u = 0.8
-        closed = lambda_closed_form(K3, u, BASE)
-        direct = lambda_product(K3, u, BASE)
-        assert abs(closed / direct - BASE.q ** (-1.0 / 24.0)) < 1e-12
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 2.0])
+    def test_type3_converges_to_the_product(self, theta):
+        # The type-3 form is the leading term of e3(u); the factor e3(q/u)
+        # it drops tends to 1 as n -> -inf.  At q = 0.25, n = -8 it is off
+        # by 7.7e-6; the q^(-1/24) envelope it replaced was off by about 1.
+        base = QBase(0.25)
+        u = base.q ** (-8 + 0.3) * cmath.exp(1j * theta)
+        closed = lambda_closed_form(K3, u, base)
+        direct = lambda_product(K3, u, base)
+        assert abs(closed / direct - 1.0) < 1e-4
 
 
 class TestAsymptotic:
