@@ -22,7 +22,7 @@ from .errors import QfuncError
 from .harness import SuiteConfig, _decay_rows, run_suite
 from .qcalc import QBase
 from .qexp import KindTag, lambda_laurent_table, lambda_product, qexp_eval
-from .qbessel import BesselSpec, _geometric_mean, _laurent_tables, bessel_value
+from .qbessel import BesselSpec, _laurent_tables, _type3_tables, bessel_value
 
 __all__ = ["OutputRecord", "main"]
 
@@ -237,13 +237,11 @@ def cmd_laurent(args) -> int:
         rows = [[str(l), _fmt(table.coeffs[l])] for l in sorted(table.coeffs)]
     else:
         header = ["l", "sign", "c1", "c2", "c3"]
-        (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables((1, 2), args.nu, 0, args.window, base)
-        sides = [(-l, "minus", m1[l - 1], m2[l - 1]) for l in range(args.window, 0, -1)]
-        sides += [(l, "plus", p1[l], p2[l]) for l in range(args.window + 1)]
-        rows = []
-        for l, sign, c1, c2 in sides:
-            c3 = _geometric_mean(c1, c2, 0.0, 0.0, abs(l), sign, args.nu)[0]
-            rows.append([str(l), sign, _fmt(c1), _fmt(c2), _fmt(c3)])
+        (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(args.nu, args.window, base)
+        p3, m3 = _type3_tables(args.nu, args.window, base)[:2]
+        sides = [(-l, "minus", m1[l - 1], m2[l - 1], m3[l - 1]) for l in range(args.window, 0, -1)]
+        sides += [(l, "plus", p1[l], p2[l], p3[l]) for l in range(args.window + 1)]
+        rows = [[str(l), sign, *map(_fmt, cs)] for l, sign, *cs in sides]
     _emit_rows(header, rows, args.format, sys.stdout)
     return 0
 

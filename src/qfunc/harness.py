@@ -381,10 +381,9 @@ def _recursion_residuals(
     """
     q = base.q
     d = KindTag.from_j(j).delta
-    if j == 3:
-        plus, minus = _type3_tables(nu, kmax + 2, base)[:2]
-    else:
-        plus, minus = _laurent_tables((j,), nu, 0, kmax + 2, base)[0][:2]
+    n = kmax + 2
+    rows = _type3_tables(nu, n, base) if j == 3 else _laurent_tables(nu, n, base)[j - 1]
+    plus, minus = rows[:2]
     # A uniform rescale of all coefficients would cancel out of the
     # homogeneous two-step recursion, so corruption targets one entry.
     coeff = lambda k: (scale if k == 0 else 1.0) * (plus[k] if k >= 0 else minus[-k - 1])

@@ -1,9 +1,10 @@
 """q^2-Bessel functions of types 1-3: J, Y, I and K families.
 
 Series definitions, the Y/K combinations with their integer-order limit
-procedure, two-sided expansion coefficients (one Cauchy-product table per
-type, `_laurent_tables`), the type-3 geometric-mean construction,
-difference equations and Wronskians.
+procedure, two-sided expansion coefficients (one memoized table of the
+type-1 and type-2 rows per (nu, window, q), `_laurent_tables`, whose rows
+every coefficient reader indexes; the type-3 rows are their geometric
+mean, `_type3_tables`), difference equations and Wronskians.
 
 Every second-solution representation and every large-argument leading
 term is one family map, `_family`: the J/Y/I/K combination of a factor
@@ -32,17 +33,16 @@ from .errors import (
     NegativeProduct,
     NonConvergence,
     ParameterPole,
-    PoleError,
 )
 from .qcalc import (
     _EPS,
     LatticePoint,
     QBase,
     SeriesValue,
+    _base_poch,
     _qseries,
     basic_hyper,
     qgamma,
-    qpoch_infinite,
 )
 from .qexp import (
     AsymptoticEstimate,
@@ -354,38 +354,42 @@ def _phi_bound(nu: float, base: QBase) -> Tuple[float, int]:
     q = base.q
     a, b = q ** (nu + 0.5), q ** (0.5 - nu)
     h = max(0, math.ceil(abs(nu) - 0.5))
-    log_b = -math.log(qpoch_infinite(q, base).value.real)
+    log_b = -math.log(_base_poch(q, base).value.real)
     for i in range(h):
         x = q**i
         log_b += max(0.0, math.log(abs((1.0 - a * x) * (1.0 - b * x)) / (1.0 - q * q * x * x)))
     return log_b, h
 
 
-def _laurent_tables(
-    js: Tuple[int, ...], nu: float, lo: int, hi: int, base: QBase
-) -> List[Tuple[List[float], List[float], List[float], List[float]]]:
-    """Two-sided coefficients of e(u) Phi_nu(u) for each type j in js (1, 2).
+_Rows = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
+
+
+@functools.lru_cache(maxsize=32)
+def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
+    """Two-sided coefficients of e(u) Phi_nu(u) for types 1 and 2.
 
     Per type: (ascending, descending, their bounds), the ascending c_l for
-    l = lo..hi and the descending c_(-l) for l = max(lo, 1)..hi, from the
+    l = 0..window and the descending c_(-l) for l = 1..window, from the
     coefficient table (`qexp._cauchy_table`) of the exponential's
     coefficients E and Phi's F (`_phi_table`), with the bound of
-    `_phi_bound`.
+    `_phi_bound`.  Every coefficient reader indexes these rows.  Memoized
+    per (nu, window, base), at most 32 entries process-wide; the rows are
+    tuples because every caller shares the cached object.
     """
     q = base.q
     log_b, h = _phi_bound(nu, base)
-    ws = [(2 - KindTag.from_j(j).delta) / 2.0 for j in js]
+    ws = (0.0, 1.0)  # (2 - delta) / 2 for types 1 and 2
     ms = [_cauchy_terms(w, log_b, base) for w in ws]
-    n = hi + max(ms)
+    n = window + max(ms)
     f, rel_f = _phi_table(nu, q, n)
     if not (min(f[h:]) >= 0 or max(f[h:]) <= 0):
         h = n  # rounding flipped a sign the derivation rules out: sum every |t|
+    ls, lm = range(window + 1), range(1, window + 1)
     out = []
     for w, m in zip(ws, ms):
         e, rel_e = _exp_table(w, q, n)
-        ls, lm = range(lo, hi + 1), range(max(lo, 1), hi + 1)
-        out.append(_cauchy_table(e, f, rel_e + rel_f, m, log_b, q, ls, lm, h))
-    return out
+        out.append(tuple(map(tuple, _cauchy_table(e, f, rel_e + rel_f, m, log_b, q, ls, lm, h))))
+    return tuple(out)
 
 
 def _check_index(l: int, sign: str) -> None:
@@ -406,8 +410,8 @@ def bessel_laurent_coeff(
     if kind.j not in (1, 2):
         raise ValueError("expansion coefficients exist for types 1 and 2 only")
     _check_index(l, sign)
-    plus, minus, _, _ = _laurent_tables((kind.j,), nu, l, l, base)[0]
-    return plus[0] if sign == "plus" else minus[0]
+    plus, minus = _laurent_tables(nu, l, base)[kind.j - 1][:2]
+    return plus[l] if sign == "plus" else minus[l - 1]
 
 
 def _geometric_mean(
@@ -443,25 +447,20 @@ def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
     Why the geometric mean is exact is open (ROADMAP item 1).
     """
     _check_index(l, sign)
-    (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables((1, 2), nu, l, l, base)
-    c1, c2 = (p1[0], p2[0]) if sign == "plus" else (m1[0], m2[0])
+    (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(nu, l, base)
+    c1, c2 = (p1[l], p2[l]) if sign == "plus" else (m1[l - 1], m2[l - 1])
     c3 = _geometric_mean(c1, c2, 0.0, 0.0, l, sign, nu)[0]
     return CoeffPair(l=l, sign=sign, c1=c1, c2=c2, c3=c3)
 
 
-@functools.lru_cache(maxsize=32)
-def _type3_tables(
-    nu: float, window: int, base: QBase
-) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
+def _type3_tables(nu: float, window: int, base: QBase) -> _Rows:
     """Geometric-mean rows l <= window in `qexp._cauchy_table`'s layout.
 
-    One type-1 and one type-2 coefficient table (`_laurent_tables`);
+    Derived from the type-1 and type-2 rows of `_laurent_tables`;
     NegativeProduct at the first descending, then ascending, l with
-    c1 c2 < 0.  Memoized per (nu, window, base), at most 32 entries
-    process-wide; the tables are tuples because every caller shares the
-    cached object.
+    c1 c2 < 0.
     """
-    (p1, m1, ep1, em1), (p2, m2, ep2, em2) = _laurent_tables((1, 2), nu, 0, window, base)
+    (p1, m1, ep1, em1), (p2, m2, ep2, em2) = _laurent_tables(nu, window, base)
     cm, em = zip(
         *(_geometric_mean(*t, l, "minus", nu) for l, t in enumerate(zip(m1, m2, em1, em2), 1))
     )
@@ -543,8 +542,9 @@ def wronskian_closed(
 ) -> complex:
     """Closed form of the Wronskian of the (J,Y) or (I,K) pair.
 
-    Constant in z for delta=1; weighted by a base-q^2 exponential factor
-    for delta=2 and delta=0.
+    Constant in z for delta=1; for delta=2 and delta=0 weighted by the
+    kind's own q-exponential (`qexp_eval`) at base q^2, so a type-1 pole
+    raises PoleError.
     """
     if pair not in ("JY", "IK"):
         raise ValueError(f"pair must be 'JY' or 'IK', got {pair!r}")
@@ -561,12 +561,7 @@ def wronskian_closed(
         arg = x if d == 2 else -q * q * x
     if d == 1:
         return pref
-    if d == 2:
-        prod = qpoch_infinite(arg, b2).value
-        if prod == 0:
-            raise PoleError(f"Wronskian weight has a pole at z={z}")
-        return pref / prod  # reciprocal-product exponential
-    return pref * qpoch_infinite(-arg, b2).value  # entire-product exponential
+    return pref * qexp_eval(kind, arg, b2).value
 
 
 def bessel_asymptotic(
@@ -648,31 +643,22 @@ def _phi_bracket(nu: float, base: QBase, grid: int = 64, h: float = 1e-6) -> Phi
     """
     q = base.q
     upper = [q ** (nu + 0.5), q ** (-nu + 0.5)]
+    # Per side: (name, first and last sample, lower parameters, sign of z).
     # phi1's series needs alpha*q < 1; cap the sampled range so the series
     # still converges at double precision near that edge.
-    a_hi = min(1.0 / (1.0 - q), 0.97 / q) - h
-    a_lo = 1.0 + h
-    b_lo = h
-    b_hi = 1.0 / (1.0 - q) - h
+    sides = (
+        ("alpha", 1.0 + h, min(1.0 / (1.0 - q), 0.97 / q) - h, [-q], 1.0),
+        ("beta", h, 1.0 / (1.0 - q) - h, [-q, 0.0], -1.0),
+    )
     samples: List[Tuple[str, float, float]] = []
-    p1 = []
-    for i in range(grid):
-        alpha = a_lo + (a_hi - a_lo) * i / (grid - 1)
-        v2 = basic_hyper(upper, [-q], base, alpha * q).value.real
-        if v2 < 0:
-            raise NegativeProduct(f"phi1 square negative at alpha={alpha}")
-        v = math.sqrt(v2)
-        p1.append(v)
-        samples.append(("alpha", alpha, v))
-    p2 = []
-    for i in range(grid):
-        beta = b_lo + (b_hi - b_lo) * i / (grid - 1)
-        v2 = basic_hyper(upper, [-q, 0.0], base, -beta * q).value.real
-        if v2 < 0:
-            raise NegativeProduct(f"phi2 square negative at beta={beta}")
-        v = math.sqrt(v2)
-        p2.append(v)
-        samples.append(("beta", beta, v))
+    for k, (name, lo, hi, lower, sgn) in enumerate(sides, 1):
+        for i in range(grid):
+            x = lo + (hi - lo) * i / (grid - 1)
+            v2 = basic_hyper(upper, lower, base, sgn * x * q).value.real
+            if v2 < 0:
+                raise NegativeProduct(f"phi{k} square negative at {name}={x}")
+            samples.append((name, x, math.sqrt(v2)))
+    p1, p2 = [s[2] for s in samples[:grid]], [s[2] for s in samples[grid:]]
     return PhiBracket(
         phi_min=min(p1) * min(p2), phi_max=max(p1) * max(p2), samples=tuple(samples)
     )

@@ -253,6 +253,15 @@ def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
 
 
 @functools.lru_cache(maxsize=256)
+def _base_poch(a: float, base: QBase) -> SeriesValue:
+    """(a;q)_inf for the per-base constants a = q and a = sqrt(q), memoized
+    per (a, base) in a process-wide cache bounded to 256 entries: (q;q)_inf
+    enters q-gamma and every coefficient table and bound, (sqrt(q);q)_inf
+    the type-3 leading term.  Errors are not cached."""
+    return qpoch_infinite(a, base)
+
+
+@functools.lru_cache(maxsize=256)
 def qgamma(alpha: float, base: QBase) -> float:
     """The q-gamma function (q;q)_inf / (q^alpha;q)_inf * (1-q)^(1-alpha).
 
@@ -267,7 +276,7 @@ def qgamma(alpha: float, base: QBase) -> float:
     if alpha <= 0 and float(alpha).is_integer():
         raise PoleError(f"q-gamma has a pole at nonpositive integer alpha={alpha}")
     q = base.q
-    num = qpoch_infinite(q, base).value.real
+    num = _base_poch(q, base).value.real
     den = qpoch_infinite(q**alpha, base).value.real
     return num / den * (1.0 - q) ** (1.0 - alpha)
 

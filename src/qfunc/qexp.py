@@ -38,6 +38,7 @@ from .qcalc import (
     LatticePoint,
     QBase,
     SeriesValue,
+    _base_poch,
     _geometric_tail,
     _qseries,
     lattice_decompose,
@@ -295,9 +296,9 @@ def _cauchy_table(
 
 
 def _lambda_coeffs(
-    kind: KindTag, lo: int, hi: int, base: QBase
+    kind: KindTag, window: int, base: QBase
 ) -> Tuple[List[float], List[float], List[float], List[float]]:
-    """Rows l = lo..hi of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
+    """Rows l <= window of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
 
     The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf, every
     term is positive and a_(-l) = q^l a_l.  A product (q;q)_inf below the
@@ -305,15 +306,13 @@ def _lambda_coeffs(
     """
     q = base.q
     w = (2 - kind.delta) / 2.0
-    log_b = -2.0 * math.log(qpoch_infinite(q, base).value.real)
+    log_b = -2.0 * math.log(_base_poch(q, base).value.real)
     m = _cauchy_terms(w, log_b, base)
-    e, rel = _exp_table(w, q, hi + m)
-    a, _, b, _ = _cauchy_table(e, e, 2.0 * rel, m, log_b, q, range(lo, hi + 1), range(0), 0)
-    ls = range(max(lo, 1), hi + 1)
-    k = ls.start - lo
-    minus = [q**l * x for l, x in zip(ls, a[k:])]
+    e, rel = _exp_table(w, q, window + m)
+    a, _, b, _ = _cauchy_table(e, e, 2.0 * rel, m, log_b, q, range(window + 1), range(0), 0)
+    minus = [q**l * x for l, x in enumerate(a[1:], 1)]
     # The product q^l a_l can underflow: its bound keeps that 2^-1074.
-    bminus = [q**l * x + 2.0**-1074 for l, x in zip(ls, b[k:])]
+    bminus = [q**l * x + 2.0**-1074 for l, x in enumerate(b[1:], 1)]
     return a, minus, b, bminus
 
 
@@ -430,23 +429,23 @@ def lambda_laurent_coeff(
     modified-Bessel value at base q, summed to min(tol, eps) as the table
     is.  Their agreement is a test elsewhere.
     """
+    if method == "sum":
+        plus, minus = _lambda_coeffs(kind, abs(l), base)[:2]
+        return plus[l] if l >= 0 else minus[-l - 1]
+    if method != "bessel":
+        raise ValueError(f"unknown method {method!r}")
     if l < 0:
         # Mirror symmetry: a_(-l) = q^l * a_l.
         return base.q ** (-l) * lambda_laurent_coeff(kind, -l, base, method)
-    q = base.q
     d = kind.delta
-    if method == "bessel":
-        return q ** ((2 - d) / 4.0 * l * l - l / 2.0) * _bessel_i_base_q(kind, l, base)
-    if method != "sum":
-        raise ValueError(f"unknown method {method!r}")
-    return _lambda_coeffs(kind, l, l, base)[0][0]
+    return base.q ** ((2 - d) / 4.0 * l * l - l / 2.0) * _bessel_i_base_q(kind, l, base)
 
 
 def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTable:
     """Tabulate coefficients a_l for |l| <= window; window < 1 raises ValueError."""
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    plus, minus, _, _ = _lambda_coeffs(kind, 0, window, base)
+    plus, minus, _, _ = _lambda_coeffs(kind, window, base)
     coeffs: Dict[int, float] = dict(enumerate(plus))
     coeffs.update((-l, c) for l, c in enumerate(minus, 1))
     return LaurentTable(kind=kind, window=window, coeffs=coeffs)
@@ -477,7 +476,7 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
             tail = _geometric_tail(prev, ta)
             if tail == math.inf:
                 raise NonConvergence(f"type-1 tail beyond window {window} is not yet geometric")
-            qq = qpoch_infinite(q, base)
+            qq = _base_poch(q, base)
             inv = 1.0 / qq.value.real**2
             err = inv * (tail + abs(s) * 2.0 * qq.err_estimate / qq.value.real)
             return SeriesValue(s * inv, err, m)
@@ -507,13 +506,13 @@ def lambda_laurent_eval(
             raise DomainError(
                 f"type-1 two-sided expansion requires q < |u| < 1, got |u|={au}"
             )
-        s, err = _laurent_sum(_lambda_coeffs(kind, 0, window, base), u, window)
+        s, err = _laurent_sum(_lambda_coeffs(kind, window, base), u, window)
         tail = _type1_tail(u, window, base)
         terms = 2 * window + 1 + tail.terms_used
         return SeriesValue(s + tail.value, err + tail.err_estimate, terms)
     q = base.q
     w = (2 - kind.delta) / 2.0
-    log_qq = math.log(qpoch_infinite(q, base).value.real)
+    log_qq = math.log(_base_poch(q, base).value.real)
 
     def log_c(n: int) -> float:
         # For l >= n, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1 give
@@ -523,7 +522,7 @@ def lambda_laurent_eval(
         return x / ((1.0 - q) * (1.0 - x)) - log_qq
 
     L, k, tail = _laurent_window((w, w), log_c, window, au, base)
-    s, err = _laurent_sum(_lambda_coeffs(kind, 0, L, base), u, k)
+    s, err = _laurent_sum(_lambda_coeffs(kind, L, base), u, k)
     return SeriesValue(s, err + tail, 2 * L + 1)
 
 
@@ -579,7 +578,7 @@ def _theta_ratio(w: complex, base: QBase) -> complex:
     return (
         qpoch_infinite(-w, pb).value
         * qpoch_infinite(-p / w, pb).value
-        * qpoch_infinite(p, base).value
+        * _base_poch(p, base).value
     )
 
 

@@ -88,10 +88,10 @@ def test_tables_are_within_their_bound_of_the_oracle():
             for tol in TOLS:
                 base = QBase(q, tol=tol)
                 if f is None:
-                    a, _, bounds, _ = qexp._lambda_coeffs(kind, 0, WINDOW, base)
+                    a, _, bounds, _ = qexp._lambda_coeffs(kind, WINDOW, base)
                     got = {l: (a[l], bounds[l]) for l in ls}
                 else:
-                    plus, minus, bp, bm = qbessel._laurent_tables((j,), nu, 0, WINDOW, base)[0]
+                    plus, minus, bp, bm = qbessel._laurent_tables(nu, WINDOW, base)[j - 1]
                     got = {l: (plus[l], bp[l]) for l in ls}
                     got.update({-l: (minus[l - 1], bm[l - 1]) for l in ls if l})
                 for l, (value, bound) in got.items():
@@ -103,10 +103,11 @@ def test_tables_are_within_their_bound_of_the_oracle():
 
 def test_table_rows_equal_single_coefficients():
     base = QBase(0.8)
-    plus, minus, _, _ = qbessel._laurent_tables((1,), 0.75, 0, 12, base)[0]
+    plus, minus, _, _ = qbessel._laurent_tables(0.75, 12, base)[0]
     k1 = KindTag.from_j(1)
-    assert [qbessel.bessel_laurent_coeff(k1, l, "plus", 0.75, base) for l in range(13)] == plus
-    assert [qbessel.bessel_laurent_coeff(k1, l, "minus", 0.75, base) for l in range(1, 13)] == minus
+    coeff = lambda l, sign: qbessel.bessel_laurent_coeff(k1, l, sign, 0.75, base)
+    assert tuple(coeff(l, "plus") for l in range(13)) == plus
+    assert tuple(coeff(l, "minus") for l in range(1, 13)) == minus
     table = qexp.lambda_laurent_table(k1, 12, base).coeffs
     assert all(qexp.lambda_laurent_coeff(k1, l, base) == table[l] for l in range(-12, 13))
 

@@ -1,7 +1,14 @@
 import pytest
 
 from qfunc import qbessel
-from qfunc.harness import CheckResult, SuiteConfig, _decay_rows, asymptotic_decay_report, run_suite
+from qfunc.harness import (
+    CheckResult,
+    SuiteConfig,
+    _decay_rows,
+    _recursion_residuals,
+    asymptotic_decay_report,
+    run_suite,
+)
 from qfunc.qcalc import QBase
 
 SMALL = SuiteConfig(q_grid=(0.5,), nu_grid=(0.25,), lattice_points=((-3, 0.3),))
@@ -84,6 +91,23 @@ class TestRunSuite:
         for check_id in FAULT_SENSITIVE:
             assert clean[check_id].passed
             assert not faulted[check_id].passed, f"{check_id} missed the fault"
+
+    def test_recursion_residuals_of_every_type_share_one_table(self, monkeypatch):
+        # Types 1 and 2 index the table's rows and type 3 takes their
+        # geometric mean, so the three residuals build one type-1 and one
+        # type-2 coefficient table between them.
+        calls = []
+        table = qbessel._cauchy_table
+
+        def counting(*args):
+            calls.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(qbessel, "_cauchy_table", counting)
+        qbessel._laurent_tables.cache_clear()
+        for j in (1, 2, 3):
+            _recursion_residuals(j, 0.25, QBase(0.5), 8, 1.0)
+        assert len(calls) == 2
 
     def test_c3_corruption_keeps_type3_recursion_failing(self):
         results = {r.check_id: r for r in run_suite(SMALL, c3_scale=1.1)}

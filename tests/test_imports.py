@@ -1,9 +1,12 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+definition is left that nothing reads.
 
-No linter ships with the project, so this is the unused-import gate: each
-module under src/qfunc/ except `__init__.py` (whose imports are the
-re-exported API) is parsed with the stdlib `ast`, and every name bound by
-an import must appear as a name somewhere in the module.
+No linter ships with the project, so these are the gates: each module
+under src/qfunc/ except `__init__.py` (whose imports are the re-exported
+API) is parsed with the stdlib `ast`, and every name bound by an import
+must appear as a name somewhere in the module.  Every module-level `_name`
+of src/qfunc/ must be read by some other top-level statement of the
+package; a helper read only by its own body or by tests is dead.
 """
 
 import ast
@@ -37,3 +40,38 @@ def test_every_import_is_used(path):
 def test_gate_sees_an_unused_import():
     source = "import io\nimport math\nfrom typing import List, Tuple\nx: List[int] = [math.pi]\n"
     assert _unused_imports(source) == [(1, "io"), (3, "Tuple")]
+
+
+
+def _dead_private(sources):
+    """Module-level `_name`s of the given {module: source} that no other
+    top-level statement of any of them reads, as (module, name) pairs."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                own = set()
+            defined += [(module, n) for n in sorted(own) if n.startswith("_") and not n.startswith("__")]
+            nodes = list(ast.walk(stmt))
+            names = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            read |= names - own
+    return [d for d in defined if d[1] not in read]
+
+
+def test_no_private_definition_is_dead():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _dead_private(sources) == []
+
+
+def test_gate_sees_a_dead_private_definition():
+    sources = {
+        "a.py": "_A, _B = 1, 2\ndef _f(n):\n    return _f(n - 1)\ndef _g():\n    return _A\n",
+        "b.py": "from .a import _g\nx = _g()\n",
+    }
+    assert _dead_private(sources) == [("a.py", "_B"), ("a.py", "_f")]

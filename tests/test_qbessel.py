@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import Counter
+
 import reference_values as ref
-from qfunc import qbessel
+from qfunc import qbessel, qcalc, qexp
 from qfunc.errors import DomainError, NegativeProduct, NonConvergence, ParameterPole
 from qfunc.qcalc import QBase, lattice_decompose, qgamma
-from qfunc.qexp import KindTag
+from qfunc.qexp import KindTag, lambda_laurent_eval, qexp_asymptotic
 from qfunc.qbessel import (
     BesselSpec,
     a_nu,
@@ -250,7 +252,7 @@ class TestTypeThreeRepresentation:
             return table(*args)
 
         monkeypatch.setattr(qbessel, "_cauchy_table", counting)
-        qbessel._type3_tables.cache_clear()
+        qbessel._laurent_tables.cache_clear()
         sv = bessel_type3_repr("I", 0.25, 0.8, 20, QBase(0.5))
         L = (sv.terms_used - 1) // 2
         assert L > 20
@@ -352,7 +354,7 @@ class TestNonFiniteArgument:
 
 
 class TestMemos:
-    """qgamma, _phi_bracket and _type3_tables are memoized per (q, nu)."""
+    """qgamma, _phi_bracket and _laurent_tables are memoized per (q, nu)."""
 
     @pytest.mark.parametrize(
         "alpha,q", [(0.25, 0.0625), (0.75, 0.25), (1.25, 0.64), (2.0, 0.5), (-1.5, 0.8)]
@@ -370,11 +372,39 @@ class TestMemos:
         assert all(isinstance(s, tuple) for s in cached.samples)
 
     @pytest.mark.parametrize("nu,window,q", [(0.25, 5, 0.5), (0.75, 8, 0.25)])
-    def test_type3_tables_equal_uncached(self, nu, window, q):
+    def test_laurent_tables_equal_uncached(self, nu, window, q):
         base = QBase(q)
-        tables = qbessel._type3_tables(nu, window, base)
-        assert tables == qbessel._type3_tables.__wrapped__(nu, window, base)
-        assert isinstance(tables, tuple) and all(isinstance(t, tuple) for t in tables)
+        tables = qbessel._laurent_tables(nu, window, base)
+        assert tables == qbessel._laurent_tables.__wrapped__(nu, window, base)
+        assert isinstance(tables, tuple) and len(tables) == 2
+        assert all(isinstance(t, tuple) for rows in tables for t in rows)
+
+    def test_base_products_are_built_once_per_base(self, monkeypatch):
+        # (q;q)_inf and (sqrt(q);q)_inf depend on the base alone; the
+        # two-sided sums, their tables and bounds, the type-1 tail and the
+        # type-3 leading term all read them.
+        built = []
+        product = qcalc.qpoch_infinite
+
+        def counting(a, base):
+            built.append((a, base))
+            return product(a, base)
+
+        for module in (qcalc, qexp, qbessel):
+            if hasattr(module, "qpoch_infinite"):
+                monkeypatch.setattr(module, "qpoch_infinite", counting)
+        qcalc._base_poch.cache_clear()
+        qbessel._laurent_tables.cache_clear()
+        base = QBase(0.4375)
+        point = lattice_decompose(base.q ** (-4.3), base)
+        for _ in range(3):
+            lambda_laurent_eval(K1, 0.7, 20, base)
+            lambda_laurent_eval(K2, 0.7 + 0.2j, 20, base)
+            bessel_type3_repr("I", 0.25, 2.0, 20, base)
+            qexp_asymptotic(K3, point, base)
+        counts = Counter((a, b) for a, b in built if a in (b.q, math.sqrt(b.q)))
+        assert counts[(base.q, base)] == 1 and counts[(math.sqrt(base.q), base)] == 1
+        assert set(counts.values()) == {1}
 
     def test_negative_product_is_raised_on_every_call(self):
         base = QBase(0.5)
