@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence
 from .errors import QfuncError
 from .harness import SuiteConfig, _decay_rows, run_suite
 from .qcalc import QBase
-from .qexp import KindTag, lambda_laurent_table, lambda_product, qexp_eval
+from .qexp import KindTag, _lambda_value, lambda_laurent_table, qexp_eval
 from .qbessel import BesselSpec, _laurent_tables, _type3_tables, bessel_value
 
 __all__ = ["OutputRecord", "main"]
@@ -155,9 +156,6 @@ def cmd_eval(args) -> int:
         print("error: no evaluation points given (--u/--z/--grid)", file=sys.stderr)
         return 2
     family = fn[6:] if fn.startswith("bessel") else ""
-    if family and family not in ("J", "Y", "I", "K"):
-        print(f"error: unknown function {fn!r}", file=sys.stderr)
-        return 2
     records: List[OutputRecord] = []
     failed = False
     for p in points:
@@ -167,16 +165,11 @@ def cmd_eval(args) -> int:
         try:
             if fn == "qexp":
                 sv = qexp_eval(KindTag.from_j(args.kind), p, base)
-                value, err = sv.value, sv.err_estimate
             elif fn == "lambda":
-                value = lambda_product(KindTag.from_j(args.kind), p, base)
-            elif family:
-                spec = BesselSpec(KindTag.from_j(args.kind), family, args.nu)
-                sv = bessel_value(spec, p, base)
-                value, err = sv.value, sv.err_estimate
-            else:
-                print(f"error: unknown function {fn!r}", file=sys.stderr)
-                return 2
+                sv = _lambda_value(KindTag.from_j(args.kind), p, base)
+            else:  # besselJ/Y/I/K, the parser's other choices
+                sv = bessel_value(BesselSpec(KindTag.from_j(args.kind), family, args.nu), p, base)
+            value, err = sv.value, sv.err_estimate
         except QfuncError as exc:
             msg = f"{type(exc).__name__}: {exc}"
             failed = True
@@ -304,7 +297,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once; `main` looks up `cmd_<command>` at call time, so a swapped-in one runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--tol", type=float, default=1e-12)
@@ -335,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("START", "STOP", "COUNT"),
         help="linear real grid of COUNT points",
     )
-    p_eval.set_defaults(func=cmd_eval)
 
     p_asym = sub.add_parser("asym", parents=[common], help="asymptotic decay table")
     p_asym.add_argument("--selector", required=True, help="'qexp:j' or 'F:j' with F in J,Y,I,K")
@@ -344,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--lam", type=float, default=0.3)
     p_asym.add_argument("--n-start", type=int, default=-2)
     p_asym.add_argument("--n-stop", type=int, default=-8)
-    p_asym.set_defaults(func=cmd_asym)
 
     p_lau = sub.add_parser("laurent", parents=[common], help="dump coefficient tables")
     p_lau.add_argument("--which", choices=("lambda", "bessel"), default="lambda")
@@ -352,21 +345,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lau.add_argument("--q", type=float, required=True)
     p_lau.add_argument("--nu", type=float, default=0.25)
     p_lau.add_argument("--window", type=int, default=10)
-    p_lau.set_defaults(func=cmd_laurent)
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--config", help="flat key=value config file")
     p_ver.add_argument("--stamp", action="store_true", help="include a timestamp in the report")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -82,6 +82,8 @@ _FAMILIES = ("J", "Y", "I", "K")
 
 # Offsets for the integer-order limit of the Y and K combinations.
 _LIMIT_EPS = (1e-4, 1e-5)
+# Samples per side of the type-3 phi bracket, and their offset from the ends.
+_PHI_GRID, _PHI_OFFSET = 64, 1e-6
 
 
 @dataclass(frozen=True)
@@ -348,13 +350,12 @@ def _phi_bound(nu: float, base: QBase) -> Tuple[float, int]:
     a + b >= 2 sqrt(q) >= q + q^2.  That happens from i = h =
     ceil(|nu| - 1/2) on, so the product B_F of max(1, r_i) over i < h
     bounds every |F_(k+m) / F_k|, and every F_m from m = h on has one
-    sign.  log_bound = ln(B_F / (q;q)_inf), as `qexp._cauchy_terms` takes
-    it.  (q;q)_inf below the smallest normal double raises DomainError.
+    sign.  log_bound = ln(B_F / (q;q)_inf), as `qexp._cauchy_terms` takes it.
     """
     q = base.q
     a, b = q ** (nu + 0.5), q ** (0.5 - nu)
     h = max(0, math.ceil(abs(nu) - 0.5))
-    log_b = -math.log(_base_poch(q, base).value.real)
+    log_b = -_base_poch(q, base)[0]
     for i in range(h):
         x = q**i
         log_b += max(0.0, math.log(abs((1.0 - a * x) * (1.0 - b * x)) / (1.0 - q * q * x * x)))
@@ -625,14 +626,14 @@ def type3_asymptotic_bracket(
 
 
 @functools.lru_cache(maxsize=32)
-def _phi_bracket(nu: float, base: QBase, grid: int = 64, h: float = 1e-6) -> PhiBracket:
+def _phi_bracket(nu: float, base: QBase) -> PhiBracket:
     """Sample phi1 over alpha and phi2 over beta and bracket their product.
 
     No connection bound has been derived that could replace the sampling.
     One end of the bracket is sqrt(Phi_inf), Phi_inf =
     2phi1(q^(nu+1/2), q^(-nu+1/2); -q; q, q), the limit of the geometric-mean
     representation: phi_min at nu = 1/4 to within 7e-8 and phi_max at
-    nu = 3/4 to within 1.2e-7 (about the offset h) at q = 0.25, 0.5 and 0.8.
+    nu = 3/4 to within 1.2e-7 (about `_PHI_OFFSET`) at q = 0.25, 0.5 and 0.8.
 
     The bracket depends on (nu, q) only, not on the lattice point, so it
     is memoized per (nu, base) in a process-wide cache of at most 32
@@ -647,18 +648,18 @@ def _phi_bracket(nu: float, base: QBase, grid: int = 64, h: float = 1e-6) -> Phi
     # phi1's series needs alpha*q < 1; cap the sampled range so the series
     # still converges at double precision near that edge.
     sides = (
-        ("alpha", 1.0 + h, min(1.0 / (1.0 - q), 0.97 / q) - h, [-q], 1.0),
-        ("beta", h, 1.0 / (1.0 - q) - h, [-q, 0.0], -1.0),
+        ("alpha", 1.0 + _PHI_OFFSET, min(1.0 / (1.0 - q), 0.97 / q) - _PHI_OFFSET, [-q], 1.0),
+        ("beta", _PHI_OFFSET, 1.0 / (1.0 - q) - _PHI_OFFSET, [-q, 0.0], -1.0),
     )
     samples: List[Tuple[str, float, float]] = []
     for k, (name, lo, hi, lower, sgn) in enumerate(sides, 1):
-        for i in range(grid):
-            x = lo + (hi - lo) * i / (grid - 1)
+        for i in range(_PHI_GRID):
+            x = lo + (hi - lo) * i / (_PHI_GRID - 1)
             v2 = basic_hyper(upper, lower, base, sgn * x * q).value.real
             if v2 < 0:
                 raise NegativeProduct(f"phi{k} square negative at {name}={x}")
             samples.append((name, x, math.sqrt(v2)))
-    p1, p2 = [s[2] for s in samples[:grid]], [s[2] for s in samples[grid:]]
+    p1, p2 = [s[2] for s in samples[:_PHI_GRID]], [s[2] for s in samples[_PHI_GRID:]]
     return PhiBracket(
         phi_min=min(p1) * min(p2), phi_max=max(p1) * max(p2), samples=tuple(samples)
     )

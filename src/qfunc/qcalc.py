@@ -24,18 +24,11 @@ precomputed sequences (`qexp._cauchy_table`), summed to eps whatever tol
 is; their window and tail come from the coefficients' a-priori bound
 (`qexp._laurent_window`), not from the terms.
 
-An infinite product (a;q)_inf is the one other loop, in two stages.  The
-factor prefix multiplies (1 - a q^k) while |a q^k| > r(q) =
-exp(-sqrt(ln(1/eps) ln(1/q))); the rest, (x;q)_inf with x = a q^K, is
-exp(-sum_{m>=1} x^m / (m (1 - q^m))), the Lambert series of its logarithm,
-with 1 - q^m = -expm1(m ln q).  The prefix takes about ln(|a|/r) / ln(1/q)
-factors and the series about ln(1/eps) / ln(1/r) terms, so |a| <= 1 costs
-O(sqrt(ln(1/eps) / ln(1/q))) work instead of the O(1/(1-q)) of the plain
-product: 5 terms for (10^-3; 0.999)_inf and 52 for (0.5; 0.999)_inf,
-against 27,618 and 33,829.  The bound adds the series' truncation tail,
-below min(tol, eps), to a first-order rounding bound built from the
-factor count, each factor's sensitivity |f| / |1 - f| and sum |t_m| (see
-`qpoch_infinite`).
+An infinite product (a;q)_inf is the one other loop, and its native form
+is its logarithm (`_log_poch`), O(sqrt(ln(1/eps) / ln(1/q))) work for
+|a| <= 1: 52 terms for (0.5; 0.999)_inf, against 33,829 factors.
+`qpoch_infinite` takes one exp of it; `qgamma` and the per-base constants
+(`_base_poch`) stay in logs, which are doubles where the products are not.
 """
 
 from __future__ import annotations
@@ -69,10 +62,8 @@ _RHO_CAP = 0.99
 _EPS = 2.0**-53
 _LN2 = math.log(2.0)
 _LOG_INV_EPS = 53.0 * _LN2
-# Smallest normal double, and the band an infinite product's prefix is
-# kept in by rescaling every 32 factors.
-_TINY = sys.float_info.min
-_SCALE_LO, _SCALE_HI = 2.0**-500, 2.0**500
+# ln of the smallest normal and of the largest double, the range of a log form.
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -132,71 +123,66 @@ def qpoch_finite(a: complex, base: QBase, n: int) -> complex:
     return p
 
 
-def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
-    """Infinite Pochhammer product (a;q)_inf = prod_{k>=0} (1 - a q^k).
+def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
+    """(a;q)_inf = prod_{k>=0} (1 - a q^k) as (L, unit, dL, terms): the product
+    is unit e^L, |unit| = 1 (+-1 for real a), and dL bounds the error of L.
 
-    Two stages.  The factor prefix multiplies the factors (1 - a q^k) while
-    |a q^k| > r(q) = exp(-sqrt(ln(1/eps) ln(1/q))), K of them.  The rest is
-    (x;q)_inf with x = a q^K, |x| <= r, and its logarithm is the Lambert
-    series -sum_{m>=1} x^m / (m (1 - q^m)), summed until its tail bound
-    |x|^(M+1) / ((M+1) (1 - q^(M+1)) (1 - |x|)) falls below min(tol, eps).
-    The value is prefix * exp(-s).  This r balances K ~ ln(|a|/r) / ln(1/q)
-    against M ~ ln(1/eps) / ln(1/r): at |a| <= 1 both are about
-    sqrt(ln(1/eps) / ln(1/q)), 190 at q = 0.999, and a small a needs no
-    prefix at all.  terms_used is K + M.
+    The factor prefix takes the K factors (1 - a q^k) with |a q^k| > r(q) =
+    exp(-sqrt(ln(1/eps) ln(1/q))), multiplied in blocks of 32 whose logs
+    ln|p_b| are summed by `math.fsum` and whose phases p_b / |p_b| make the
+    unit; only a block can leave the double range, which needs |a| > 4e9.
+    The rest is (x;q)_inf, x = a q^K, whose log is the Lambert series
+    -s = -sum_{m>=1} x^m / (m (1 - q^m)), summed until its tail bound
+    |x|^(M+1) / ((M+1) (1 - q^(M+1)) (1 - |x|)) is below min(tol, eps).
+    L is the fsum less s.  This r balances K ~ ln(|a|/r) / ln(1/q) against
+    M ~ ln(1/eps) / ln(1/r), both about sqrt(ln(1/eps) / ln(1/q)) at
+    |a| <= 1 (190 at q = 0.999); terms is K + M.
 
-    err_estimate is |v| expm1(tail + rho) / (1 - expm1(tail + rho)), where
-    rho bounds the relative rounding error to first order (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3):
-      * each factor: 3u for a q^k (one pow, one product) amplified by its
-        sensitivity |f| / |1 - f|, plus u for the subtraction, plus 3u for
-        the complex product into the prefix;
-      * the series: (7M + 12) u sum |t_m|, from the running power x^m and
-        its m-fold share of x's error, 1 - q^m = -expm1(m ln q), the
-        recursive sum, and the split of exp(-s) into 2^E exp(-s - E ln 2);
-      * 8u for exp and the final product.
-    A factor that is exactly zero gives an exact 0.  A non-finite a, and a
-    result that is not finite or falls below the smallest normal double
-    without a vanishing factor, raise DomainError.  The prefix is rescaled
-    by a power of 2 every 32 factors and exp(-s) is split as
-    2^E exp(-s - E ln 2), so a value inside the double range is reached
-    even where the partial products are not: (10; 0.999)_inf is about
-    e^-534, while its prefix peaks near e^1931 and exp(-s) is about
-    e^-1126.  Either stage running past max_terms raises NonConvergence.
+    dL is the tail plus a first-order rounding bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), in units of u = 2^-53:
+      * per factor f = a q^k, 3u for f (one pow, one product) amplified by
+        |f| / |1 - f|, u for 1 - f and 3u for the product into its block;
+      * per block, u for |p_b|, 2u |ln|p_b|| (one ulp) for its log and 5u
+        for its phase and the product into the unit (exact for real a);
+      * u times the fsum's modulus, and u |L| for the difference;
+      * (7M + 12) u sum |t_m| for the series: x^m and its m-fold share of
+        x's error, -expm1(m ln q), the quotient and the recursive sum;
+      * 4u for the one exp a caller takes and its product by the unit.
+    A vanishing factor gives (-inf, 0, 0, factors taken).  A non-finite a
+    raises DomainError, either stage past max_terms NonConvergence.
     """
     if a == 0:
-        return SeriesValue(1.0, 0.0, 0)
+        return 0.0, 1.0, 0.0, 0
     if not cmath.isfinite(a):
         raise DomainError(f"infinite product needs a finite argument, got a={a}")
     q = base.q
     cap = base.max_terms
     lq = math.log(q)
     lr = -math.sqrt(_LOG_INV_EPS * -lq)  # ln r
-    fa = abs(a)
-    n_prefix = max(0, math.ceil((math.log(fa) - lr) / -lq))
+    n_prefix = max(0, math.ceil((math.log(abs(a)) - lr) / -lq))
     if n_prefix > cap:
-        raise NonConvergence(
-            f"infinite product needs {n_prefix} prefix factors, more than {cap}"
-        )
-    p = 1.0  # the prefix is p 2^e2
-    e2 = 0
+        raise NonConvergence(f"infinite product needs {n_prefix} prefix factors, more than {cap}")
+    logs = []
+    unit = 1.0
     sens = 0.0  # sum of |f| / |1 - f| over the prefix
     k = 0
     try:
         for lo in range(0, n_prefix, 32):
+            p = 1.0
             for k in range(lo, min(lo + 32, n_prefix)):
                 # One power per factor: the error of a q^k does not grow with k.
                 f = a * q**k
                 g = 1.0 - f
                 p *= g
                 sens += abs(f) / abs(g)
-            if not _SCALE_LO < abs(p) < _SCALE_HI:
-                e = math.frexp(abs(p))[1]
-                p *= 2.0**-e  # exact: p is normal and 2^-e a power of 2
-                e2 += e
+            pa = abs(p)
+            if not pa:
+                raise DomainError(f"a block of the infinite product at a={a} underflows")
+            logs.append(math.log(pa))
+            unit *= p / pa
     except ZeroDivisionError:
         # A factor vanishes exactly; the product is identically zero.
-        return SeriesValue(0.0, 0.0, k + 1)
+        return -math.inf, 0.0, 0.0, k + 1
     x = a * q**n_prefix
     ax = abs(x)
     xa = ax  # |x|^m
@@ -222,63 +208,56 @@ def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
         xm *= x
     tail = xa / (m * d * (1.0 - ax))
     terms = m - 1
-    n2 = 0
-    if e2 or st > 700.0:
-        # p 2^e2 exp(-s) = p 2^-e 2^(e2 + e + E) exp(-s - E ln 2): with
-        # p 2^-e in [1/2, 1) and |s + E ln 2| <= ln 2 / 2, no partial
-        # product leaves the double range before the one ldexp.
-        e = math.frexp(abs(p))[1]
-        n2 = round(-s.real / _LN2)
-        p *= 2.0**-e
-        s += n2 * _LN2
-        n2 += e2 + e
-    v = p * (cmath.exp(-s) if isinstance(s, complex) else math.exp(-s))
-    if n2:
-        try:
-            if isinstance(v, complex):
-                v = complex(math.ldexp(v.real, n2), math.ldexp(v.imag, n2))
-            else:
-                v = math.ldexp(v, n2)
-        except OverflowError:
-            v = math.inf
-    va = abs(v)
-    if not va < math.inf:
-        raise DomainError(f"infinite product at a={a}, q={q} is not a finite double")
-    if va < _TINY:
-        raise DomainError(f"infinite product at a={a}, q={q} underflows a double")
-    rho = _EPS * (3.0 * sens + 4.0 * n_prefix + (7.0 * terms + 12.0) * st + 8.0)
-    eta = math.expm1(tail + rho)
-    err = va * eta / (1.0 - eta) if eta < 1.0 else math.inf
-    return SeriesValue(v, err, n_prefix + terms)
+    sl = math.fsum(logs)
+    lv = sl - s
+    rho = 3.0 * sens + 4.0 * n_prefix + (7.0 * terms + 12.0) * st + 4.0
+    rho += 6.0 * len(logs) + 2.0 * sum(map(abs, logs)) + abs(sl) + abs(lv)
+    return lv, unit, tail + _EPS * rho, n_prefix + terms
+
+
+def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
+    """Infinite Pochhammer product (a;q)_inf = prod_{k>=0} (1 - a q^k).
+
+    unit e^L of the log form (`_log_poch`), err_estimate |v| expm1(dL) /
+    (1 - expm1(dL)).  A vanishing factor gives an exact 0; a non-finite a,
+    or a product outside the normal doubles, raises DomainError.
+    """
+    lv, unit, dl, terms = _log_poch(a, base)
+    if not unit:
+        return SeriesValue(0.0, 0.0, terms)
+    if not _LOG_TINY <= lv.real < _LOG_HUGE:
+        raise DomainError(f"infinite product at a={a}, q={base.q} is not a normal double")
+    v = unit * (cmath.exp(lv) if isinstance(lv, complex) else math.exp(lv))
+    eta = math.expm1(dl)
+    return SeriesValue(v, abs(v) * eta / (1.0 - eta) if eta < 1.0 else math.inf, terms)
 
 
 @functools.lru_cache(maxsize=256)
-def _base_poch(a: float, base: QBase) -> SeriesValue:
-    """(a;q)_inf for the per-base constants a = q and a = sqrt(q), memoized
-    per (a, base) in a process-wide cache bounded to 256 entries: (q;q)_inf
-    enters q-gamma and every coefficient table and bound, (sqrt(q);q)_inf
-    the type-3 leading term.  Errors are not cached."""
-    return qpoch_infinite(a, base)
+def _base_poch(a: float, base: QBase) -> Tuple[float, float, float, int]:
+    """The log form (`_log_poch`) of (q;q)_inf, read by q-gamma and every
+    coefficient table, and of (sqrt(q);q)_inf, read by the type-3 leading
+    term: memoized per (a, base), at most 256 entries, errors not cached."""
+    return _log_poch(a, base)
 
 
 @functools.lru_cache(maxsize=256)
 def qgamma(alpha: float, base: QBase) -> float:
     """The q-gamma function (q;q)_inf / (q^alpha;q)_inf * (1-q)^(1-alpha).
 
-    Memoized per (alpha, base) in a process-wide cache bounded to 256
-    entries; a hit returns the float an uncached call computes, bit for
-    bit.  A pole raises PoleError on every call, as errors are not cached.
-    A product below the smallest normal double (q near 1: (q;q)_inf is
-    about exp(-pi^2 / (6 (1-q))), from q ~ 0.998 on) raises DomainError
-    in `qpoch_infinite` instead of returning a wrong value; so does a NaN
-    alpha.
+    exp(ln (q;q)_inf - ln (q^alpha;q)_inf + (1 - alpha) log1p(-q)) over the
+    unit of (q^alpha;q)_inf (`_log_poch`): no product, about e^-1640 each
+    at q = 0.999, is formed.  Memoized per (alpha, base), at most 256
+    entries, bit-identical to an uncached call.  A pole raises PoleError, a
+    value outside the normal doubles or a NaN alpha DomainError.
     """
     if alpha <= 0 and float(alpha).is_integer():
         raise PoleError(f"q-gamma has a pole at nonpositive integer alpha={alpha}")
     q = base.q
-    num = _base_poch(q, base).value.real
-    den = qpoch_infinite(q**alpha, base).value.real
-    return num / den * (1.0 - q) ** (1.0 - alpha)
+    lv, unit, _, _ = _log_poch(q**alpha, base)
+    x = _base_poch(q, base)[0] - lv + (1.0 - alpha) * math.log1p(-q)
+    if not _LOG_TINY <= x < _LOG_HUGE:
+        raise DomainError(f"q-gamma at alpha={alpha}, q={q} is not a normal double")
+    return math.exp(x) / unit
 
 
 def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
@@ -351,7 +330,10 @@ def _qseries(
                 den *= f
         prev = ta
         t = t * num / den  # t_(n+1)
-        ta = abs(t)
+        try:
+            ta = abs(t)
+        except OverflowError:  # finite parts whose modulus is not a double
+            ta = inf
         if not 0.0 < ta < inf:
             if ta == 0:
                 return s, 0.0, n + 1

@@ -35,11 +35,14 @@ from .errors import DomainError, NonConvergence, PoleError
 from .qcalc import (
     _EPS,
     _LN2,
+    _LOG_HUGE,
+    _LOG_TINY,
     LatticePoint,
     QBase,
     SeriesValue,
     _base_poch,
     _geometric_tail,
+    _log_poch,
     _qseries,
     lattice_decompose,
     qgamma,
@@ -167,11 +170,25 @@ def classical_limit_check(
     return out
 
 
-def lambda_product(kind: KindTag, u: complex, base: QBase) -> complex:
-    """The self-reciprocal product e^(j)(u) * e^(j)(q/u)."""
+def _lambda_value(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
+    """Lambda(u) = e(u) e(q/u), bounded by |e(q/u)| r + |e(u)| s + r s + 4u |Lambda|
+    for factors within r and s (u = 2^-53, for the product's rounding).  A
+    product that is not a finite double raises DomainError."""
     if u == 0:
         raise DomainError("lambda product is undefined at u = 0")
-    return qexp_eval(kind, u, base).value * qexp_eval(kind, base.q / u, base).value
+    a, b = (qexp_eval(kind, w, base) for w in (u, base.q / u))
+    v = a.value * b.value
+    ma, mb = abs(a.value), abs(b.value)
+    ea, eb = a.err_estimate, b.err_estimate
+    err = mb * ea + ma * eb + ea * eb + 4.0 * _EPS * ma * mb
+    if not (cmath.isfinite(v) and math.isfinite(err)):
+        raise DomainError(f"lambda product at u={u} is not a finite double")
+    return SeriesValue(v, err, a.terms_used + b.terms_used)
+
+
+def lambda_product(kind: KindTag, u: complex, base: QBase) -> complex:
+    """The self-reciprocal product e^(j)(u) * e^(j)(q/u) (`_lambda_value`)."""
+    return _lambda_value(kind, u, base).value
 
 
 def _bessel_i_base_q(kind: KindTag, l: int, base: QBase) -> float:
@@ -243,10 +260,13 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase) -> int:
     |t_i| <= |t_0| e^log_bound q^(w i(i-1)/2 + i), log_bound =
     ln(B_E B_F).  The tail past M terms is then below |t_0| e^log_bound
     q^(w M(M-1)/2 + M) / (1 - q), and M is the least count that puts it
-    at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.  More than
-    max_terms raises NonConvergence.
+    at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.  More than max_terms
+    raises NonConvergence; a (q;q)_inf below the smallest normal double
+    (q ~ 0.998 on), which the table's divisors (q;q)_k approach, DomainError.
     """
     q = base.q
+    if _base_poch(q, base)[0] < _LOG_TINY:
+        raise DomainError(f"coefficient table at q={q}: (q;q)_inf is below the normal doubles")
     y = (log_bound - math.log((1.0 - q) * min(base.tol, _EPS))) / -math.log(q)
     if w == 0:
         m = math.ceil(y)
@@ -301,12 +321,11 @@ def _lambda_coeffs(
     """Rows l <= window of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
 
     The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf, every
-    term is positive and a_(-l) = q^l a_l.  A product (q;q)_inf below the
-    smallest normal double (q near 1) raises DomainError.
+    term is positive and a_(-l) = q^l a_l.
     """
     q = base.q
     w = (2 - kind.delta) / 2.0
-    log_b = -2.0 * math.log(_base_poch(q, base).value.real)
+    log_b = -2.0 * _base_poch(q, base)[0]
     m = _cauchy_terms(w, log_b, base)
     e, rel = _exp_table(w, q, window + m)
     a, _, b, _ = _cauchy_table(e, e, 2.0 * rel, m, log_b, q, range(window + 1), range(0), 0)
@@ -476,9 +495,9 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
             tail = _geometric_tail(prev, ta)
             if tail == math.inf:
                 raise NonConvergence(f"type-1 tail beyond window {window} is not yet geometric")
-            qq = _base_poch(q, base)
-            inv = 1.0 / qq.value.real**2
-            err = inv * (tail + abs(s) * 2.0 * qq.err_estimate / qq.value.real)
+            lqq, _, dl, _ = _base_poch(q, base)
+            inv = math.exp(-2.0 * lqq)
+            err = inv * (tail + abs(s) * math.expm1(2.0 * dl))
             return SeriesValue(s * inv, err, m)
         prev = ta
     raise NonConvergence(f"type-1 tail did not converge within {base.max_terms} terms")
@@ -512,7 +531,7 @@ def lambda_laurent_eval(
         return SeriesValue(s + tail.value, err + tail.err_estimate, terms)
     q = base.q
     w = (2 - kind.delta) / 2.0
-    log_qq = math.log(_base_poch(q, base).value.real)
+    log_qq = _base_poch(q, base)[0]
 
     def log_c(n: int) -> float:
         # For l >= n, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1 give
@@ -571,15 +590,16 @@ def _theta_ratio(w: complex, base: QBase) -> complex:
 
     With p = sqrt(q), Theta(w) = (p;p)_inf (-w;p)_inf (-p/w;p)_inf (Jacobi
     triple product; Gasper & Rahman, Basic Hypergeometric Series, 1.6) and
-    (p;p)_inf = (p;q)_inf (q;q)_inf (odd and even powers of p).
-    """
+    (p;p)_inf = (p;q)_inf (q;q)_inf (odd and even powers of p), summed as
+    logs (`_log_poch`); a value outside the normal doubles raises DomainError."""
     pb = QBase(math.sqrt(base.q), base.tol, base.max_terms)
     p = pb.q
-    return (
-        qpoch_infinite(-w, pb).value
-        * qpoch_infinite(-p / w, pb).value
-        * _base_poch(p, base).value
-    )
+    l1, u1, _, _ = _log_poch(-w, pb)
+    l2, u2, _, _ = _log_poch(-p / w, pb)
+    lv = l1 + l2 + _base_poch(p, base)[0]
+    if not _LOG_TINY <= lv.real < _LOG_HUGE:
+        raise DomainError(f"type-3 leading constant at w={w} is not a normal double")
+    return u1 * u2 * cmath.exp(lv)
 
 
 def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> AsymptoticEstimate:
@@ -591,7 +611,8 @@ def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> Asymptot
     n -> -inf.  For type 3 the terms of sum q^(k(k-1)/4) u^k/(q;q)_k peak
     at k ~ -2(n+lam), where (q;q)_k ~ (q;q)_inf, so e3(u) ~
     q^(-N-n/2) e^(-2i theta n) Theta(u0)/(q;q)_inf (see `_theta_ratio`);
-    its relative error shrinks by about q^2 per step in n.
+    its relative error shrinks by about q^2 per step in n.  A non-finite
+    leading term raises DomainError.
     """
     q = base.q
     n, lam, th = point.n, point.lam, point.theta
@@ -609,7 +630,12 @@ def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> Asymptot
         else:
             scale = -big_n / 2.0
             phase = cmath.exp(-1j * th * n)
-    leading = q**scale * phase * c
+    try:
+        leading = q**scale * phase * c
+    except OverflowError:  # q^scale alone is beyond the doubles
+        leading = math.inf
+    if not cmath.isfinite(leading):
+        raise DomainError(f"leading term at n={n} is not a finite double")
     return AsymptoticEstimate(
         leading=leading, scale_exponent=scale, phase=phase, constant=c, N=big_n
     )

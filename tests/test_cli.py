@@ -1,10 +1,15 @@
+import argparse
 import csv
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 import reference_values as ref
+from oracles import bessel_series_oracle, qgamma_oracle
+from qfunc import cli
 from qfunc.cli import main
 from qfunc.harness import asymptotic_decay_report
 from qfunc.qbessel import BesselSpec, bessel_asymptotic, bessel_reference, type3_coeff
@@ -149,6 +154,9 @@ class TestEval:
             ("qexp", "2", "1e300"),
             ("qexp", "3", "1e300"),
             ("lambda", "2", "1e300"),
+            # Finite parts, modulus beyond the doubles: abs() of a series
+            # term raised OverflowError, a traceback with exit 1.
+            ("qexp", "3", "4e10,4e10"),
         ],
     )
     def test_non_finite_input_or_value_is_an_error_row(self, capsys, fn, kind, u):
@@ -159,11 +167,39 @@ class TestEval:
         header, rows = parse_csv(out)
         assert dict(zip(header, rows[0]))["error"].startswith("DomainError: ")
 
-    def test_underflowing_q_gamma_is_an_error_row(self, capsys):
-        # Base q^2 = 0.999: (q^2;q^2)_inf underflows inside the Y combination.
+    def test_q_gamma_near_one_gives_the_oracle_row(self, capsys):
+        # Base q^2 = 0.999: (q^2;q^2)_inf is below the smallest normal
+        # double, and dividing the products as doubles made this an error row.
         code, out, _ = run_cli(
             capsys, "eval", "--fn", "besselY", "--kind", "2", "--nu", "0.25",
             "--q", "0.9995", "--z", "1",
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        # Y = q^(-nu^2+nu) / pi Gamma_(q^2)(nu) Gamma_(q^2)(1-nu) (cos(nu pi) J_nu - J_-nu)
+        q, nu = 0.9995, 0.25
+        q2 = Fraction(q) ** 2
+        jp, jm = (bessel_series_oracle(0, "J", n, 1.0, q) for n in (nu, -nu))
+        gg = qgamma_oracle(nu, q2) * qgamma_oracle(1 - nu, q2)
+        exact = q ** (-nu * nu + nu) / math.pi * gg * (math.cos(nu * math.pi) * jp - jm)
+        assert abs(float(row["value_re"]) - exact) <= 1e-11 * abs(exact)
+
+    def test_lambda_row_carries_its_bound(self, capsys):
+        # Every lambda row printed err_estimate 0.0.
+        code, out, _ = run_cli(
+            capsys, "eval", "--fn", "lambda", "--kind", "3", "--q", "0.8", "--u=-0.95,0.1"
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert float(dict(zip(header, rows[0]))["err_estimate"]) > 0.0
+
+    def test_lambda_outside_the_doubles_is_an_error_row(self, capsys):
+        # Both factors are finite (about 1e198 and 1e200); the row printed
+        # nan,-inf with exit 0.
+        code, out, _ = run_cli(
+            capsys, "eval", "--fn", "lambda", "--kind", "3", "--q", "0.998",
+            "--u", "0.9189908387701298,0.38068332250003195",
         )
         assert code == 64
         header, rows = parse_csv(out)
@@ -372,6 +408,34 @@ class TestVerify:
 
 
 class TestArgparse:
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("prog") == "qfunc":
+                built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            run_cli(capsys, "eval", "--fn", "qexp", "--q", "0.5", "--u", "0")
+        assert len(built) == 1
+
+    def test_usage_error_after_a_call_still_exits_2(self, capsys):
+        run_cli(capsys, "eval", "--fn", "qexp", "--q", "0.5", "--u", "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["laurent", "--q", "0.5", "--which", "gamma"])
+        assert exc.value.code == 2
+
+    def test_command_is_looked_up_when_main_runs(self, monkeypatch, capsys):
+        # A function swapped on the module after the parser was built, as a
+        # tracer does, is the one that runs.
+        run_cli(capsys, "laurent", "--q", "0.5")
+        monkeypatch.setattr(cli, "cmd_laurent", lambda args: 17)
+        assert main(["laurent", "--q", "0.5"]) == 17
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from collections import Counter
 
 import reference_values as ref
+from oracles import bessel_series_oracle
 from qfunc import qbessel, qcalc, qexp
 from qfunc.errors import DomainError, NegativeProduct, NonConvergence, ParameterPole
 from qfunc.qcalc import QBase, lattice_decompose, qgamma
@@ -344,6 +345,17 @@ class TestAsymptotics:
         assert bracket.phi_max == pytest.approx(1.0, abs=1e-9)
 
 
+class TestNearQOne:
+    @pytest.mark.parametrize("kind", [K2, K3])
+    @pytest.mark.parametrize("family", ["J", "I"])
+    def test_series_matches_oracle(self, kind, family):
+        # q-gamma in the prefactor raised DomainError here while its
+        # products were divided as doubles.
+        sv = bessel_value(BesselSpec(kind, family, 0.25), 1.0, QBase(0.999))
+        exact = bessel_series_oracle(kind.delta, family, 0.25, 1.0, 0.999)
+        assert abs(sv.value - exact) <= 1e-11 * abs(exact)
+
+
 class TestNonFiniteArgument:
     @pytest.mark.parametrize("family", ["J", "Y", "I", "K"])
     @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
@@ -380,19 +392,19 @@ class TestMemos:
         assert all(isinstance(t, tuple) for rows in tables for t in rows)
 
     def test_base_products_are_built_once_per_base(self, monkeypatch):
-        # (q;q)_inf and (sqrt(q);q)_inf depend on the base alone; the
-        # two-sided sums, their tables and bounds, the type-1 tail and the
-        # type-3 leading term all read them.
+        # The log forms of (q;q)_inf and (sqrt(q);q)_inf depend on the base
+        # alone; the two-sided sums, their tables and bounds, the type-1
+        # tail, q-gamma and the type-3 leading term all read them.
         built = []
-        product = qcalc.qpoch_infinite
+        log_form = qcalc._log_poch
 
         def counting(a, base):
             built.append((a, base))
-            return product(a, base)
+            return log_form(a, base)
 
         for module in (qcalc, qexp, qbessel):
-            if hasattr(module, "qpoch_infinite"):
-                monkeypatch.setattr(module, "qpoch_infinite", counting)
+            if hasattr(module, "_log_poch"):
+                monkeypatch.setattr(module, "_log_poch", counting)
         qcalc._base_poch.cache_clear()
         qbessel._laurent_tables.cache_clear()
         base = QBase(0.4375)

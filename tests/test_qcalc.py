@@ -1,15 +1,15 @@
 import cmath
-import functools
 import math
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
+from oracles import qgamma_oracle, qpoch_oracle
+from qfunc import qcalc
 from qfunc.errors import DomainError, NonConvergence, ParameterPole, PoleError
 from qfunc.qcalc import (
     QBase,
@@ -67,51 +67,6 @@ class TestPochhammerFinite:
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-_ORACLE_BITS = 240
-
-
-@functools.lru_cache(maxsize=None)
-def _qpoch_oracle(a, q):
-    """(a;q)_inf to 40 digits, by a route that shares nothing with the library.
-
-    The factors with |a q^k| > (1 - q) / 1000 are multiplied in 240-bit
-    fixed point on Python integers, from the exact binary values of a and
-    q (mpmath's pure-Python products take about 8 times as long for the
-    15,000 factors q = 0.999 needs).  The rest, (x;q)_inf, is Euler's sum
-    sum_n (-1)^n q^(n(n-1)/2) x^n / (q;q)_n (Gasper & Rahman (1.3.16)), whose
-    term ratio is at most |x| / (1 - q) = 1e-3.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    bits = _ORACLE_BITS
-    qf = Fraction(q)
-    q_num, q_shift = qf.numerator, qf.denominator.bit_length() - 1
-    a = complex(a)
-    fr = int(Fraction(a.real) * 2**bits)
-    fi = int(Fraction(a.imag) * 2**bits)
-    stop = int((1 - q) / 1000 * 2**bits) ** 2
-    one = 1 << bits
-    pr, pi, scale = one, 0, 0  # the prefix is (pr + i pi) 2^(scale - bits)
-    while fr * fr + fi * fi > stop:
-        gr = one - fr
-        pr, pi = (pr * gr + pi * fi) >> bits, (pi * gr - pr * fi) >> bits
-        n = max(abs(pr), abs(pi)).bit_length() - bits
-        if n > 0:
-            pr, pi, scale = pr >> n, pi >> n, scale + n
-        elif n < -8:
-            pr, pi, scale = pr << -n, pi << -n, scale + n
-        fr, fi = (fr * q_num) >> q_shift, (fi * q_num) >> q_shift
-    with mpmath.workdps(40):
-        mq = mpmath.mpf(q)
-        x = mpmath.mpc(mpmath.ldexp(fr, -bits), mpmath.ldexp(fi, -bits))
-        s, t, n = mpmath.mpf(0), mpmath.mpf(1), 0
-        while n < 2 or abs(t) > mpmath.mpf(10) ** -45 * abs(s):
-            s += t
-            t *= -x * mq**n / (1 - mq ** (n + 1))
-            n += 1
-        prefix = mpmath.mpc(mpmath.ldexp(pr, scale - bits), mpmath.ldexp(pi, scale - bits))
-        return prefix * s
-
-
 def _qpoch_grid(seed=2006, per_q=20):
     """Seeded (q, a): |a| log-uniform on [1e-4, 3.2], half real, half complex."""
     rng = random.Random(seed)
@@ -157,7 +112,7 @@ class TestPochhammerInfinite:
         # The plain product needed 27,618 factors here.
         sv = qpoch_infinite(1e-3, QBase(0.999))
         assert sv.terms_used <= 10
-        assert abs(sv.value - _qpoch_oracle(1e-3, 0.999)) <= sv.err_estimate
+        assert abs(sv.value - qpoch_oracle(1e-3, 0.999)) <= sv.err_estimate
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, complex(0.5, -math.inf)])
     def test_non_finite_argument(self, a):
@@ -179,14 +134,14 @@ class TestPochhammerInfinite:
         # about e^-1126; the product itself is about e^-534.
         sv = qpoch_infinite(10.0, QBase(0.999))
         assert 0.0 < sv.value < 1e-230
-        assert abs(sv.value - _qpoch_oracle(10.0, 0.999)) <= sv.err_estimate
+        assert abs(sv.value - qpoch_oracle(10.0, 0.999)) <= sv.err_estimate
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_error_estimate_bounds_oracle(self, tol):
         mpmath = pytest.importorskip("mpmath")
         bad = []
         for q, a in _QPOCH_GRID:
-            exact = _qpoch_oracle(a, q)
+            exact = qpoch_oracle(a, q)
             try:
                 sv = qpoch_infinite(a, QBase(q, tol=tol))
             except DomainError:
@@ -198,6 +153,18 @@ class TestPochhammerInfinite:
             if not err <= sv.err_estimate:
                 bad.append((q, a, float(err), sv.err_estimate))
         assert not bad
+
+    @pytest.mark.parametrize("q", [0.998, 0.999, 0.9995])
+    def test_log_form_bounds_oracle_near_q_one(self, q):
+        # ln (q;q)_inf is about -1640 at q = 0.999: the log form is a double
+        # and within its bound dL although the product is far below 1e-308.
+        mpmath = pytest.importorskip("mpmath")
+        for a in (q, math.sqrt(q), 0.9, -0.7, 0.5 + 0.6j, 3.0):
+            lv, unit, dl, _ = qcalc._log_poch(a, QBase(q))
+            with mpmath.workdps(40):
+                exact = qpoch_oracle(a, q)
+                ratio = unit * mpmath.exp(mpmath.mpc(lv) - mpmath.log(exact))
+                assert abs(ratio - 1) <= math.expm1(dl), (a, float(abs(ratio - 1)), dl)
 
     @given(a=st.floats(-0.9, 0.9), q=st.floats(0.1, 0.9))
     @settings(max_examples=60)
@@ -221,13 +188,20 @@ class TestQGamma:
         with pytest.raises(PoleError):
             qgamma(alpha, BASE)
 
-    @pytest.mark.parametrize("q", [0.998, 0.999])
-    def test_underflowing_products_raise(self, q):
-        # (q;q)_inf is about exp(-pi^2 / (6 (1-q))): below the smallest
-        # normal double here.  At 0.998 the subnormal products gave 0.00946
-        # against the true 3.6232; at 0.999 they divided zero by zero.
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.998, 0.999, 0.9995])
+    def test_matches_oracle_up_to_q_near_one(self, q):
+        # From q ~ 0.998 on (q;q)_inf is below the smallest normal double:
+        # dividing the products as doubles raised DomainError there.
+        for alpha in (0.25, 0.5, 2.5, -0.5):
+            exact = qgamma_oracle(alpha, q)
+            assert abs(qgamma(alpha, QBase(q)) - exact) <= 1e-11 * abs(exact), alpha
+
+    def test_value_outside_the_doubles_is_a_domain_error(self):
+        # Gamma_q(200) at q = 0.5 is about 2^199 (q;q)_inf: a double; at
+        # alpha = 2000 it is about 2^1999.
+        assert math.isfinite(qgamma(200.0, BASE))
         with pytest.raises(DomainError):
-            qgamma(0.25, QBase(q))
+            qgamma(2000.0, BASE)
 
     @given(x=st.floats(0.2, 3.0), q=st.floats(0.1, 0.9))
     @settings(max_examples=60)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+
 import reference_values as ref
+from oracles import qpoch_oracle
+from qfunc import qexp
 from qfunc.errors import DomainError, PoleError
 from qfunc.qcalc import QBase, lattice_decompose, qpoch_infinite
 from qfunc.qexp import (
@@ -263,6 +267,35 @@ class TestProductReference:
         assert lambda_product(K3, 1.3, BASE).real == pytest.approx(
             ref.LAMBDA3_AT_13_Q05, rel=1e-12
         )
+
+
+class TestProductBound:
+    @pytest.mark.parametrize("kind", [K1, K2])
+    def test_bound_covers_oracle(self, kind):
+        # lambda_product printed no bound at all; the value it returns is
+        # the bounded value's, bit for bit.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(12)
+        for q in (0.3, 0.5, 0.8):
+            base = QBase(q)
+            for _ in range(15):
+                u = 10 ** rng.uniform(-1.0, 1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+                sv = qexp._lambda_value(kind, u, base)
+                assert lambda_product(kind, u, base) == sv.value
+                with mpmath.workdps(40):
+                    if kind.j == 1:
+                        exact = 1 / (qpoch_oracle(u, q) * qpoch_oracle(q / u, q))
+                    else:
+                        exact = qpoch_oracle(-u, q) * qpoch_oracle(-q / u, q)
+                    assert abs(mpmath.mpc(sv.value) - exact) <= sv.err_estimate, (q, u)
+
+    @pytest.mark.parametrize("kind", [K1, K2, K3])
+    def test_product_outside_the_doubles_is_a_domain_error(self, kind):
+        # Both factors are finite, about 1e198 and 1e200 for type 3; their
+        # product was returned as nan-infj.
+        u = complex(0.9189908387701298, 0.38068332250003195)
+        with pytest.raises(DomainError):
+            lambda_product(kind, u, QBase(0.998))
 
 
 class TestFunctionalEquations:
