@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .qcalc import QBase, lattice_decompose, qgamma
+from .qcalc import LatticePoint, QBase, lattice_decompose, qgamma
 from .qexp import (
     KindTag,
     classical_limit_check,
@@ -605,7 +605,10 @@ def _decay_rows(
     """Rows (n, exact, leading, relative_error, extra) at the given base.
 
     extra is (|exact|/|leading|, phi_min, phi_max) for the type-3 Bessel
-    selectors and () otherwise.
+    selectors and () otherwise.  Only the first row's u is decomposed on
+    the lattice; every row takes its lam and theta, with n shifted by the
+    row's offset, so the leading constant, which depends on them alone
+    (`qexp._leading_constant`), is computed once per table.
     """
     ns = list(n_range)
     if any(a <= b for a, b in zip(ns, ns[1:])):
@@ -614,9 +617,10 @@ def _decay_rows(
     q, nu, lam = fixed
     j = int(tail)
     rows: List[Tuple[int, complex, complex, float, Tuple[float, ...]]] = []
+    first = lattice_decompose(q ** (ns[0] + lam), base) if ns else None
     for n in ns:
         u = q ** (n + lam)
-        pt = lattice_decompose(u, base)
+        pt = LatticePoint(u, first.n + n - ns[0], first.lam, first.theta)
         extra: Tuple[float, ...] = ()
         if head == "qexp":
             # The leading term approximates the q-exponential itself; the

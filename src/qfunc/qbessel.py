@@ -47,8 +47,10 @@ from .qcalc import (
 from .qexp import (
     AsymptoticEstimate,
     KindTag,
+    _Rows,
     _cauchy_table,
     _cauchy_terms,
+    _coeff_window,
     _exp_table,
     _laurent_sum,
     _laurent_window,
@@ -132,11 +134,15 @@ def _cpow(z: complex, s: float) -> complex:
     return cmath.exp(s * (math.log(abs(z)) + 1j * theta))
 
 
+@functools.lru_cache(maxsize=256)
 def a_nu(nu: float, base: QBase) -> complex:
     """Normalization constant of the second-solution representations.
 
     Real positive for small positive orders; complex permitted when the
     defining square is negative.  Integer orders take their own branch.
+    Every call of the family map (`_family`) reads it, so it is memoized
+    per (nu, base), at most 256 entries process-wide, bit-identical to an
+    uncached call; errors are not cached.
     """
     q = base.q
     if float(nu).is_integer():
@@ -362,9 +368,6 @@ def _phi_bound(nu: float, base: QBase) -> Tuple[float, int]:
     return log_b, h
 
 
-_Rows = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
-
-
 @functools.lru_cache(maxsize=32)
 def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
     """Two-sided coefficients of e(u) Phi_nu(u) for types 1 and 2.
@@ -407,11 +410,11 @@ def bessel_laurent_coeff(
 ) -> float:
     """Two-sided expansion coefficient c_{l+-} of the type-1 or type-2
     product e(u) Phi(u): one entry of the coefficient table
-    (`_laurent_tables`)."""
+    (`_laurent_tables`, at the window `qexp._coeff_window`)."""
     if kind.j not in (1, 2):
         raise ValueError("expansion coefficients exist for types 1 and 2 only")
     _check_index(l, sign)
-    plus, minus = _laurent_tables(nu, l, base)[kind.j - 1][:2]
+    plus, minus = _laurent_tables(nu, _coeff_window(l), base)[kind.j - 1][:2]
     return plus[l] if sign == "plus" else minus[l - 1]
 
 
@@ -448,7 +451,7 @@ def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
     Why the geometric mean is exact is open (ROADMAP item 1).
     """
     _check_index(l, sign)
-    (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(nu, l, base)
+    (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(nu, _coeff_window(l), base)
     c1, c2 = (p1[l], p2[l]) if sign == "plus" else (m1[l - 1], m2[l - 1])
     c3 = _geometric_mean(c1, c2, 0.0, 0.0, l, sign, nu)[0]
     return CoeffPair(l=l, sign=sign, c1=c1, c2=c2, c3=c3)

@@ -19,11 +19,18 @@ over slices, cut at a term count derived from a bound on the sequences
 (`_cauchy_terms`) so that the truncation stays below min(tol, eps) of the
 sum of |terms|.  The coefficients are therefore good to a rounding bound
 that does not depend on tol.
+
+Two memos hold what many calls share: the Lambda rows per (kind, window,
+base) (`_lambda_coeffs`, at most 32 entries), read by every two-sided
+Lambda reader, and the constant of the lattice leading term per (kind,
+lam, theta, base) (`_leading_constant`, at most 256 entries), which does
+not depend on n and so is shared by every row of one lattice table.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -315,13 +322,25 @@ def _cauchy_table(
     return plus, [q**l * c for l, c in zip(lm, minus)], bp, bm
 
 
-def _lambda_coeffs(
-    kind: KindTag, window: int, base: QBase
-) -> Tuple[List[float], List[float], List[float], List[float]]:
+_Rows = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
+
+
+def _coeff_window(l: int) -> int:
+    """The table window a single-coefficient reader of row l requests: the
+    least power of two at or above max(l, 8).  A coefficient does not
+    depend on the window of its table, so a loop over l = 0..40 reads four
+    memoized tables (windows 8, 16, 32 and 64) instead of building 41."""
+    return 1 << (max(l, 8) - 1).bit_length()
+
+
+@functools.lru_cache(maxsize=32)
+def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     """Rows l <= window of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
 
     The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf, every
-    term is positive and a_(-l) = q^l a_l.
+    term is positive and a_(-l) = q^l a_l.  Memoized per (kind, window,
+    base), at most 32 entries process-wide; the rows are tuples because
+    every caller shares the cached object.
     """
     q = base.q
     w = (2 - kind.delta) / 2.0
@@ -332,7 +351,7 @@ def _lambda_coeffs(
     minus = [q**l * x for l, x in enumerate(a[1:], 1)]
     # The product q^l a_l can underflow: its bound keeps that 2^-1074.
     bminus = [q**l * x + 2.0**-1074 for l, x in enumerate(b[1:], 1)]
-    return a, minus, b, bminus
+    return tuple(a), tuple(minus), tuple(b), tuple(bminus)
 
 
 def _laurent_sum(
@@ -444,12 +463,12 @@ def lambda_laurent_coeff(
     """Coefficient a_l of u^l in the two-sided expansion of the product.
 
     method "sum" reads one entry of the coefficient table
-    (`_lambda_coeffs`); method "bessel" routes through the equivalent
-    modified-Bessel value at base q, summed to min(tol, eps) as the table
-    is.  Their agreement is a test elsewhere.
+    (`_lambda_coeffs`, at the window `_coeff_window`); method "bessel"
+    routes through the equivalent modified-Bessel value at base q, summed
+    to min(tol, eps) as the table is.  Their agreement is a test elsewhere.
     """
     if method == "sum":
-        plus, minus = _lambda_coeffs(kind, abs(l), base)[:2]
+        plus, minus = _lambda_coeffs(kind, _coeff_window(abs(l)), base)[:2]
         return plus[l] if l >= 0 else minus[-l - 1]
     if method != "bessel":
         raise ValueError(f"unknown method {method!r}")
@@ -602,6 +621,24 @@ def _theta_ratio(w: complex, base: QBase) -> complex:
     return u1 * u2 * cmath.exp(lv)
 
 
+@functools.lru_cache(maxsize=256)
+def _leading_constant(kind: KindTag, lam: float, theta: float, base: QBase) -> complex:
+    """The constant c of `qexp_asymptotic`'s leading term at u0 = q^lam
+    e^(i theta): Theta(u0) / (q;q)_inf (`_theta_ratio`) for type 3 and
+    Lambda(u0) (`lambda_product`) for types 1 and 2.
+
+    It does not depend on n, so every row of one lattice table, and every
+    family point of `qbessel.bessel_asymptotic` on it, shares one
+    computation.  Memoized per (kind, lam, theta, base), at most 256
+    entries process-wide; a hit is the value an uncached call computed,
+    and errors are not cached.
+    """
+    u0 = base.q**lam * cmath.exp(1j * theta)
+    if kind.j == 3:
+        return _theta_ratio(u0, base)
+    return lambda_product(kind, u0, base)
+
+
 def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> AsymptoticEstimate:
     """Leading-order lattice approximation of the q-exponential at point.
 
@@ -611,25 +648,23 @@ def qexp_asymptotic(kind: KindTag, point: LatticePoint, base: QBase) -> Asymptot
     n -> -inf.  For type 3 the terms of sum q^(k(k-1)/4) u^k/(q;q)_k peak
     at k ~ -2(n+lam), where (q;q)_k ~ (q;q)_inf, so e3(u) ~
     q^(-N-n/2) e^(-2i theta n) Theta(u0)/(q;q)_inf (see `_theta_ratio`);
-    its relative error shrinks by about q^2 per step in n.  A non-finite
-    leading term raises DomainError.
+    its relative error shrinks by about q^2 per step in n.  The constant
+    depends on u0 alone and is memoized (`_leading_constant`).  A
+    non-finite leading term raises DomainError.
     """
     q = base.q
     n, lam, th = point.n, point.lam, point.theta
     big_n = n * (n - 1) + 2.0 * lam * n
-    u0 = q**lam * cmath.exp(1j * th)
+    c = _leading_constant(kind, lam, th, base)
     if kind.j == 3:
         scale = -big_n - n / 2.0
         phase = cmath.exp(-2j * th * n)
-        c = _theta_ratio(u0, base)
+    elif kind.j == 1:
+        scale = big_n / 2.0
+        phase = cmath.exp(1j * (th + math.pi) * n)
     else:
-        c = lambda_product(kind, u0, base)
-        if kind.j == 1:
-            scale = big_n / 2.0
-            phase = cmath.exp(1j * (th + math.pi) * n)
-        else:
-            scale = -big_n / 2.0
-            phase = cmath.exp(-1j * th * n)
+        scale = -big_n / 2.0
+        phase = cmath.exp(-1j * th * n)
     try:
         leading = q**scale * phase * c
     except OverflowError:  # q^scale alone is beyond the doubles

@@ -6,7 +6,9 @@ under src/qfunc/ except `__init__.py` (whose imports are the re-exported
 API) is parsed with the stdlib `ast`, and every name bound by an import
 must appear as a name somewhere in the module.  Every module-level `_name`
 of src/qfunc/ must be read by some other top-level statement of the
-package; a helper read only by its own body or by tests is dead.
+package; a helper read only by its own body or by tests is dead.  Every
+`functools.lru_cache` must carry an integer maxsize: memos are
+process-wide, so an unbounded one grows with every distinct argument.
 """
 
 import ast
@@ -75,3 +77,43 @@ def test_gate_sees_a_dead_private_definition():
         "b.py": "from .a import _g\nx = _g()\n",
     }
     assert _dead_private(sources) == [("a.py", "_B"), ("a.py", "_f")]
+
+
+def _unbounded_memos(source):
+    """Lines of every `lru_cache` without an integer maxsize (the bare
+    decorator, maxsize=None, no argument) and of every `functools.cache`."""
+    tree = ast.parse(source)
+    sizes = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            given = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            sizes[id(node.func)] = given[0] if given else None
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                bad.append(node.lineno)
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name == "lru_cache":
+            size = sizes.get(id(node))
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_memo_is_bounded(path):
+    assert _unbounded_memos(path.read_text()) == []
+
+
+def test_gate_sees_an_unbounded_memo():
+    source = (
+        "import functools\nfrom functools import lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(x): return x\n"
+        "@functools.lru_cache\ndef b(x): return x\n"
+        "@lru_cache()\ndef c(x): return x\n"
+        "@functools.cache\ndef d(x): return x\n"
+        "@functools.lru_cache(maxsize=32)\ndef e(x): return x\n"
+        "@lru_cache(64)\ndef f(x): return x\n"
+    )
+    assert _unbounded_memos(source) == [3, 5, 7, 9]

@@ -9,10 +9,10 @@ from collections import Counter
 
 import reference_values as ref
 from oracles import bessel_series_oracle
-from qfunc import qbessel, qcalc, qexp
+from qfunc import harness, qbessel, qcalc, qexp
 from qfunc.errors import DomainError, NegativeProduct, NonConvergence, ParameterPole
-from qfunc.qcalc import QBase, lattice_decompose, qgamma
-from qfunc.qexp import KindTag, lambda_laurent_eval, qexp_asymptotic
+from qfunc.qcalc import LatticePoint, QBase, lattice_decompose, qgamma
+from qfunc.qexp import KindTag, lambda_laurent_eval, qexp_asymptotic, qexp_eval
 from qfunc.qbessel import (
     BesselSpec,
     a_nu,
@@ -407,6 +407,8 @@ class TestMemos:
                 monkeypatch.setattr(module, "_log_poch", counting)
         qcalc._base_poch.cache_clear()
         qbessel._laurent_tables.cache_clear()
+        qexp._lambda_coeffs.cache_clear()
+        qexp._leading_constant.cache_clear()
         base = QBase(0.4375)
         point = lattice_decompose(base.q ** (-4.3), base)
         for _ in range(3):
@@ -423,3 +425,105 @@ class TestMemos:
         for _ in range(2):
             with pytest.raises(NegativeProduct):
                 qbessel._phi_bracket(2.5, base)
+
+    # Family points per selector: the points w of `_family` (or u itself).
+    TABLE_POINTS = {"K:3": 1, "I:3": 2, "J:1": 2, "qexp:2": 1}
+
+    @pytest.mark.parametrize("selector", sorted(TABLE_POINTS))
+    def test_table_computes_each_leading_constant_once(self, selector, monkeypatch):
+        built = []
+        theta_ratio, product = qexp._theta_ratio, qexp.lambda_product
+        monkeypatch.setattr(qexp, "_theta_ratio", lambda w, b: built.append(w) or theta_ratio(w, b))
+        monkeypatch.setattr(qexp, "lambda_product", lambda k, w, b: built.append(w) or product(k, w, b))
+        qexp._leading_constant.cache_clear()
+        rows = harness._decay_rows(selector, (0.5, 0.25, 0.3), range(-2, -9, -1), QBase(0.5))
+        assert len(rows) == 7
+        assert len(built) == len(set(built)) == self.TABLE_POINTS[selector]
+
+    @pytest.mark.parametrize("selector", sorted(TABLE_POINTS))
+    @pytest.mark.parametrize("q,lam", [(0.5, 0.3), (0.25, 0.7), (0.8, 0.3)])
+    def test_table_rows_match_direct_calls(self, selector, q, lam, monkeypatch):
+        # Exact values are bit-identical to a direct call at u; leading terms
+        # agree with an uncached leading term at the row's own decomposition.
+        base, nu = QBase(q), 0.25
+        qexp._leading_constant.cache_clear()
+        rows = harness._decay_rows(selector, (q, nu, lam), range(-2, -9, -1), base)
+        monkeypatch.setattr(qexp, "_leading_constant", qexp._leading_constant.__wrapped__)
+        head, _, j = selector.partition(":")
+        kind = KindTag.from_j(int(j))
+        for n, exact, leading, _, _ in rows:
+            u = q ** (n + lam)
+            pt = lattice_decompose(u, base)
+            if head == "qexp":
+                direct, want = qexp_eval(kind, u, base).value, qexp_asymptotic(kind, pt, base)
+            else:
+                spec = BesselSpec(kind, head, nu)
+                if kind.j == 3:
+                    direct = bessel_value(spec, u / (1.0 - q * q), base).value
+                else:
+                    direct = bessel_reference(spec, u, base)
+                want = bessel_asymptotic(spec, pt, base)
+            assert exact == direct
+            assert abs(leading - want.leading) <= 1e-13 * abs(want.leading)
+
+    @pytest.mark.parametrize("j,window,q", [(1, 10, 0.5), (2, 40, 0.25), (3, 16, 0.8)])
+    def test_lambda_coeffs_equal_uncached(self, j, window, q):
+        kind, base = KindTag.from_j(j), QBase(q)
+        rows = qexp._lambda_coeffs(kind, window, base)
+        assert rows == qexp._lambda_coeffs.__wrapped__(kind, window, base)
+        assert len(rows) == 4 and all(isinstance(t, tuple) for t in rows)
+
+    def test_laurent_vs_product_loop_builds_one_table_per_key(self, monkeypatch):
+        # The shape of the suite's laurent-vs-product check: five points per
+        # (q, kind), each summed at window 40.
+        keys, built = [], []
+        cached, table = qexp._lambda_coeffs, qexp._cauchy_table
+        monkeypatch.setattr(qexp, "_lambda_coeffs", lambda *k: keys.append(k) or cached(*k))
+        monkeypatch.setattr(qexp, "_cauchy_table", lambda *a: built.append(1) or table(*a))
+        cached.cache_clear()
+        for q in (0.25, 0.5, 0.8):
+            for kind in (K1, K2, K3):
+                for lam, theta in ((0.2, 0.3), (0.5, -2.0), (0.7, 1.0), (0.4, 3.0), (0.9, -0.5)):
+                    lambda_laurent_eval(kind, q**lam * cmath.exp(1j * theta), 40, QBase(q))
+        assert len(built) == len(set(keys)) < len(keys)
+
+    def test_leading_constant_error_is_raised_on_every_call(self, monkeypatch):
+        # At q = 0.999 Theta(1) / (q;q)_inf is about e^1645, beyond the doubles.
+        calls = []
+        theta_ratio = qexp._theta_ratio
+        monkeypatch.setattr(qexp, "_theta_ratio", lambda w, b: calls.append(w) or theta_ratio(w, b))
+        qexp._leading_constant.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                qexp_asymptotic(K3, LatticePoint(1.0, 0, 0.0, 0.0), QBase(0.999))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("nu,q", [(0.25, 0.5), (1.0, 0.8), (1.5, 0.25)])
+    def test_a_nu_equals_uncached(self, nu, q):
+        base = QBase(q)
+        assert a_nu(nu, base) == a_nu.__wrapped__(nu, base)
+
+    @pytest.mark.parametrize("reader", ["bessel", "type3", "lambda"])
+    def test_single_coefficient_loop_shares_tables(self, reader, monkeypatch):
+        # Rows l = 0..40 read tables of windows 8, 16, 32 and 64, and every
+        # value equals the one a table of exactly l rows holds.
+        base, nu = QBase(0.8), 0.75
+        if reader == "lambda":
+            module, memo = qexp, qexp._lambda_coeffs
+            read = lambda l: qexp.lambda_laurent_coeff(K2, l, base)
+            exact = lambda l: memo.__wrapped__(K2, l, base)[0][l]
+        else:
+            module, memo = qbessel, qbessel._laurent_tables
+            if reader == "bessel":
+                read = lambda l: bessel_laurent_coeff(K1, l, "plus", nu, base)
+                exact = lambda l: memo.__wrapped__(nu, l, base)[0][0][l]
+            else:
+                read = lambda l: type3_coeff(l, "plus", nu, base).c2
+                exact = lambda l: memo.__wrapped__(nu, l, base)[1][0][l]
+        windows = []
+        monkeypatch.setattr(module, memo.__name__, lambda *k: windows.append(k[1]) or memo(*k))
+        memo.cache_clear()
+        values = [read(l) for l in range(41)]
+        assert sorted(set(windows)) == [8, 16, 32, 64]
+        assert memo.cache_info().misses == 4
+        assert values == [exact(l) for l in range(41)]
