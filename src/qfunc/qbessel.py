@@ -99,6 +99,13 @@ class BesselSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        _check_order(self.nu)
+
+
+def _check_order(nu: float) -> None:
+    """DomainError naming nu unless the order is finite."""
+    if not math.isfinite(nu):
+        raise DomainError(f"q^2-Bessel functions need a finite order, got nu={nu}")
 
 
 @dataclass(frozen=True)
@@ -174,12 +181,23 @@ def bessel_series(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
     """
     if spec.family not in ("J", "I"):
         raise ValueError(f"bessel_series handles J and I only, got {spec.family!r}")
+    return _series(spec.kind, spec.family, spec.nu, z, base, base.squared())
+
+
+def _series(
+    kind: KindTag, family: str, nu: float, z: complex, base: QBase, b2: QBase
+) -> SeriesValue:
+    """The J or I series of `bessel_series`, for a base b2 = base.squared().
+
+    The scaled argument x has an exactly zero imaginary part at real and
+    at purely imaginary z; the kernel then sums x.real in real arithmetic,
+    whose roundings are those of the complex sum's real part.
+    """
     q = base.q
-    nu = spec.nu
-    d = spec.kind.delta
+    d = kind.delta
     if float(nu).is_integer() and nu <= -1:
         raise ParameterPole(f"series prefactor has a pole at order nu={nu}")
-    if spec.kind.j == 1 and abs(z) >= 1.0 / (1.0 - q * q):
+    if kind.j == 1 and abs(z) >= 1.0 / (1.0 - q * q):
         raise NonConvergence(
             f"type-1 series requires |z| < 1/(1-q^2), got |z|={abs(z)}"
         )
@@ -190,34 +208,29 @@ def bessel_series(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
         if nu == 0:
             return SeriesValue(1.0, 0.0, 1)
         raise DomainError("negative-order series is singular at z = 0")
-    b2 = base.squared()
-    sgn = -1.0 if spec.family == "J" else 1.0
+    sgn = -1.0 if family == "J" else 1.0
     pref = _cpow(z, nu) / qgamma(nu + 1.0, b2)
     x = sgn * (1.0 - q * q) ** 2 * z * z * q ** ((2 - d) * (1.0 + nu))
-    s, err, terms = _qseries((), (q ** (2 * nu + 2),), b2, x, 2 - d)
+    s, err, terms = _qseries((), (q ** (2 * nu + 2),), b2, x if x.imag else x.real, 2 - d)
     return SeriesValue(pref * s, abs(pref) * err, terms)
 
 
 def _combination_raw(
-    family: str, kind: KindTag, nu: float, z: complex, base: QBase
+    family: str, nu: float, series: Callable[[float], SeriesValue], base: QBase, b2: QBase
 ) -> SeriesValue:
-    """The defining Y/K combination for non-integer order."""
+    """The defining Y/K combination for non-integer order, from series(s),
+    the J (for Y) or I (for K) series at order s."""
     q = base.q
-    b2 = base.squared()
     gg = qgamma(nu, b2) * qgamma(1.0 - nu, b2)
+    p, m = series(nu), series(-nu)
     if family == "Y":
-        jp = bessel_series(BesselSpec(kind, "J", nu), z, base)
-        jm = bessel_series(BesselSpec(kind, "J", -nu), z, base)
         pref = q ** (-nu * nu + nu) / math.pi * gg
-        val = pref * (math.cos(nu * math.pi) * jp.value - jm.value)
-        err = abs(pref) * (jp.err_estimate + jm.err_estimate)
-        return SeriesValue(val, err, jp.terms_used + jm.terms_used)
-    ip = bessel_series(BesselSpec(kind, "I", nu), z, base)
-    im = bessel_series(BesselSpec(kind, "I", -nu), z, base)
-    pref = q ** (-nu * nu + nu) / 2.0 * gg
-    val = pref * (im.value - ip.value)
-    err = abs(pref) * (ip.err_estimate + im.err_estimate)
-    return SeriesValue(val, err, ip.terms_used + im.terms_used)
+        val = pref * (math.cos(nu * math.pi) * p.value - m.value)
+    else:
+        pref = q ** (-nu * nu + nu) / 2.0 * gg
+        val = pref * (m.value - p.value)
+    err = abs(pref) * (p.err_estimate + m.err_estimate)
+    return SeriesValue(val, err, p.terms_used + m.terms_used)
 
 
 def bessel_combination(
@@ -229,17 +242,29 @@ def bessel_combination(
     orders are obtained by evaluating at nu = m +- eps for two offsets,
     averaging the one-sided pair (which cancels the odd term), and
     extrapolating linearly in eps^2; the per-offset estimates must agree.
+    Each distinct order's series is summed once per call: at m = 0 the
+    orders +-(m + eps) and +-(m - eps) are the same two, so 4 series serve
+    where m != 0 needs 8.  terms_used counts every use.
     """
     if family not in ("Y", "K"):
         raise ValueError(f"bessel_combination handles Y and K only, got {family!r}")
+    b2 = base.squared()
+    inner = "J" if family == "Y" else "I"
+    summed = {}
+
+    def series(s: float) -> SeriesValue:
+        if s not in summed:
+            summed[s] = _series(kind, inner, s, z, base, b2)
+        return summed[s]
+
     if not float(nu).is_integer():
-        return _combination_raw(family, kind, nu, z, base)
+        return _combination_raw(family, nu, series, base, b2)
     e1, e2 = _LIMIT_EPS
     terms = 0
     g = []
     for eps in (e1, e2):
-        above = _combination_raw(family, kind, nu + eps, z, base)
-        below = _combination_raw(family, kind, nu - eps, z, base)
+        above = _combination_raw(family, nu + eps, series, base, b2)
+        below = _combination_raw(family, nu - eps, series, base, b2)
         g.append(0.5 * (above.value + below.value))
         terms += above.terms_used + below.terms_used
     ext = (g[1] * e1 * e1 - g[0] * e2 * e2) / (e1 * e1 - e2 * e2)
@@ -357,7 +382,10 @@ def _phi_bound(nu: float, base: QBase) -> Tuple[float, int]:
     ceil(|nu| - 1/2) on, so the product B_F of max(1, r_i) over i < h
     bounds every |F_(k+m) / F_k|, and every F_m from m = h on has one
     sign.  log_bound = ln(B_F / (q;q)_inf), as `qexp._cauchy_terms` takes it.
+    Every coefficient reader comes through here, so a non-finite nu raises
+    DomainError here.
     """
+    _check_order(nu)
     q = base.q
     a, b = q ** (nu + 0.5), q ** (0.5 - nu)
     h = max(0, math.ceil(abs(nu) - 0.5))
@@ -513,17 +541,19 @@ def bessel_diffeq_residual(spec: BesselSpec, z: complex, base: QBase) -> float:
     """Normalized residual of the three-point difference equation at z.
 
     The J/Y families carry the oscillatory sign, I/K the modified sign,
-    on the q^(-delta) (1-q^2)^2 z^2 coupling term.
+    on the q^(-delta) (1-q^2)^2 z^2 coupling term.  The coupling point
+    q^(1-delta) z is one of the three points z/q, z, qz, entry 2 - delta,
+    so the function is evaluated three times.
     """
     q = base.q
     nu = spec.nu
     d = spec.kind.delta
     sgn = -1.0 if spec.family in ("J", "Y") else 1.0
-    f = lambda w: bessel_value(spec, w, base).value
-    t1 = f(z / q)
-    t2 = (q**-nu + q**nu) * f(z)
-    t3 = f(q * z)
-    t4 = sgn * q ** (-d) * (1.0 - q * q) ** 2 * z * z * f(q ** (1 - d) * z)
+    f = [bessel_value(spec, w, base).value for w in (z / q, z, q * z)]
+    t1 = f[0]
+    t2 = (q**-nu + q**nu) * f[1]
+    t3 = f[2]
+    t4 = sgn * q ** (-d) * (1.0 - q * q) ** 2 * z * z * f[2 - d]
     scale = max(abs(t1), abs(t2), abs(t3), abs(t4))
     if scale == 0:
         return 0.0

@@ -15,6 +15,10 @@ ch. 1), with d = delta = 2, 0, 1 for types 1, 2, 3:
   bessel_series (base q^2)    -               q^(2nu+2)          2-d      -+(1-q^2)^2 z^2 q^((2-d)(1+nu))
   _bessel_i_base_q            -               q^(l+1)            2-d      q^((2-d)(l+1)/2 + d/2)
 
+The `bessel_series` argument stays real when it is real: at real and at
+purely imaginary z its imaginary part is exactly 0, and the kernel is
+handed a float, so the sum runs in real arithmetic with the same roundings.
+
 The kernel stops at the first n >= 2 with |t_n| < tol |s| and term ratio
 rho = |t_n / t_(n-1)| < 0.99, returns s + t_n, and bounds the tail past
 t_n by |t_n| rho / (1 - rho).  That bound assumes the ratio has settled
@@ -82,8 +86,14 @@ class QBase:
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be at least 1, got {self.max_terms}")
 
+    @functools.lru_cache(maxsize=256)
     def squared(self) -> "QBase":
-        """The same tolerances with base q^2."""
+        """The same tolerances with base q^2.
+
+        Memoized per base, at most 256 entries process-wide, so every
+        caller gets one object and the memos keyed on it (`qgamma`, `a_nu`,
+        `_base_poch`) match it by identity.
+        """
         return QBase(self.q * self.q, self.tol, self.max_terms)
 
 

@@ -368,6 +368,35 @@ class TestLaurent:
             assert (float(c1), float(c2), float(c3)) == (pair.c1, pair.c2, pair.c3)
 
 
+class TestNonFiniteOrder:
+    """A non-finite --nu is an error naming the order, exit 64, no traceback."""
+
+    @pytest.mark.parametrize("nu", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("laurent", "--which", "bessel", "--q", "0.5", "--window", "3"),
+            ("asym", "--selector", "J:1", "--q", "0.5"),
+            ("asym", "--selector", "I:3", "--q", "0.5"),
+        ],
+        ids=["laurent", "asym-J1", "asym-I3"],
+    )
+    def test_command_names_the_order(self, capsys, argv, nu):
+        code, out, err = run_cli(capsys, *argv, f"--nu={nu}")
+        assert code == 64 and out == ""
+        assert err == f"error: DomainError: q^2-Bessel functions need a finite order, got nu={nu}\n"
+
+    @pytest.mark.parametrize("nu", ["inf", "nan"])
+    @pytest.mark.parametrize("fn", ["besselJ", "besselY", "besselI", "besselK"])
+    def test_eval_row_names_the_order(self, capsys, fn, nu):
+        code, out, _ = run_cli(capsys, "eval", "--fn", fn, "--q", "0.5", "--nu", nu, "--z", "0.3")
+        assert code == 64
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["error"] == (
+            f"DomainError: q^2-Bessel functions need a finite order, got nu={nu}"
+        )
+
+
 class TestVerify:
     def test_report_shape_and_exit(self, capsys, tmp_path):
         cfg = tmp_path / "suite.cfg"

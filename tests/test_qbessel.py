@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -527,3 +528,95 @@ class TestMemos:
         assert sorted(set(windows)) == [8, 16, 32, 64]
         assert memo.cache_info().misses == 4
         assert values == [exact(l) for l in range(41)]
+
+
+class TestOneEvaluationPath:
+    """Real arguments are summed in real arithmetic, each distinct series
+    of a call is summed once, and the difference equation reads three points."""
+
+    NUS = (0.25, 0.5, 1.5, 0.0, 2.0, -0.25, -0.75, -1.5, -2.3)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["J", "I"])
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.8, 0.95])
+    def test_real_arguments_match_the_complex_sum(self, j, family, q, monkeypatch):
+        # The same sum with the kernel's argument forced complex gives the
+        # same repr of value, bound and term count, signed zeros included.
+        rng = random.Random(f"{j}{family}{q}")
+        kind, base = KindTag.from_j(j), QBase(q)
+        zmax = 0.95 / (1.0 - q * q) if j == 1 else 4.0
+        radii = [zmax * rng.uniform(0.02, 1.0) for _ in range(4)]
+        points = [c * r for r in radii for c in (1.0, -1.0, 1j, -1j)]
+        kernel, seen, force = qbessel._qseries, [], []
+
+        def spy(upper, lower, b, x, w):
+            seen.append(type(x))
+            return kernel(upper, lower, b, complex(x) if force else x, w)
+
+        monkeypatch.setattr(qbessel, "_qseries", spy)
+
+        def results():
+            out = []
+            for nu in self.NUS:
+                for z in points:
+                    try:
+                        sv = bessel_series(BesselSpec(kind, family, nu), z, base)
+                    except ParameterPole:
+                        continue
+                    out.append((repr(sv.value), repr(sv.err_estimate), sv.terms_used))
+            return out
+
+        real = results()
+        assert set(seen) == {float}
+        force.append(True)
+        assert results() == real
+
+    @pytest.mark.parametrize("family", ["Y", "K"])
+    @pytest.mark.parametrize("kind", [K1, K2, K3])
+    @pytest.mark.parametrize("nu,count", [(0.0, 4), (1.0, 8), (-1.0, 8)])
+    def test_integer_order_sums_each_distinct_order_once(self, family, kind, nu, count, monkeypatch):
+        terms = {}
+        series = qbessel._series
+
+        def spy(k, f, s, *args):
+            sv = series(k, f, s, *args)
+            terms.setdefault(s, []).append(sv.terms_used)
+            return sv
+
+        monkeypatch.setattr(qbessel, "_series", spy)
+        sv = bessel_combination(family, kind, nu, 0.3, QBase(0.5))
+        assert len(terms) == count and all(len(t) == 1 for t in terms.values())
+        # terms_used still counts each of the 8 uses of a series.
+        uses = [o for e in qbessel._LIMIT_EPS for m in (nu + e, nu - e) for o in (m, -m)]
+        assert sv.terms_used == sum(terms[o][0] for o in uses)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["J", "Y", "I", "K"])
+    def test_diffeq_residual_evaluates_three_points(self, j, family, monkeypatch):
+        points = []
+        value = qbessel.bessel_value
+        monkeypatch.setattr(qbessel, "bessel_value", lambda s, w, b: points.append(w) or value(s, w, b))
+        z, q = 0.3, BASE.q
+        bessel_diffeq_residual(BesselSpec(KindTag.from_j(j), family, 0.25), z, BASE)
+        assert points == [z / q, z, q * z]
+
+
+class TestNonFiniteOrder:
+    """A non-finite order raises DomainError naming it, on every path."""
+
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan])
+    def test_spec_rejects_the_order(self, nu):
+        with pytest.raises(DomainError, match=f"nu={nu}"):
+            BesselSpec(K2, "J", nu)
+
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan])
+    def test_coefficient_readers_reject_the_order(self, nu):
+        readers = (
+            lambda: bessel_laurent_coeff(K1, 2, "plus", nu, BASE),
+            lambda: type3_coeff(1, "minus", nu, BASE),
+            lambda: bessel_type3_repr("I", nu, 2.0, 5, BASE),
+            lambda: qbessel._laurent_tables(nu, 3, BASE),
+        )
+        for read in readers:
+            with pytest.raises(DomainError, match=f"nu={nu}"):
+                read()

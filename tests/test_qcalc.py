@@ -41,6 +41,14 @@ class TestQBase:
         b = QBase(0.5, tol=1e-10, max_terms=77).squared()
         assert b.q == 0.25 and b.tol == 1e-10 and b.max_terms == 77
 
+    def test_squared_is_built_once_per_base(self):
+        # The memos keyed on the squared base then match it by identity.
+        b = QBase(0.3, tol=1e-11)
+        sq = b.squared()
+        assert b.squared() is sq and QBase(0.3, tol=1e-11).squared() is sq
+        assert sq == QBase.squared.__wrapped__(b)
+        assert QBase(0.3).squared() is not sq
+
 
 class TestPochhammerFinite:
     def test_empty_product_is_one(self):

@@ -312,6 +312,20 @@ class TestFunctionalEquations:
         for kind in (K1, K2, K3):
             assert qexp_functional_residual(kind, u, base) < 1e-7
 
+    @pytest.mark.parametrize("u", [0.7, -1.3, 0.4 + 0.9j, 2.5j])
+    def test_type3_evaluates_each_exponential_once(self, u, monkeypatch):
+        base = QBase(0.5)
+        q, rq = base.q, math.sqrt(base.q)
+        e = lambda w: qexp_eval(K3, w, base).value
+        # The four-term relation with every factor evaluated where it appears.
+        t1, t2 = e(u) * e(q / u), e(q * u) * e(1.0 / u)
+        t3, t4 = u * e(rq * u) * e(1.0 / u), e(u) * e(rq / u) / u
+        want = abs(t1 - t2 - t3 + t4) / max(abs(t1), abs(t2), abs(t3), abs(t4))
+        points = []
+        monkeypatch.setattr(qexp, "qexp_eval", lambda k, w, b: points.append(w) or qexp_eval(k, w, b))
+        assert qexp_functional_residual(K3, u, base) == want
+        assert points == [u, q / u, q * u, 1.0 / u, rq * u, rq / u]
+
 
 class TestClosedForm:
     @given(
