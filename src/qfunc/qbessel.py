@@ -244,7 +244,7 @@ def bessel_combination(
     extrapolating linearly in eps^2; the per-offset estimates must agree.
     Each distinct order's series is summed once per call: at m = 0 the
     orders +-(m + eps) and +-(m - eps) are the same two, so 4 series serve
-    where m != 0 needs 8.  terms_used counts every use.
+    where m != 0 needs 8.  terms_used counts the terms of those series.
     """
     if family not in ("Y", "K"):
         raise ValueError(f"bessel_combination handles Y and K only, got {family!r}")
@@ -260,13 +260,11 @@ def bessel_combination(
     if not float(nu).is_integer():
         return _combination_raw(family, nu, series, base, b2)
     e1, e2 = _LIMIT_EPS
-    terms = 0
     g = []
     for eps in (e1, e2):
         above = _combination_raw(family, nu + eps, series, base, b2)
         below = _combination_raw(family, nu - eps, series, base, b2)
         g.append(0.5 * (above.value + below.value))
-        terms += above.terms_used + below.terms_used
     ext = (g[1] * e1 * e1 - g[0] * e2 * e2) / (e1 * e1 - e2 * e2)
     spread = abs(g[0] - g[1])
     scale = max(1.0, abs(ext))
@@ -274,7 +272,7 @@ def bessel_combination(
         raise LimitUnstable(
             f"integer-order extrapolants disagree by {spread:.3e} at nu={nu}"
         )
-    return SeriesValue(ext, spread, terms)
+    return SeriesValue(ext, spread, sum(sv.terms_used for sv in summed.values()))
 
 
 def bessel_value(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:

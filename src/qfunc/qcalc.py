@@ -19,14 +19,21 @@ The `bessel_series` argument stays real when it is real: at real and at
 purely imaginary z its imaginary part is exactly 0, and the kernel is
 handed a float, so the sum runs in real arithmetic with the same roundings.
 
-The kernel stops at the first n >= 2 with |t_n| < tol |s| and term ratio
-rho = |t_n / t_(n-1)| < 0.99, returns s + t_n, and bounds the tail past
-t_n by |t_n| rho / (1 - rho).  That bound assumes the ratio has settled
-and carries no rounding term.  The two-sided sums are one Horner evaluator
-(`qexp._laurent_sum`) over coefficients that are dot products of two
-precomputed sequences (`qexp._cauchy_table`), summed to eps whatever tol
-is; their window and tail come from the coefficients' a-priori bound
-(`qexp._laurent_window`), not from the terms.
+The coefficients c_n depend on the parameters and q, not on z, so the
+kernel multiplies memoized coefficients by powers of z: it forms
+t_(n+1) = t_n r_n z from the term ratios r_n = c_(n+1) / c_n held in one
+bounded memo cell per (upper, lower, q, weight) (`_series_memo`), and
+computes a ratio the cell lacks in the same loop.  Its stop rule is
+unchanged by the memo: the first n >= 2 with |t_n| < tol |s| and term
+ratio rho = |t_n / t_(n-1)| < 0.99 returns s + t_n, with the tail past t_n
+bounded by |t_n| rho / (1 - rho), which assumes the ratio has settled,
+plus a first-order rounding bound.
+
+The two-sided sums are one Horner evaluator (`qexp._laurent_sum`) over
+coefficients that are dot products of two precomputed sequences
+(`qexp._cauchy_table`), summed to eps whatever tol is; their window and
+tail come from the coefficients' a-priori bound (`qexp._laurent_window`),
+not from the terms.
 
 An infinite product (a;q)_inf is the one other loop, and its native form
 is its logarithm (`_log_poch`), O(sqrt(ln(1/eps) / ln(1/q))) work for
@@ -42,7 +49,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import DomainError, NonConvergence, ParameterPole, PoleError
 
@@ -68,23 +75,35 @@ _LN2 = math.log(2.0)
 _LOG_INV_EPS = 53.0 * _LN2
 # ln of the smallest normal and of the largest double, the range of a log form.
 _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
+# Term ratios stored per key of the series memo (`_series_memo`, 256 keys).
+_SERIES_RATIOS = 2048
 
 
 @dataclass(frozen=True)
 class QBase:
-    """The deformation parameter q in (0,1) plus evaluation tolerances."""
+    """The deformation parameter q in (0,1) plus evaluation tolerances.
+
+    Every memo of the package is keyed on a base, so its hash is computed
+    once, here, and 0 < tol < inf: a NaN field would make equal bases
+    compare unequal, and tol = inf would switch the stop rule off.
+    """
 
     q: float
     tol: float = 1e-12
     max_terms: int = 100000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must lie strictly inside (0,1), got {self.q}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be at least 1, got {self.max_terms}")
+        q, tol, max_terms = self.q, self.tol, self.max_terms
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"q must lie strictly inside (0,1), got {q}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
+        if max_terms < 1:
+            raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+        object.__setattr__(self, "_hash", hash((q, tol, max_terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.lru_cache(maxsize=256)
     def squared(self) -> "QBase":
@@ -294,64 +313,177 @@ def _geometric_tail(prev: float, ta: float) -> float:
     return ta * rho / (1.0 - rho)
 
 
+@functools.lru_cache(maxsize=256)
+def _series_memo(
+    upper: Tuple[complex, ...], lower: Tuple[complex, ...], q: float, weight: float
+) -> List:
+    """The memo cell [ratios, c, d, kappa, h] of one coefficient sequence of
+    `_qseries`, keyed on (upper, lower, q, weight), at most 256 keys: the
+    ratios do not depend on the base's tolerances, and a float key is
+    hashed without a call into Python.
+
+    ratios is None until the key's second use, then a pair: the tuple of
+    the term ratios r_n = c_(n+1) / c_n computed so far, at most
+    _SERIES_RATIOS of them, and q^(weight n) at n = their count, the state
+    of the running power that computes the next one.  A call that needs
+    more ratios replaces the pair by one with a longer tuple and the same
+    prefix, so the ratios a caller has read never change.
+
+    c = 9 + 6P for P parameters, d = 3/2 (0 at weight 0), 3 kappa and
+    h = 3 (1 + P) q / (1 - q) are the constants of the kernel's rounding
+    bound.  kappa + (1 + P) H(N) bounds sum_k |x_k| / |1 - x_k| over the
+    factors 1 - x_k of the first N ratios, x_k = q^(k+1) for (q;q) and
+    p q^k for a parameter p, with H(N) = q (1 + ln N) / (1 - q) >=
+    sum_(k=1..N) q^k / (1 - q^k), as 1 - q^k >= k q^(k-1) (1 - q).  Per
+    parameter:
+      * |p| < 1: |p| / (1 - |p|) for k = 0, and H(N) for the rest, where
+        |x_k| <= q^k;
+      * |p| >= 1, with j = floor(ln |p| / ln(1/q)) (|p| q^j >= 1 > |p|
+        q^(j+1) up to the rounding of j): the factors k = j - 1 .. j + 2
+        as computed, (j - 1) / (1 - q) for those before, where |x_k| >=
+        1/q, and H(N) for those after, where |x_k| < q^(k-j-1).
+    An upper factor that is exactly 0 ends the series, so nothing after it
+    counts; an exactly vanishing lower one, or a non-finite parameter,
+    makes kappa infinite.
+    """
+    params = upper + lower
+    kappa = 0.0
+    for p in params:
+        a = abs(p)
+        kappa += a / (1.0 - a) if a < 1.0 else _far_conditioning(p, q, p in upper)
+    n = len(params)
+    return [None, 9 + 6 * n, 1.5 if weight else 0.0, 3.0 * kappa, 3.0 * (1 + n) * q / (1.0 - q)]
+
+
+def _far_conditioning(p: complex, q: float, ends: bool) -> float:
+    """The part of kappa (`_series_memo`) of a parameter with |p| >= 1."""
+    a = abs(p)
+    if not a < math.inf:
+        return math.inf
+    j = math.floor(math.log(a) / -math.log(q))
+    kappa = max(0, j - 1) / (1.0 - q)
+    for k in range(max(0, j - 1), j + 3):
+        # The kernel's own x_k, so that a factor vanishes here exactly
+        # when it vanishes there.
+        x = p * q**k
+        f = abs(1.0 - x)
+        if not f:
+            return kappa if ends else math.inf
+        kappa += abs(x) / f
+    return kappa
+
+
 def _qseries(
-    upper: Sequence[complex],
-    lower: Sequence[complex],
+    upper: Tuple[complex, ...],
+    lower: Tuple[complex, ...],
     base: QBase,
     z: complex,
     weight: float,
 ) -> Tuple[complex, float, int]:
     """The one term-ratio summation loop of the package.
 
-    Sums t_n = prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] q^(weight n(n-1)/2) z^n
-    until n >= 2, |t_n| < tol |s| and rho = |t_n / t_(n-1)| < _RHO_CAP,
-    and returns (s + t_n, |t_n| rho / (1 - rho), terms summed): the tail
-    past t_n is bounded as geometric.  An infinite or NaN term raises
-    DomainError at once.  A plain tuple, so that callers which rescale
-    the sum build one SeriesValue, not two.
+    Sums t_n = c_n z^n, c_n = prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n]
+    q^(weight n(n-1)/2), as the running product t_(n+1) = t_n r_n z of the
+    term ratios r_n = c_(n+1) / c_n.  The ratios depend on the key (upper,
+    lower, q, weight) alone and are read from its memo cell
+    (`_series_memo`); one the cell does not hold is computed in the same
+    loop, from one power q^n and the running power q^(weight n), and
+    appended when the cell stores it, so a warm call is bit-identical to a
+    cold one.  The running product keeps each term in range where c_n or
+    z^n alone would leave the doubles.
+
+    The stop rule: the first n >= 1 with |t_(n+1)| < tol |s| and rho =
+    |t_(n+1) / t_n| < _RHO_CAP returns (s + t_(n+1), bound, terms summed),
+    with the tail past it bounded as geometric (`_geometric_tail`).  An
+    infinite or NaN term raises DomainError at once, a term of exactly 0
+    ends the sum.  A plain tuple, so that callers which rescale the sum
+    build one SeriesValue, not two.
+
+    The bound adds to the tail a first-order rounding bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, chs. 3-4), in units
+    of u = 2^-53, times S = sum |t_n| over the N terms summed:
+      * per ratio, u each for 1 - q^(n+1) and the division by it, and per
+        parameter u for 1 - p q^n and 5u for the complex product or
+        quotient into r (Smith's division); q^(weight n) is the n-th
+        running product of q^weight, one pow, so 3nu (none at weight 0);
+      * per step, 5u for the two complex products t_n r_n z, and 2u for
+        each of the N - 1 complex additions into s (componentwise
+        recursive summation);
+      * so t_n is good to (n (7 + 6P) + d n (n - 1)) u relative for P
+        parameters, and the sum to (N - 1) (9 + 6P + d N) u S,
+    plus 3u (S - 1) (kappa + (1 + P) H(N)) (`_series_memo`): 3u is the
+    error of x_k = p q^k (one power, one product), which 1 - x_k amplifies
+    by |x_k| / |1 - x_k|, and every term after t_0 = 1 carries it.  A
+    one-term sum is exact.
     """
     q = base.q
     tol = base.tol
+    cell = _series_memo(upper, lower, q, weight)
+    if cell[0] is None:
+        # A key's first use stores nothing: most keys of one-off calls are
+        # never seen again.
+        cell[0] = (), 1.0
+        rs, g, cap = (), 1.0, 0
+    else:
+        (rs, g), cap = cell[0], _SERIES_RATIOS
+    known = len(rs)
     qw = q**weight
-    g = z  # z q^(weight n), a running product
+    new = []
     s: complex = 0.0
     t: complex = 1.0  # t_n
-    ta = 1.0
+    ta = 1.0  # |t_n|
+    sa = 0.0  # sum |t_k|, k < n
     inf = math.inf
     for n in range(base.max_terms):
         s += t
-        # One power per term, not a running product that drifts by an ulp
-        # a term: the integer-order limit in bessel_combination divides
-        # differences of these sums by an order offset of 1e-5.
-        qn = q**n
-        num: complex = g
-        den: complex = 1.0 - qn * q
-        # The guards skip building an empty iterator on every term.
-        if upper:
-            for a in upper:
-                num *= 1.0 - a * qn
-        if lower:
-            for b in lower:
-                f = 1.0 - b * qn
-                if f == 0:
-                    raise ParameterPole(
-                        f"lower parameter {b} annihilates the denominator at n={n}"
-                    )
-                den *= f
+        sa += ta
+        if n < known:
+            r = rs[n]
+        else:
+            # One power q^n per ratio, not a running product that drifts
+            # by an ulp a term: the integer-order limit in
+            # bessel_combination divides differences of these sums by 1e-5.
+            qn = q**n
+            r = g / (1.0 - qn * q)
+            g *= qw  # q^(weight (n + 1))
+            # The guards skip building an empty iterator on every term.
+            if upper:
+                for a in upper:
+                    r *= 1.0 - a * qn
+            if lower:
+                for b in lower:
+                    f = 1.0 - b * qn
+                    if f == 0:
+                        raise ParameterPole(
+                            f"lower parameter {b} annihilates the denominator at n={n}"
+                        )
+                    r /= f
+            if n < cap:
+                new.append(r)
+                top = g
         prev = ta
-        t = t * num / den  # t_(n+1)
+        t = t * r * z  # t_(n+1)
         try:
             ta = abs(t)
         except OverflowError:  # finite parts whose modulus is not a double
             ta = inf
         if not 0.0 < ta < inf:
-            if ta == 0:
-                return s, 0.0, n + 1
-            raise DomainError(f"q-series term {n + 1} is not finite: {t}")
+            if ta:
+                raise DomainError(f"q-series term {n + 1} is not finite: {t}")
+            terms, tail = n + 1, 0.0
+            break
         if ta < tol * abs(s) and n >= 1 and ta < _RHO_CAP * prev:
-            return s + t, _geometric_tail(prev, ta), n + 2
-        g *= qw
-    raise NonConvergence(f"q-series did not converge within {base.max_terms} terms")
+            s += t
+            sa += ta
+            terms, tail = n + 2, _geometric_tail(prev, ta)
+            break
+    else:
+        raise NonConvergence(f"q-series did not converge within {base.max_terms} terms")
+    if new:
+        cell[0] = rs + tuple(new), top
+    _, c, d, kappa, h = cell
+    steps = (terms - 1) * (c + d * terms) * sa
+    return s, tail + _EPS * (steps + (kappa + h * (1.0 + math.log(terms))) * (sa - 1.0)), terms
 
 
 def basic_hyper(
@@ -373,7 +505,7 @@ def basic_hyper(
         raise NonConvergence(
             f"balanced non-terminating series requires |z| < 1, got |z|={abs(z)}"
         )
-    return SeriesValue(*_qseries(upper, lower, base, z * (-1.0) ** w, w))
+    return SeriesValue(*_qseries(tuple(upper), tuple(lower), base, z * (-1.0) ** w, w))
 
 
 def qdiff_apply(f: Callable[[complex], complex], z: complex, base: QBase) -> complex:

@@ -89,3 +89,29 @@ def bessel_series_oracle(delta, family, nu, z, q):
             t *= x * Q ** ((2 - delta) * n) / ((1 - Q ** (n + 1)) * (1 - Q ** (nu + 1 + n)))
             n += 1
         return mpmath.mpf(z) ** nu / qgamma_oracle(nu + 1, qf) * s
+
+
+def qseries_oracle(upper, lower, q, z, weight):
+    """The sum of the package's summation kernel (`qcalc._qseries`),
+    sum_n prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] q^(weight n(n-1)/2) z^n,
+    to 40 digits from the binary values of every input.  It ends at an
+    exactly vanishing term, or once a term is below 1e-45 of the largest
+    partial sum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mq, mz = mpmath.mpf(q), mpmath.mpc(z)
+        up = [mpmath.mpc(a) for a in upper]
+        lo = [mpmath.mpc(b) for b in lower]
+        s, t, n, big = mpmath.mpc(0), mpmath.mpc(1), 0, mpmath.mpf(1)
+        while t != 0 and (n < 2 or abs(t) > mpmath.mpf(10) ** -45 * big):
+            s += t
+            big = max(big, abs(s))
+            qn = mq**n
+            r = mq ** (weight * n) / (1 - qn * mq)
+            for a in up:
+                r *= 1 - a * qn
+            for b in lo:
+                r /= 1 - b * qn
+            t *= r * mz
+            n += 1
+        return complex(s)

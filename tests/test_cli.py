@@ -220,6 +220,17 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tol):
+        # --tol nan ran 100,000 Lambert terms and exited 64 with
+        # NonConvergence; --tol inf exited 0 with the stop rule off.
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "besselJ", "--kind", "2", "--nu", "0.25",
+            "--q", "0.5", "--z", "1.0", "--tol", tol,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: tol must be positive and finite")
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_grid_count_below_one_is_usage_error(self, capsys, count):
         # Used to escape as an ArgumentTypeError traceback with exit 1.

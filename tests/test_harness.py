@@ -125,19 +125,27 @@ class TestRunSuite:
         assert any(not r.passed for r in results)
 
 
+def _clear_memos():
+    for module in (qcalc, qexp, qbessel, harness):
+        for obj in list(vars(module).values()):
+            for memo in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+
+
 class TestSuiteWork:
     # Kernel calls of one cold run_suite(SuiteConfig()): 3797 when the
     # difference equation evaluated a fourth point and the type-3 functional
     # residual summed two of its exponentials twice; pinned at what the code
     # makes now.
     KERNEL_CALLS = 3425
+    # Term ratios the kernel computes in the same run, the ones its memo
+    # (`qcalc._series_memo`) does not hold: 54,666 for the 58,028 terms
+    # before the memo, one per term after the first.
+    COEFFICIENTS = 7436
 
     def test_cold_suite_kernel_calls_are_pinned(self, monkeypatch):
-        for module in (qcalc, qexp, qbessel, harness):
-            for obj in list(vars(module).values()):
-                for memo in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
-                    if hasattr(memo, "cache_clear"):
-                        memo.cache_clear()
+        _clear_memos()
         calls = []
         kernel = qcalc._qseries
         for module in (qcalc, qexp, qbessel):
@@ -145,6 +153,27 @@ class TestSuiteWork:
                 monkeypatch.setattr(module, "_qseries", lambda *a: calls.append(1) or kernel(*a))
         run_suite(SuiteConfig())
         assert len(calls) <= self.KERNEL_CALLS
+
+    def test_cold_suite_coefficients_are_pinned(self, monkeypatch):
+        _clear_memos()
+        computed = []
+        kernel = qcalc._qseries
+
+        def spy(upper, lower, base, z, weight):
+            memo = qcalc._series_memo(upper, lower, base.q, weight)[0]
+            known = len(memo[0]) if memo else 0
+            out = kernel(upper, lower, base, z, weight)
+            # One ratio per term after t_0, and one more where the sum
+            # ended on an exactly vanishing upper factor 1 - a q^n.
+            n = out[2] - 1
+            used = n + any(1.0 - a * base.q**n == 0 for a in upper)
+            computed.append(max(0, used - known))
+            return out
+
+        for module in (qcalc, qexp, qbessel):
+            monkeypatch.setattr(module, "_qseries", spy)
+        run_suite(SuiteConfig())
+        assert sum(computed) <= self.COEFFICIENTS
 
 
 class TestDecayReport:

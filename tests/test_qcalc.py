@@ -37,6 +37,18 @@ class TestQBase:
         with pytest.raises(ValueError):
             QBase(0.5, max_terms=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # A NaN tol made equal bases compare unequal, and tol = inf turned
+        # the stop rule off.
+        with pytest.raises(ValueError, match="tol"):
+            QBase(0.5, tol=tol)
+
+    def test_hash_is_computed_once(self):
+        b = QBase(0.3, tol=1e-9, max_terms=500)
+        assert hash(b) == b._hash == hash((0.3, 1e-9, 500)) == hash(QBase(0.3, 1e-9, 500))
+        assert "__hash__" in vars(QBase)
+
     def test_squared_keeps_tolerances(self):
         b = QBase(0.5, tol=1e-10, max_terms=77).squared()
         assert b.q == 0.25 and b.tol == 1e-10 and b.max_terms == 77
@@ -238,10 +250,20 @@ class TestBasicHyper:
         with pytest.raises(NonConvergence):
             basic_hyper([0.3], [], BASE, 1.5)
 
+    def test_bound_covers_rounding_in_cancellation(self):
+        # Terms up to 1e6 cancel to -5.3e-6; the tail bound alone was
+        # 1.85e-11 against an error of 4.4e-10.
+        mpmath = pytest.importorskip("mpmath")
+        sv = basic_hyper([-0.5, 0.5], [0.7], QBase(0.9, tol=1e-6), -0.8)
+        with mpmath.workdps(40):
+            exact = complex(mpmath.qhyper([-0.5, 0.5], [0.7], 0.9, -0.8))
+        assert sv.err_estimate >= abs(sv.value - exact)
+
     def test_terminating_series_allows_large_argument(self):
-        # Upper parameter q^(-2) terminates the sum after three terms.
+        # Upper parameter q^(-2) terminates the sum after three terms, so
+        # the bound is the kernel's rounding bound alone.
         sv = basic_hyper([BASE.q**-2], [], BASE, 5.0)
-        assert sv.err_estimate == 0.0
+        assert 0.0 < sv.err_estimate < 1e-13 * abs(sv.value)
         q = BASE.q
         z = 5.0
         a = q**-2

@@ -127,12 +127,22 @@ class TestNonFinite:
 
 class TestTailBound:
     # At tol = 1e-6 truncation dominates the error, so this tests the tail
-    # bound.  At tol = 1e-12 rounding can dominate, and err_estimate carries
-    # no rounding term yet, so the same comparison can still under-report.
+    # bound.  At tol = 1e-12 rounding dominates where the terms fall fast
+    # or cancel, so the grid below tests the kernel's rounding term.
     @pytest.mark.parametrize("q", [0.2, 0.35, 0.5, 0.65, 0.8])
     def test_type3_estimate_bounds_oracle_error(self, q):
         base = QBase(q, tol=1e-6)
         for u in (0.05, 0.3, 1.0, 2.0, -1.5, 0.5 + 0.5j, 5.0):
+            got = qexp_eval(K3, u, base)
+            assert got.err_estimate >= abs(got.value - _exp3_oracle(q, u)), (q, u)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    @pytest.mark.parametrize("q", [0.2, 0.4, 0.6, 0.8, 0.9])
+    def test_type3_bound_includes_rounding(self, q, tol):
+        # Without a rounding term 27 of these 35 points under-report at
+        # tol = 1e-12, and 7 at tol = 1e-6.
+        base = QBase(q, tol=tol)
+        for u in (0.5, -2.0, 3j, -7.5, 15.0, 2 - 6j, -30.0):
             got = qexp_eval(K3, u, base)
             assert got.err_estimate >= abs(got.value - _exp3_oracle(q, u)), (q, u)
 
