@@ -140,9 +140,9 @@ def _eval_args(args) -> List[complex]:
         points.extend(args.z)
     if args.grid is not None:
         start, stop, count = args.grid
+        if not 1.0 <= count < math.inf:
+            raise ValueError(f"grid count must be at least 1 and finite, got {count:g}")
         n = int(count)
-        if n < 1:
-            raise ValueError(f"grid count must be at least 1, got {count:g}")
         step = (stop - start) / (n - 1) if n > 1 else 0.0
         points.extend(complex(start + i * step, 0.0) for i in range(n))
     return points

@@ -72,8 +72,8 @@ class SuiteConfig:
         for n, lam in self.lattice_points:
             if not 0.0 <= lam < 1.0:
                 raise ValueError(f"lattice offsets must lie in [0,1), got {lam}")
-        if self.tol_pass <= 0:
-            raise ValueError(f"tol_pass must be positive, got {self.tol_pass}")
+        if not 0.0 < self.tol_pass < math.inf:
+            raise ValueError(f"tol_pass must be positive and finite, got {self.tol_pass}")
 
 
 @dataclass(frozen=True)

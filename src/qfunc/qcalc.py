@@ -14,6 +14,7 @@ ch. 1), with d = delta = 2, 0, 1 for types 1, 2, 3:
   qexp_eval type 3            -               -                  1/2      u
   bessel_series (base q^2)    -               q^(2nu+2)          2-d      -+(1-q^2)^2 z^2 q^((2-d)(1+nu))
   _bessel_i_base_q            -               q^(l+1)            2-d      q^((2-d)(l+1)/2 + d/2)
+  _type1_tail (w = u, q/u)    q, w            q w                1        -q^(window+2)
 
 The `bessel_series` argument stays real when it is real: at real and at
 purely imaginary z its imaginary part is exactly 0, and the kernel is
@@ -23,11 +24,10 @@ The coefficients c_n depend on the parameters and q, not on z, so the
 kernel multiplies memoized coefficients by powers of z: it forms
 t_(n+1) = t_n r_n z from the term ratios r_n = c_(n+1) / c_n held in one
 bounded memo cell per (upper, lower, q, weight) (`_series_memo`), and
-computes a ratio the cell lacks in the same loop.  Its stop rule is
-unchanged by the memo: the first n >= 2 with |t_n| < tol |s| and term
-ratio rho = |t_n / t_(n-1)| < 0.99 returns s + t_n, with the tail past t_n
-bounded by |t_n| rho / (1 - rho), which assumes the ratio has settled,
-plus a first-order rounding bound.
+computes a ratio the cell lacks in the same loop.  It stops on a derived
+bound: once |t_n| < tol |s|, a closed-form R >= sup_(k>=n) |r_k z| from
+the parameters bounds the tail past t_n by |t_n| R / (1 - R), and the sum
+ends when that is below tol |s| too; a first-order rounding bound is added.
 
 The two-sided sums are one Horner evaluator (`qexp._laurent_sum`) over
 coefficients that are dot products of two precomputed sequences
@@ -65,9 +65,6 @@ __all__ = [
     "lattice_decompose",
     "lattice_reconstruct",
 ]
-
-# Term ratios above this are treated as "not yet geometric".
-_RHO_CAP = 0.99
 
 # Unit roundoff of a double, ln 2 and ln(1/eps).
 _EPS = 2.0**-53
@@ -302,17 +299,6 @@ def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
     return False
 
 
-def _geometric_tail(prev: float, ta: float) -> float:
-    """The one tail model, ta rho / (1 - rho) with rho = ta / prev, past terms
-    of moduli prev and ta: 0 when ta = 0, inf while rho >= _RHO_CAP."""
-    if ta == 0:
-        return 0.0
-    if ta >= _RHO_CAP * prev:
-        return math.inf
-    rho = ta / prev
-    return ta * rho / (1.0 - rho)
-
-
 @functools.lru_cache(maxsize=256)
 def _series_memo(
     upper: Tuple[complex, ...], lower: Tuple[complex, ...], q: float, weight: float
@@ -392,12 +378,20 @@ def _qseries(
     cold one.  The running product keeps each term in range where c_n or
     z^n alone would leave the doubles.
 
-    The stop rule: the first n >= 1 with |t_(n+1)| < tol |s| and rho =
-    |t_(n+1) / t_n| < _RHO_CAP returns (s + t_(n+1), bound, terms summed),
-    with the tail past it bounded as geometric (`_geometric_tail`).  An
-    infinite or NaN term raises DomainError at once, a term of exactly 0
-    ends the sum.  A plain tuple, so that callers which rescale the sum
-    build one SeriesValue, not two.
+    The stop rule is derived, not guessed.  With m = n + 1, weight >= 0
+    and every |b_j| q^m < 1, each factor of r_k, k >= m, has a bound:
+    |1 - a q^k| <= 1 + |a| q^m, |1 - b q^k| >= 1 - |b| q^m, 1 - q^(k+1) >=
+    1 - q^(m+1) and q^(weight k) <= q^(weight m).  So
+      R = |z| q^(weight m) prod (1 + |a_i| q^m) / ((1 - q^(m+1)) prod (1 - |b_j| q^m))
+    bounds every later |r_k z|, and the terms past t_(n+1) sum to at most
+    |t_(n+1)| R / (1 - R) when R < 1.  The first n with |t_(n+1)| < tol |s|
+    and that tail <= tol |s| returns (s + t_(n+1), bound, terms summed);
+    R is computed only once the first, cheap test passes.  A lower
+    parameter q^(-k) ahead keeps R undefined, so the sum runs on to it and
+    raises ParameterPole, also when the terms underflow to 0 first.  An
+    infinite or NaN term raises DomainError at once; z = 0 or an exactly
+    vanishing upper factor ends the sum.  A plain tuple, so that callers which
+    rescale the sum build one SeriesValue, not two.
 
     The bound adds to the tail a first-order rounding bound (Higham,
     Accuracy and Stability of Numerical Algorithms, chs. 3-4), in units
@@ -461,7 +455,6 @@ def _qseries(
             if n < cap:
                 new.append(r)
                 top = g
-        prev = ta
         t = t * r * z  # t_(n+1)
         try:
             ta = abs(t)
@@ -470,13 +463,23 @@ def _qseries(
         if not 0.0 < ta < inf:
             if ta:
                 raise DomainError(f"q-series term {n + 1} is not finite: {t}")
-            terms, tail = n + 1, 0.0
-            break
-        if ta < tol * abs(s) and n >= 1 and ta < _RHO_CAP * prev:
-            s += t
-            sa += ta
-            terms, tail = n + 2, _geometric_tail(prev, ta)
-            break
+            if not (r and z):  # exact: z = 0, or an upper factor 1 - a q^n = 0
+                terms, tail = n + 1, 0.0
+                break
+        if ta < tol * abs(s):
+            # R of the stop rule, only once a term is small: not per term.
+            qm = q ** (n + 1)
+            rmax = abs(z) * qm**weight / (1.0 - qm * q) if weight >= 0 else inf
+            for a in upper:
+                rmax *= 1.0 + abs(a) * qm
+            for b in lower:
+                f = 1.0 - abs(b) * qm
+                rmax = rmax / f if f > 0 else inf
+            if rmax < 1.0 and ta * rmax <= tol * abs(s) * (1.0 - rmax):
+                s += t
+                sa += ta
+                terms, tail = n + 2, ta * rmax / (1.0 - rmax)
+                break
     else:
         raise NonConvergence(f"q-series did not converge within {base.max_terms} terms")
     if new:
@@ -495,16 +498,14 @@ def basic_hyper(
     """Basic hypergeometric series rPhis(upper; lower; q, z).
 
     Term n carries prod (a_i;q)_n / [(q;q)_n prod (b_i;q)_n] times
-    ((-1)^n q^(n(n-1)/2))^(s-r+1) z^n.  For the balanced non-terminating
-    case (s - r + 1 == 0) the series requires |z| < 1.
+    ((-1)^n q^(n(n-1)/2))^(s-r+1) z^n.  A non-terminating series diverges
+    for r > s + 1 and, balanced (s - r + 1 == 0), requires |z| < 1.
     """
     w = len(lower) - len(upper) + 1
     if z == 0:
         return SeriesValue(1.0, 0.0, 1)
-    if w == 0 and abs(z) >= 1.0 and not _is_terminating(upper, base):
-        raise NonConvergence(
-            f"balanced non-terminating series requires |z| < 1, got |z|={abs(z)}"
-        )
+    if (w < 0 or w == 0 and abs(z) >= 1.0) and not _is_terminating(upper, base):
+        raise NonConvergence(f"non-terminating {len(upper)}phi{len(lower)} diverges at |z|={abs(z)}")
     return SeriesValue(*_qseries(tuple(upper), tuple(lower), base, z * (-1.0) ** w, w))
 
 

@@ -48,7 +48,6 @@ from .qcalc import (
     QBase,
     SeriesValue,
     _base_poch,
-    _geometric_tail,
     _log_poch,
     _qseries,
     lattice_decompose,
@@ -492,34 +491,32 @@ def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTabl
 def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
     """The type-1 expansion beyond the window, sum_{|l|>window} a_l u^l.
 
-    The coefficients have the pole expansion
-    a_l = (q;q)_inf^-2 sum_{m>=0} (-1)^m q^(m(m+1)/2 + m l) for l >= 0, and
-    a_(-l) = q^l a_l, so each geometric series in l sums in closed form:
-    x^(W+1)/(1-x) with x = q^m u, and y^(W+1)/(1-y) with y = q^(m+1)/u.
-    The remaining sum over m decays like a Gaussian.
+    The coefficients have the pole expansion a_l = (q;q)_inf^-2 sum_{m>=0}
+    (-1)^m q^(m(m+1)/2 + m l) for l >= 0, and a_(-l) = q^l a_l.  Summed over
+    l first, with e = window + 1, the tail is (q;q)_inf^-2 (T(u) + T(q/u)),
+      T(w) = sum_m (-1)^m q^(m(m+1)/2) (q^m w)^e / (1 - q^m w)
+           = w^e / (1 - w) _qseries((q, w), (q w,), q, -q^(e+1), 1),
+    the upper q cancelling (q;q)_m.  Each sum carries the kernel's bound;
+    the prefactor adds (13 (e + 1) + 5 |w| / (1 - |w|)) u of T relative,
+    u = 2^-53: w = q/u is good to 5u, which w^e raises e-fold and
+    1 - q^m w amplifies by at most |w| / (1 - |w|); CPython's w^e, a chain
+    of complex products or a polar form whose modulus and phase e arg w
+    carry e u and 2 pi e u, adds (2 pi + 1) e u; the last operations 13u.
     """
     q = base.q
     e = window + 1
     s: complex = 0.0
-    prev = 0.0
-    m = 0
-    while m < base.max_terms:
-        x = q**m * u
-        y = q ** (m + 1) / u
-        t = (-1) ** m * q ** (m * (m + 1) / 2.0) * (x**e / (1.0 - x) + y**e / (1.0 - y))
-        s += t
-        ta = abs(t)
-        m += 1
-        if ta <= base.tol * abs(s):
-            tail = _geometric_tail(prev, ta)
-            if tail == math.inf:
-                raise NonConvergence(f"type-1 tail beyond window {window} is not yet geometric")
-            lqq, _, dl, _ = _base_poch(q, base)
-            inv = math.exp(-2.0 * lqq)
-            err = inv * (tail + abs(s) * math.expm1(2.0 * dl))
-            return SeriesValue(s * inv, err, m)
-        prev = ta
-    raise NonConvergence(f"type-1 tail did not converge within {base.max_terms} terms")
+    err = 0.0
+    terms = 0
+    for w in (u, q / u):
+        v, dv, n = _qseries((q, w), (q * w,), base, -(q ** (e + 1)), 1)
+        p, aw = w**e / (1.0 - w), abs(w)
+        s += p * v
+        err += abs(p) * (dv + (13.0 * (e + 1) + 5.0 * aw / (1.0 - aw)) * _EPS * abs(v))
+        terms += n
+    lqq, _, dl, _ = _base_poch(q, base)
+    inv = math.exp(-2.0 * lqq)
+    return SeriesValue(s * inv, inv * (err + abs(s) * math.expm1(2.0 * dl)), terms)
 
 
 def lambda_laurent_eval(
@@ -531,8 +528,8 @@ def lambda_laurent_eval(
     Lambda(|u|), which near arg u = pi can exceed |Lambda(u)| by orders of
     magnitude.  Types 2 and 3 sum to the window of `_laurent_window`, at
     least `window`, and add its tail past the derived window; type-1
-    coefficients tend to (q;q)_inf^-2, so that part is summed in closed
-    form instead (`_type1_tail`).  A window below 1 raises ValueError.
+    coefficients tend to (q;q)_inf^-2, so that part comes from their pole
+    expansion instead (`_type1_tail`).  A window below 1 raises ValueError.
     """
     if u == 0:
         raise DomainError("two-sided expansion is undefined at u = 0")

@@ -115,3 +115,65 @@ def qseries_oracle(upper, lower, q, z, weight):
             t *= r * mz
             n += 1
         return complex(s)
+
+
+def type1_tail_oracle(u, window, q):
+    """The type-1 Lambda expansion beyond the window, sum_{|l|>window} a_l u^l,
+    to 50 digits from the binary values of u and q, by the pole expansion
+    a_l = (q;q)_inf^-2 sum_{m>=0} (-1)^m q^(m(m+1)/2 + m l), a_(-l) = q^l a_l:
+    (q;q)_inf^-2 sum_m (-1)^m q^(m(m+1)/2) (x^e / (1 - x) + y^e / (1 - y)),
+    x = q^m u, y = q^(m+1) / u, e = window + 1.  (q;q)_inf is Euler's
+    pentagonal sum sum_k (-1)^k q^(k(3k-1)/2) over all integers k."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mq, mu = mpmath.mpf(q), mpmath.mpc(u)
+        small = mpmath.mpf(10) ** -55
+        e = window + 1
+        qq, k = mpmath.mpf(1), 1
+        while True:
+            t = (-1) ** k * (mq ** (k * (3 * k - 1) // 2) + mq ** (k * (3 * k + 1) // 2))
+            qq += t
+            if abs(t) < small:
+                break
+            k += 1
+        s = mpmath.mpc(0)
+        qe, ue, ve = mq**e, mu**e, (mq / mu) ** e
+        # x = q^m u, y = q^(m+1) / u, g = (-1)^m q^(m(m+1)/2), xe = q^(m e)
+        x, y, g, xe = mu, mq / mu, mpmath.mpf(1), mpmath.mpf(1)
+        m = 0
+        while True:
+            t = g * (ue * xe / (1 - x) + ve * xe / (1 - y))
+            s += t
+            if abs(t) < small * abs(s):
+                return complex(s / qq**2)
+            m += 1
+            x, y, g, xe = x * mq, y * mq, -g * mq**m, xe * qe
+
+
+def balanced_phi_oracle(upper, lower, q, z):
+    """(s+1)phi_s(upper; lower; q, z) for real parameters and |z| < 1, the
+    series sum_n prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] z^n, in 256-bit
+    fixed point on Python integers from the binary values of every input
+    (mpmath needs about 1,000 terms at q = z = 0.9, for 10 s over a
+    216-point grid), returned as an exact Fraction.  It ends once a term is
+    below 2^-200 of the sum; each step adds a few units of 2^-256."""
+    bits = 256
+    one = 1 << bits
+
+    def fix(x):
+        f = Fraction(x) * one
+        return f.numerator // f.denominator
+
+    qf, zf = fix(q), fix(z)
+    up, lo = [fix(a) for a in upper], [fix(b) for b in lower]
+    s, t, qn = 0, one, one
+    while t and abs(t) << 200 >= abs(s):
+        s += t
+        num, den = one, one - (qn * qf >> bits)
+        for a in up:
+            num = num * (one - (a * qn >> bits)) >> bits
+        for b in lo:
+            den = den * (one - (b * qn >> bits)) >> bits
+        t = ((t * num >> bits) * zf >> bits << bits) // den
+        qn = qn * qf >> bits
+    return Fraction(s, one)

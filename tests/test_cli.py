@@ -231,9 +231,10 @@ class TestEval:
         assert code == 2 and out == ""
         assert err.startswith("error: tol must be positive and finite")
 
-    @pytest.mark.parametrize("count", ["0", "-2"])
+    @pytest.mark.parametrize("count", ["0", "-2", "inf", "nan"])
     def test_grid_count_below_one_is_usage_error(self, capsys, count):
-        # Used to escape as an ArgumentTypeError traceback with exit 1.
+        # Used to escape as an ArgumentTypeError traceback with exit 1; an
+        # infinite count as an OverflowError traceback with exit 1.
         code, out, err = run_cli(
             capsys, "eval", "--fn", "qexp", "--q", "0.5", "--grid", "0", "1", count
         )
@@ -445,6 +446,15 @@ class TestVerify:
         cfg.write_text("q_gird = 0.5\n")
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("tol_pass", ["inf", "nan"])
+    def test_non_finite_tol_pass_is_usage_error(self, capsys, tmp_path, tol_pass):
+        # inf passed all 23 checks and exited 0; nan failed all 23.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"q_grid = 0.5\ntol_pass = {tol_pass}\n")
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "tol_pass must be positive and finite" in err
 
 
 class TestArgparse:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qfunc import harness, qbessel, qcalc, qexp
@@ -60,6 +62,13 @@ class TestSuiteConfig:
             SuiteConfig(lattice_points=((-3, 1.5),))
         with pytest.raises(ValueError):
             SuiteConfig(tol_pass=0.0)
+
+    @pytest.mark.parametrize("tol_pass", [math.inf, math.nan])
+    def test_rejects_non_finite_tol_pass(self, tol_pass):
+        # inf passed every check, type3-bracket at 1.2e21 included; nan
+        # failed every one.
+        with pytest.raises(ValueError, match="positive and finite"):
+            SuiteConfig(tol_pass=tol_pass)
 
 
 class TestRunSuite:
@@ -136,13 +145,18 @@ def _clear_memos():
 class TestSuiteWork:
     # Kernel calls of one cold run_suite(SuiteConfig()): 3797 when the
     # difference equation evaluated a fourth point and the type-3 functional
-    # residual summed two of its exponentials twice; pinned at what the code
-    # makes now.
-    KERNEL_CALLS = 3425
+    # residual summed two of its exponentials twice, then 3425; the 30 more
+    # are the type-1 Lambda tail (`qexp._type1_tail`), two kernel sums for
+    # each of the suite's 15 type-1 `lambda_laurent_eval` calls.
+    KERNEL_CALLS = 3455
     # Term ratios the kernel computes in the same run, the ones its memo
     # (`qcalc._series_memo`) does not hold: 54,666 for the 58,028 terms
-    # before the memo, one per term after the first.
-    COEFFICIENTS = 7436
+    # before the memo, one per term after the first; 7436 under the
+    # geometric stop rule.  Of the 401 more, 50 are the type-1 tail's 30
+    # sums (80 terms, every key used once) and 351 the terms the derived
+    # tail bound needs before it falls below tol (58,028 -> 60,709 terms
+    # over the other 3425 calls).
+    COEFFICIENTS = 7837
 
     def test_cold_suite_kernel_calls_are_pinned(self, monkeypatch):
         _clear_memos()

@@ -1,14 +1,17 @@
 import cmath
+import functools
+import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
-from oracles import qgamma_oracle, qpoch_oracle
+from oracles import balanced_phi_oracle, qgamma_oracle, qpoch_oracle
 from qfunc import qcalc
 from qfunc.errors import DomainError, NonConvergence, ParameterPole, PoleError
 from qfunc.qcalc import (
@@ -23,6 +26,19 @@ from qfunc.qcalc import (
 )
 
 BASE = QBase(0.5)
+
+# (q, a, b, c, z) of 2phi1(a, b; c; q, z): the grid on which the geometric
+# tail model under-reported.
+PHI21_GRID = list(
+    itertools.product(
+        (0.3, 0.6, 0.9), (0.3, 0.9, -0.5, 2), (0.5, 0.95), (0.1, -0.5, 0.7), (0.5, 0.9, -0.8)
+    )
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _phi21(q, a, b, c, z):
+    return balanced_phi_oracle((a, b), (c,), q, z)
 
 
 class TestQBase:
@@ -274,6 +290,44 @@ class TestBasicHyper:
     def test_lower_parameter_pole(self):
         with pytest.raises(ParameterPole):
             basic_hyper([0.3], [BASE.q**-1], BASE, 0.1)
+
+    @pytest.mark.parametrize("z", [1e-9, 1e-100])
+    def test_lower_parameter_pole_past_a_small_term(self, z):
+        # Term 6 divides by 1 - 2^5 q^5 = 0.  At z = 1e-9 terms 2 on are below
+        # tol, and the geometric stop rule returned 0.99999999994 +- inf
+        # after 3; at z = 1e-100 term 4 underflows to 0, which ended the sum
+        # at 1.0 +- nan.
+        with pytest.raises(ParameterPole):
+            basic_hyper([], [0.5**-5], BASE, z)
+
+    def test_divergent_series_is_rejected(self):
+        # r > s + 1: the terms grow like q^(-n(n-1)/2) from some n on; the
+        # geometric stop rule returned 0.999999997984 after 3 terms.
+        with pytest.raises(NonConvergence):
+            basic_hyper([0.3, 0.2, 0.1], [0.5], BASE, 1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_bound_covers_error_on_phi21_grid(self, tol):
+        # The geometric tail |t| rho / (1 - rho) under-reported at 54 of the
+        # 216 points at tol 1e-6 (worst 3.9x: q = 0.9, a = 2, b = 0.95,
+        # c = -0.5, z = 0.9) and at 2 at 1e-12, where the term ratio was
+        # still growing toward its limit when the sum stopped.
+        short = []
+        for q, a, b, c, z in PHI21_GRID:
+            sv = basic_hyper([a, b], [c], QBase(q, tol=tol), z)
+            error = abs(Fraction(sv.value) - _phi21(q, a, b, c, z))
+            if error > sv.err_estimate:
+                short.append((q, a, b, c, z, float(error) / sv.err_estimate))
+        assert short == []
+
+    @pytest.mark.parametrize("point", [(0.9, 2, 0.95, -0.5, 0.9), (0.3, -0.5, 0.5, 0.7, -0.8)])
+    def test_fixed_point_oracle_matches_mpmath(self, point):
+        mpmath = pytest.importorskip("mpmath")
+        q, a, b, c, z = point
+        with mpmath.workdps(40):
+            exact = mpmath.qhyper([a, b], [c], q, z)
+            oracle = mpmath.mpf(_phi21(*point).numerator) / _phi21(*point).denominator
+            assert abs(oracle - exact) < 1e-38 * abs(exact)
 
     def test_gaussian_weight_converges_anywhere(self):
         sv = basic_hyper([0.3], [0.2, 0.1], BASE, 40.0)
