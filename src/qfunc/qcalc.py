@@ -74,6 +74,8 @@ _LOG_INV_EPS = 53.0 * _LN2
 _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
 # Term ratios stored per key of the series memo (`_series_memo`, 256 keys).
 _SERIES_RATIOS = 2048
+# |1 - a q^n| below which an upper parameter |a| >= 1 is q^(-n): the series ends.
+_TERMINATES = 1e-12
 
 
 @dataclass(frozen=True)
@@ -289,14 +291,10 @@ def qgamma(alpha: float, base: QBase) -> float:
 def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
     """Whether some upper parameter equals q^(-m), making the series finite."""
     q = base.q
-    for a in upper:
-        r = abs(a)
-        if r < 1.0 or a == 0:
-            continue
-        m = round(-math.log(r) / math.log(q))
-        if m >= 0 and abs(a * q**m - 1.0) < 1e-12:
-            return True
-    return False
+    return any(
+        abs(a) >= 1.0 and abs(a * q ** round(math.log(abs(a)) / -math.log(q)) - 1.0) < _TERMINATES
+        for a in upper
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -328,9 +326,9 @@ def _series_memo(
         q^(j+1) up to the rounding of j): the factors k = j - 1 .. j + 2
         as computed, (j - 1) / (1 - q) for those before, where |x_k| >=
         1/q, and H(N) for those after, where |x_k| < q^(k-j-1).
-    An upper factor that is exactly 0 ends the series, so nothing after it
-    counts; an exactly vanishing lower one, or a non-finite parameter,
-    makes kappa infinite.
+    An upper factor that the kernel takes as 0 (|1 - x_k| < _TERMINATES)
+    ends the series, so nothing after it counts; an exactly vanishing lower
+    one, or a non-finite parameter, makes kappa infinite.
     """
     params = upper + lower
     kappa = 0.0
@@ -353,7 +351,7 @@ def _far_conditioning(p: complex, q: float, ends: bool) -> float:
         # when it vanishes there.
         x = p * q**k
         f = abs(1.0 - x)
-        if not f:
+        if not f or ends and f < _TERMINATES:
             return kappa if ends else math.inf
         kappa += abs(x) / f
     return kappa
@@ -385,12 +383,14 @@ def _qseries(
       R = |z| q^(weight m) prod (1 + |a_i| q^m) / ((1 - q^(m+1)) prod (1 - |b_j| q^m))
     bounds every later |r_k z|, and the terms past t_(n+1) sum to at most
     |t_(n+1)| R / (1 - R) when R < 1.  The first n with |t_(n+1)| < tol |s|
-    and that tail <= tol |s| returns (s + t_(n+1), bound, terms summed);
-    R is computed only once the first, cheap test passes.  A lower
-    parameter q^(-k) ahead keeps R undefined, so the sum runs on to it and
-    raises ParameterPole, also when the terms underflow to 0 first.  An
-    infinite or NaN term raises DomainError at once; z = 0 or an exactly
-    vanishing upper factor ends the sum.  A plain tuple, so that callers which
+    and that tail <= tol |s| returns (s + t_(n+1), bound, terms summed).
+    R is computed once the first, cheap test passes, and kept once below 1,
+    as it does not grow with m.  A lower parameter q^(-k) ahead keeps R
+    undefined, so the sum runs on to it and raises ParameterPole, also when
+    the terms underflow to 0 first.  An infinite or NaN term raises
+    DomainError at once.  z = 0 ends the sum, and so does an upper factor
+    1 - a q^n below _TERMINATES for |a| >= 1 (a = q^(-n) up to rounding),
+    where no R < 1 need exist.  A plain tuple, so that callers which
     rescale the sum build one SeriesValue, not two.
 
     The bound adds to the tail a first-order rounding bound (Higham,
@@ -427,7 +427,7 @@ def _qseries(
     t: complex = 1.0  # t_n
     ta = 1.0  # |t_n|
     sa = 0.0  # sum |t_k|, k < n
-    inf = math.inf
+    inf = rmax = math.inf  # rmax: R of the stop rule
     for n in range(base.max_terms):
         s += t
         sa += ta
@@ -443,7 +443,8 @@ def _qseries(
             # The guards skip building an empty iterator on every term.
             if upper:
                 for a in upper:
-                    r *= 1.0 - a * qn
+                    f = 1.0 - a * qn
+                    r *= 0.0 if abs(f) < _TERMINATES and abs(a) >= 1.0 else f
             if lower:
                 for b in lower:
                     f = 1.0 - b * qn
@@ -463,18 +464,19 @@ def _qseries(
         if not 0.0 < ta < inf:
             if ta:
                 raise DomainError(f"q-series term {n + 1} is not finite: {t}")
-            if not (r and z):  # exact: z = 0, or an upper factor 1 - a q^n = 0
+            if not (r and z):  # z = 0, or an upper factor 1 - a q^n taken as 0
                 terms, tail = n + 1, 0.0
                 break
         if ta < tol * abs(s):
-            # R of the stop rule, only once a term is small: not per term.
-            qm = q ** (n + 1)
-            rmax = abs(z) * qm**weight / (1.0 - qm * q) if weight >= 0 else inf
-            for a in upper:
-                rmax *= 1.0 + abs(a) * qm
-            for b in lower:
-                f = 1.0 - abs(b) * qm
-                rmax = rmax / f if f > 0 else inf
+            # R only once a term is small, and only until one R is below 1.
+            if not rmax < 1.0:
+                qm = q ** (n + 1)
+                rmax = abs(z) * qm**weight / (1.0 - qm * q) if weight >= 0 else inf
+                for a in upper:
+                    rmax *= 1.0 + abs(a) * qm
+                for b in lower:
+                    f = 1.0 - abs(b) * qm
+                    rmax = rmax / f if f > 0 else inf
             if rmax < 1.0 and ta * rmax <= tol * abs(s) * (1.0 - rmax):
                 s += t
                 sa += ta

@@ -506,8 +506,7 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
     q = base.q
     e = window + 1
     s: complex = 0.0
-    err = 0.0
-    terms = 0
+    err, terms = 0.0, 0
     for w in (u, q / u):
         v, dv, n = _qseries((q, w), (q * w,), base, -(q ** (e + 1)), 1)
         p, aw = w**e / (1.0 - w), abs(w)

@@ -94,27 +94,49 @@ def bessel_series_oracle(delta, family, nu, z, q):
 def qseries_oracle(upper, lower, q, z, weight):
     """The sum of the package's summation kernel (`qcalc._qseries`),
     sum_n prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] q^(weight n(n-1)/2) z^n,
-    to 40 digits from the binary values of every input.  It ends at an
-    exactly vanishing term, or once a term is below 1e-45 of the largest
-    partial sum."""
+    to 40 digits from the binary values of every input, as an mpmath
+    number.  The terms are complex 240-bit fixed point on Python integers,
+    as in `qpoch_oracle` (mpmath's own arithmetic takes about 15 times as
+    long for the 1,000 terms a 2phi1 needs at q = z = 0.9); q^weight is
+    formed once by mpmath.  Each step adds a few units of 2^-240 to a
+    term.  It ends at an exactly vanishing term, or once a term is below
+    2^-150 of the largest partial sum."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        mq, mz = mpmath.mpf(q), mpmath.mpc(z)
-        up = [mpmath.mpc(a) for a in upper]
-        lo = [mpmath.mpc(b) for b in lower]
-        s, t, n, big = mpmath.mpc(0), mpmath.mpc(1), 0, mpmath.mpf(1)
-        while t != 0 and (n < 2 or abs(t) > mpmath.mpf(10) ** -45 * big):
-            s += t
-            big = max(big, abs(s))
-            qn = mq**n
-            r = mq ** (weight * n) / (1 - qn * mq)
-            for a in up:
-                r *= 1 - a * qn
-            for b in lo:
-                r /= 1 - b * qn
-            t *= r * mz
-            n += 1
-        return complex(s)
+    bits = _ORACLE_BITS
+    one = 1 << bits
+
+    def fix(x):
+        with mpmath.workprec(2 * bits):
+            x = mpmath.mpc(x)
+            return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1]) >> bits, (x[0] * y[1] + x[1] * y[0]) >> bits
+
+    def div(x, y):
+        d = y[0] * y[0] + y[1] * y[1]
+        return (
+            ((x[0] * y[0] + x[1] * y[1]) << bits) // d,
+            ((x[1] * y[0] - x[0] * y[1]) << bits) // d,
+        )
+
+    with mpmath.workprec(2 * bits):
+        qw = fix(mpmath.mpf(q) ** weight)
+    qf, zf = fix(q)[0], fix(z)
+    up, lo = [fix(a) for a in upper], [fix(b) for b in lower]
+    s, t, qn, g, big, n = (0, 0), (one, 0), one, (one, 0), one, 0
+    while t != (0, 0) and (n < 2 or max(map(abs, t)) << 150 > big):
+        s = s[0] + t[0], s[1] + t[1]
+        big = max(big, abs(s[0]), abs(s[1]))
+        num, den = mul(g, zf), (one - (qn * qf >> bits), 0)
+        for a in up:
+            num = mul(num, (one - (a[0] * qn >> bits), -(a[1] * qn >> bits)))
+        for b in lo:
+            den = mul(den, (one - (b[0] * qn >> bits), -(b[1] * qn >> bits)))
+        t = div(mul(t, num), den)
+        qn, g, n = qn * qf >> bits, mul(g, qw), n + 1
+    with mpmath.workprec(2 * bits):
+        return mpmath.mpc(mpmath.ldexp(s[0], -bits), mpmath.ldexp(s[1], -bits))
 
 
 def type1_tail_oracle(u, window, q):
@@ -148,32 +170,3 @@ def type1_tail_oracle(u, window, q):
                 return complex(s / qq**2)
             m += 1
             x, y, g, xe = x * mq, y * mq, -g * mq**m, xe * qe
-
-
-def balanced_phi_oracle(upper, lower, q, z):
-    """(s+1)phi_s(upper; lower; q, z) for real parameters and |z| < 1, the
-    series sum_n prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] z^n, in 256-bit
-    fixed point on Python integers from the binary values of every input
-    (mpmath needs about 1,000 terms at q = z = 0.9, for 10 s over a
-    216-point grid), returned as an exact Fraction.  It ends once a term is
-    below 2^-200 of the sum; each step adds a few units of 2^-256."""
-    bits = 256
-    one = 1 << bits
-
-    def fix(x):
-        f = Fraction(x) * one
-        return f.numerator // f.denominator
-
-    qf, zf = fix(q), fix(z)
-    up, lo = [fix(a) for a in upper], [fix(b) for b in lower]
-    s, t, qn = 0, one, one
-    while t and abs(t) << 200 >= abs(s):
-        s += t
-        num, den = one, one - (qn * qf >> bits)
-        for a in up:
-            num = num * (one - (a * qn >> bits)) >> bits
-        for b in lo:
-            den = den * (one - (b * qn >> bits)) >> bits
-        t = ((t * num >> bits) * zf >> bits << bits) // den
-        qn = qn * qf >> bits
-    return Fraction(s, one)

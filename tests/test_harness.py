@@ -178,9 +178,11 @@ class TestSuiteWork:
             known = len(memo[0]) if memo else 0
             out = kernel(upper, lower, base, z, weight)
             # One ratio per term after t_0, and one more where the sum
-            # ended on an exactly vanishing upper factor 1 - a q^n.
+            # ended on a vanishing upper factor 1 - a q^n.
             n = out[2] - 1
-            used = n + any(1.0 - a * base.q**n == 0 for a in upper)
+            used = n + any(
+                abs(1.0 - a * base.q**n) < qcalc._TERMINATES and abs(a) >= 1.0 for a in upper
+            )
             computed.append(max(0, used - known))
             return out
 
