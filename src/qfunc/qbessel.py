@@ -40,6 +40,7 @@ from .qcalc import (
     QBase,
     SeriesValue,
     _base_poch,
+    _log_poch,
     _qseries,
     basic_hyper,
     qgamma,
@@ -402,24 +403,41 @@ def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
     l = 0..window and the descending c_(-l) for l = 1..window, from the
     coefficient table (`qexp._cauchy_table`) of the exponential's
     coefficients E and Phi's F (`_phi_table`), with the bound of
-    `_phi_bound`.  Every coefficient reader indexes these rows.  Memoized
-    per (nu, window, base), at most 32 entries process-wide; the rows are
-    tuples because every caller shares the cached object.
+    `_phi_bound`.  (q;q)_k is built once for both exponentials, and the
+    type-2 E only to the window plus its own term count.  The type-1 rows
+    add the closed-form tail of `qexp._cauchy_terms`, from E_inf =
+    1/(q;q)_inf (`_base_poch`) and F_inf = F_(n-1) G, G = (a x;q)_inf
+    (b x;q)_inf / (q^2 x^2;q^2)_inf at x = q^(n-1), n - 1 the table's last
+    index: so F_inf carries the table's own rounding, which kappa counts,
+    and is exactly 0 where Phi terminates.  Every coefficient reader
+    indexes these rows.  Memoized per (nu, window, base), at most 32
+    entries process-wide; the rows are tuples because every caller shares
+    the cached object.
     """
     q = base.q
     log_b, h = _phi_bound(nu, base)
-    ws = (0.0, 1.0)  # (2 - delta) / 2 for types 1 and 2
-    ms = [_cauchy_terms(w, log_b, base) for w in ws]
-    n = window + max(ms)
+    ab = q ** (nu + 0.5), q ** (0.5 - nu)
+    m1, m2 = _cauchy_terms(0.0, log_b, base, ab), _cauchy_terms(1.0, log_b, base)
+    n = window + max(m1, m2)
     f, rel_f = _phi_table(nu, q, n)
     if not (min(f[h:]) >= 0 or max(f[h:]) <= 0):
         h = n  # rounding flipped a sign the derivation rules out: sum every |t|
+    lim = (0.0, 0.0, 0.0)
+    if f[-1]:  # Phi does not terminate
+        x, sq = q ** (n - 1), base.squared()
+        (la, ua, da, _), (lb, ub, db, _) = (_log_poch(c * x, base) for c in ab)
+        l2, _, d2, _ = _log_poch(sq.q * x * x, sq)
+        lqq, _, dqq, _ = _base_poch(q, base)
+        logs = (math.log(abs(f[-1])), la, lb, -l2, -lqq)
+        unit = ua * ub * math.copysign(1.0, f[-1])
+        lim = (sum(logs), unit, da + db + d2 + dqq + 3.0 * _EPS * sum(map(abs, logs)))
+    p, rel_p = _poch_table(1.0, 1, q, n)  # (q;q)_k, shared by both exponentials
+    rel = rel_p + 3.0 + rel_f
     ls, lm = range(window + 1), range(1, window + 1)
-    out = []
-    for w, m in zip(ws, ms):
-        e, rel_e = _exp_table(w, q, n)
-        out.append(tuple(map(tuple, _cauchy_table(e, f, rel_e + rel_f, m, log_b, q, ls, lm, h))))
-    return tuple(out)
+    e1, e2 = _exp_table(0.0, q, p), _exp_table(1.0, q, p[: window + m2])
+    t1 = _cauchy_table(e1, f, rel, m1, log_b, q, ls, lm, h, lim)
+    t2 = _cauchy_table(e2, f, rel, m2, log_b, q, ls, lm, h)
+    return tuple(map(tuple, t1)), tuple(map(tuple, t2))
 
 
 def _check_index(l: int, sign: str) -> None:

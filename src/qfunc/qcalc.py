@@ -288,13 +288,20 @@ def qgamma(alpha: float, base: QBase) -> float:
     return math.exp(x) / unit
 
 
+def _end_index(a: complex, q: float) -> float:
+    """The index n at which the upper factor 1 - a q^n of the kernel is
+    taken as 0 (|a| >= 1 and |1 - a q^n| < _TERMINATES, from the kernel's
+    own a q**n), which ends the series; inf if there is none."""
+    if not 1.0 <= abs(a) < math.inf:
+        return math.inf
+    j = math.floor(math.log(abs(a)) / -math.log(q))
+    ends = (k for k in range(max(0, j - 1), j + 3) if abs(1.0 - a * q**k) < _TERMINATES)
+    return next(ends, math.inf)
+
+
 def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
     """Whether some upper parameter equals q^(-m), making the series finite."""
-    q = base.q
-    return any(
-        abs(a) >= 1.0 and abs(a * q ** round(math.log(abs(a)) / -math.log(q)) - 1.0) < _TERMINATES
-        for a in upper
-    )
+    return any(_end_index(a, base.q) < math.inf for a in upper)
 
 
 @functools.lru_cache(maxsize=256)
@@ -326,33 +333,39 @@ def _series_memo(
         q^(j+1) up to the rounding of j): the factors k = j - 1 .. j + 2
         as computed, (j - 1) / (1 - q) for those before, where |x_k| >=
         1/q, and H(N) for those after, where |x_k| < q^(k-j-1).
-    An upper factor that the kernel takes as 0 (|1 - x_k| < _TERMINATES)
-    ends the series, so nothing after it counts; an exactly vanishing lower
-    one, or a non-finite parameter, makes kappa infinite.
+    An upper factor that the kernel takes as 0 (`_end_index`) ends the
+    series, so only the factors before it count, of every parameter; an
+    exactly vanishing lower one before it, or a non-finite parameter, makes
+    kappa infinite.
     """
     params = upper + lower
+    stop = math.inf
+    for a in upper:
+        if abs(a) >= 1.0:  # a cell is built on every new key: skip the calls
+            stop = min(stop, _end_index(a, q))
     kappa = 0.0
     for p in params:
         a = abs(p)
-        kappa += a / (1.0 - a) if a < 1.0 else _far_conditioning(p, q, p in upper)
+        kappa += a / (1.0 - a) if a < 1.0 else _far_conditioning(p, q, stop)
     n = len(params)
     return [None, 9 + 6 * n, 1.5 if weight else 0.0, 3.0 * kappa, 3.0 * (1 + n) * q / (1.0 - q)]
 
 
-def _far_conditioning(p: complex, q: float, ends: bool) -> float:
-    """The part of kappa (`_series_memo`) of a parameter with |p| >= 1."""
+def _far_conditioning(p: complex, q: float, stop: float) -> float:
+    """The part of kappa (`_series_memo`) of a parameter with |p| >= 1,
+    from its factors k < stop."""
     a = abs(p)
     if not a < math.inf:
         return math.inf
     j = math.floor(math.log(a) / -math.log(q))
-    kappa = max(0, j - 1) / (1.0 - q)
-    for k in range(max(0, j - 1), j + 3):
+    kappa = min(max(0, j - 1), stop) / (1.0 - q)
+    for k in range(max(0, j - 1), min(j + 3, stop)):
         # The kernel's own x_k, so that a factor vanishes here exactly
         # when it vanishes there.
         x = p * q**k
         f = abs(1.0 - x)
-        if not f or ends and f < _TERMINATES:
-            return kappa if ends else math.inf
+        if not f:
+            return math.inf
         kappa += abs(x) / f
     return kappa
 

@@ -17,8 +17,11 @@ Bessel products e(u) Phi(u) in `qbessel`, is one routine
 sequences built once, with each coefficient a single C-level dot product
 over slices, cut at a term count derived from a bound on the sequences
 (`_cauchy_terms`) so that the truncation stays below min(tol, eps) of the
-sum of |terms|.  The coefficients are therefore good to a rounding bound
-that does not depend on tol.
+sum of |terms|.  Type 1, whose E_k = 1/(q;q)_k has no Gaussian decay,
+adds the closed form E_inf F_inf q^M / (1 - q) of every row's tail, from
+the sequences' limits (Euler's product expansion), and so needs about half
+the terms: its remainder falls as q^(2M), not q^M.  The coefficients are
+therefore good to a rounding bound that does not depend on tol.
 
 Two memos hold what many calls share: the Lambda rows per (kind, window,
 base) (`_lambda_coeffs`, at most 32 entries), read by every two-sided
@@ -233,16 +236,15 @@ def _poch_table(c: float, step: int, q: float, n: int) -> Tuple[List[float], flo
     return p, 2.0 * k0 + sens + 2.0**-7 / (1.0 - q**step)
 
 
-def _exp_table(w: float, q: float, n: int) -> Tuple[List[float], float]:
-    """E_k = q^(w k(k-1)/2) / (q;q)_k for k < n, and their relative rounding
-    bound in units of eps.
+def _exp_table(w: float, q: float, p: Sequence[float]) -> List[float]:
+    """E_k = q^(w k(k-1)/2) / (q;q)_k from p = ((q;q)_k) (`_poch_table`).
 
     With w = (2 - delta) / 2 (0, 1, 1/2 for types 1, 2, 3) these are the
-    Taylor coefficients of the type's exponential.  The caller has checked
-    that (q;q)_inf is a normal double, so no division overflows.
+    Taylor coefficients of the type's exponential, good to p's relative
+    rounding bound plus 3 eps.  The caller has checked that (q;q)_inf is a
+    normal double, so no division overflows.
     """
-    p, rel = _poch_table(1.0, 1, q, n)
-    return [q ** (w * (k * (k - 1) // 2)) / x for k, x in enumerate(p)], rel + 3.0
+    return [q ** (w * (k * (k - 1) // 2)) / x for k, x in enumerate(p)]
 
 
 def _abs_sum(a: Sequence[float], bq: Sequence[float], l: int, c: float, k: int) -> float:
@@ -255,7 +257,20 @@ def _abs_sum(a: Sequence[float], bq: Sequence[float], l: int, c: float, k: int) 
     return sum(map(abs, head)) + abs(c - sum(head))
 
 
-def _cauchy_terms(w: float, log_bound: float, base: QBase) -> int:
+def _tail_log_k(m: int, ps: Sequence[float], q: float) -> float:
+    """ln k of the type-1 tail past m terms (`_cauchy_terms`), k =
+    e^sigma (q / (1 - q) + (1 - e^-sigma) / x) / (1 - q^2) at x = q^m,
+    sigma = sigma(x), with (1 - e^-sigma) / x taken as ((1 - e^-sigma) /
+    sigma) (sigma / x), so that an x that underflows gives k's limit."""
+    x = q**m
+    r = sum(p / (1.0 - p * x) for p in ps) / (1.0 - q)
+    r += q * q * x / ((1.0 - q * q) * (1.0 - q * q * x * x))  # sigma / x
+    s = r * x
+    d = -math.expm1(-s) / s if s else 1.0
+    return s + math.log(q / (1.0 - q) + d * r) - math.log1p(-q * q)
+
+
+def _cauchy_terms(w: float, log_bound: float, base: QBase, ps: Sequence[float] = ()) -> int:
     """The number of terms M of every dot product of a coefficient table.
 
     A table is the Laurent product E(u) F(q/u) of two Taylor series, E an
@@ -264,19 +279,51 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase) -> int:
     (q^(k+1);q)_i >= (q;q)_inf; with B_F bounding F's ratios the same
     way, without the Gaussian, every term of a coefficient is
     |t_i| <= |t_0| e^log_bound q^(w i(i-1)/2 + i), log_bound =
-    ln(B_E B_F).  The tail past M terms is then below |t_0| e^log_bound
-    q^(w M(M-1)/2 + M) / (1 - q), and M is the least count that puts it
-    at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.  More than max_terms
-    raises NonConvergence; a (q;q)_inf below the smallest normal double
-    (q ~ 0.998 on), which the table's divisors (q;q)_k approach, DomainError.
+    ln(B_E B_F).  For w > 0 the tail past M terms is then below |t_0|
+    e^log_bound q^(w M(M-1)/2 + M) / (1 - q), and M is the least count
+    that puts it at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.
+
+    Type 1 (w = 0) has no Gaussian, so the table adds its tail in closed
+    form (`_cauchy_table`) and M halves.  By Euler's product expansion
+    (Gasper & Rahman, Basic Hypergeometric Series, 1.3), E_k =
+    E_inf (q^(k+1);q)_inf with E_inf = 1/(q;q)_inf, and as 0 <= 1 - (y;q)_inf
+    <= y / (1 - q), |E_k - E_inf| <= E_inf q^(k+1) / (1 - q).  F has
+    Phi's shape, F_i = (a;q)_i (b;q)_i / (q^2;q^2)_i (E itself is
+    (-q;q)_i / (q^2;q^2)_i: a = -q, b = 0), and ps = (|a|, |b|).  So F_i =
+    F_inf g(q^i), g(x) = (q^2 x^2;q^2)_inf / ((a x;q)_inf (b x;q)_inf),
+    and |ln(1 - y)| <= |y| / (1 - |y|) gives |ln g(x)| <= sigma(x) =
+    sum_p p x / ((1 - q)(1 - p x)) + q^2 x^2 / ((1 - q^2)(1 - q^2 x^2)).
+    sigma is convex with sigma(0) = 0, so for i >= M, |F_i / F_inf - 1| <=
+    expm1(sigma(q^i)) <= D q^(i-M), D = expm1(sigma(q^M)).  Writing
+    e f - E_inf F_inf = (e - E_inf) f + E_inf (f - F_inf) and summing over
+    i >= M, each row's tail, sum_i e_(l+i) f_i q^i ascending and
+    sum_i f_(l+i) e_i q^i descending (l >= 0), is E_inf F_inf q^M / (1 - q)
+    + R with |R| <= E_inf |F_inf| k q^(2M), k = ((1 + D) q / (1 - q) +
+    D q^-M) / (1 - q^2) (`_tail_log_k`).  As E_inf |F_inf| <= |t_0|
+    e^log_bound, M is the least count with e^log_bound k q^(2M) <=
+    min(tol, eps), from h on, the least index with max(ps) q^h <= 1/2.  k
+    falls with M towards (q + |a| + |b|) / ((1 - q)(1 - q^2)), which gives
+    the first count tried.  A terminating Phi, b = q^(1-N) with F_i = 0
+    from i = N on, has h >= N, so its tail is exactly 0.
+
+    More than max_terms raises NonConvergence; a (q;q)_inf below the
+    smallest normal double (q ~ 0.998 on), which the table's divisors
+    (q;q)_k approach, DomainError.
     """
     q = base.q
     if _base_poch(q, base)[0] < _LOG_TINY:
         raise DomainError(f"coefficient table at q={q}: (q;q)_inf is below the normal doubles")
-    y = (log_bound - math.log((1.0 - q) * min(base.tol, _EPS))) / -math.log(q)
     if w == 0:
-        m = math.ceil(y)
+        lq = -math.log(q)
+        lt = math.log(min(base.tol, _EPS)) - log_bound
+        c = max(ps, default=0.0)
+        h = max(0, math.ceil(math.log(2.0 * c) / lq)) if c else 0
+        k0 = math.log((q + sum(ps)) / (1.0 - q)) - math.log1p(-q * q)
+        m = max(h, math.ceil((k0 - lt) / (2.0 * lq)))
+        while _tail_log_k(m, ps, q) - 2.0 * m * lq > lt and m <= base.max_terms:
+            m += 1
     else:
+        y = (log_bound - math.log((1.0 - q) * min(base.tol, _EPS))) / -math.log(q)
         b = 1.0 - w / 2.0  # w M(M-1)/2 + M = (w/2) M^2 + b M
         m = math.ceil((math.sqrt(b * b + 2.0 * w * y) - b) / w)
     if m > base.max_terms:
@@ -294,31 +341,46 @@ def _cauchy_table(
     ls: range,
     lm: range,
     h: int,
+    lim: Tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> Tuple[List[float], List[float], List[float], List[float]]:
     """The one coefficient routine: the Laurent product E(u) F(q/u).
 
     Returns (ascending, descending, their bounds): c_l = sum_i e_(l+i) f_i
     q^i for l in ls and c_(-l) = q^l sum_i f_(l+i) e_i q^i for l in lm,
     each one C-level dot product over slices of M = m terms
-    (`_cauchy_terms`).  The bound of each is kappa eps sum |t| + eta:
-    kappa adds rel (both sequences' rounding), 2 for the pow q^i, 2 for
-    the products, M - 1 for the sum, 1 for the truncation and 3 for q^l, and
-    eta = M e^log_bound 2^-1074 covers terms that underflow.  f's entries
-    share one sign from index h on (`_abs_sum`).  A non-finite
-    coefficient raises DomainError.
+    (`_cauchy_terms`) plus, for type 1, the closed-form tail C =
+    E_inf F_inf q^M / (1 - q) of every row.  lim = (L, unit, dL) gives
+    E_inf F_inf = unit e^L with |ln| error dL (unit 0: no tail), so C is
+    good to |C| (expm1(dL') + 2 eps), dL' = dL + 4 eps (|L| + M ln(1/q) +
+    ln(1/(1 - q))) for the rounding of its exponent.  The
+    bound of each row is kappa eps (sum |t| + |C|) + that + eta: kappa adds
+    rel (both sequences' rounding), 2 for the pow q^i, 2 for the products,
+    M - 1 for the sum, 1 for the truncation or the tail's remainder R and 3
+    for q^l, C counting as one more term, and eta = M e^log_bound 2^-1074
+    covers terms that underflow.  f's entries share one sign from index h
+    on (`_abs_sum`).  A non-finite coefficient raises DomainError.
     """
     qpow = [q**i for i in range(m)]
     eq = list(map(mul, e, qpow))
     fq = list(map(mul, f, qpow))
     plus = [sum(map(mul, e[l : l + m], fq)) for l in ls]
     minus = [sum(map(mul, f[l : l + m], eq)) for l in lm]
-    if not all(map(math.isfinite, plus + minus)):
+    lc, unit, dl = lim
+    lq, l1q = math.log(q), math.log1p(-q)
+    x = lc + m * lq - l1q if unit else -math.inf  # ln |C|
+    if x >= _LOG_HUGE or not all(map(math.isfinite, plus + minus)):
         raise DomainError("two-sided coefficients overflow a double")
+    c = unit * math.exp(x)
+    ac = abs(c)
+    dc = ac * (math.expm1(dl + 4.0 * _EPS * (abs(lc) - m * lq - l1q)) + 2.0 * _EPS) if unit else 0.0
     kappa = (rel + m + 7.0) * _EPS
     eta = math.exp(log_bound + math.log(m) - 1074.0 * _LN2)
-    bp = [kappa * _abs_sum(e, fq, l, c, h) + eta for l, c in zip(ls, plus)]
-    bm = [kappa * q**l * _abs_sum(f, eq, l, c, h - l) + eta for l, c in zip(lm, minus)]
-    return plus, [q**l * c for l, c in zip(lm, minus)], bp, bm
+    bp = [kappa * (_abs_sum(e, fq, l, s, h) + ac) + dc + eta for l, s in zip(ls, plus)]
+    bm = [
+        kappa * q**l * (_abs_sum(f, eq, l, s, h - l) + ac) + q**l * dc + eta
+        for l, s in zip(lm, minus)
+    ]
+    return [s + c for s in plus], [q**l * (s + c) for l, s in zip(lm, minus)], bp, bm
 
 
 _Rows = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
@@ -337,16 +399,22 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     """Rows l <= window of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
 
     The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf, every
-    term is positive and a_(-l) = q^l a_l.  Memoized per (kind, window,
-    base), at most 32 entries process-wide; the rows are tuples because
-    every caller shares the cached object.
+    term is positive and a_(-l) = q^l a_l.  For type 1, F = E is Phi's
+    shape with a = -q and b = 0 (`_cauchy_terms`), and E_inf F_inf =
+    (q;q)_inf^-2 comes from the log form of `_base_poch`.  Memoized per (kind,
+    window, base), at most 32 entries process-wide; the rows are tuples
+    because every caller shares the cached object.
     """
     q = base.q
     w = (2 - kind.delta) / 2.0
-    log_b = -2.0 * _base_poch(q, base)[0]
-    m = _cauchy_terms(w, log_b, base)
-    e, rel = _exp_table(w, q, window + m)
-    a, _, b, _ = _cauchy_table(e, e, 2.0 * rel, m, log_b, q, range(window + 1), range(0), 0)
+    lqq, _, dl, _ = _base_poch(q, base)
+    log_b = -2.0 * lqq
+    m = _cauchy_terms(w, log_b, base, (q, 0.0))
+    p, rel = _poch_table(1.0, 1, q, window + m)
+    e = _exp_table(w, q, p)
+    lim = (log_b, 1.0, 2.0 * dl) if w == 0 else (0.0, 0.0, 0.0)
+    ls = range(window + 1)
+    a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, ls, range(0), 0, lim)
     minus = [q**l * x for l, x in enumerate(a[1:], 1)]
     # The product q^l a_l can underflow: its bound keeps that 2^-1074.
     bminus = [q**l * x + 2.0**-1074 for l, x in enumerate(b[1:], 1)]

@@ -66,6 +66,16 @@ def _oracle_grid():
         for nu in (0.1, 0.25, 0.75, 0.95):
             for j in (1, 2):
                 cases.append((q, j, nu, _sample_ls(rng)))
+    # For the type-1 closed-form tail: every order at q = 0.95, whose
+    # descending rows are the smallest against e^log_bound, and at every q
+    # the orders where F changes sign before index 1 or 2 (1.2, 2.3), F_inf
+    # is negative (1.2) and Phi terminates (3/2).
+    for q in (0.2, 0.5, 0.8, 0.9, 0.95):
+        if q == 0.95:
+            cases += [(q, j, None, _sample_ls(rng)) for j in (1, 2, 3)]
+        for nu in (0.1, 0.25, 0.75, 0.95, 1.2, 1.5, 2.3) if q == 0.95 else (1.2, 1.5, 2.3):
+            for j in (1, 2):
+                cases.append((q, j, nu, _sample_ls(rng)))
     return cases
 
 
@@ -99,6 +109,24 @@ def test_tables_are_within_their_bound_of_the_oracle():
                     if not err <= bound:
                         bad.append((q, j, nu, tol, l, float(err), bound))
     assert bad == [], bad
+
+
+def test_type1_tables_sum_half_the_terms(monkeypatch):
+    # The closed-form type-1 tail (`qexp._cauchy_terms`) needs M with
+    # e^log_bound k q^(2M) <= eps where the parent summed m = 500 and 629
+    # terms with e^log_bound q^m / (1 - q) <= eps: these are ceil(m/2) + 13
+    # and + 10.  ceil(m/2) + 3 is out of reach at q = 0.9: the tail's
+    # remainder on row 0 of Lambda_1 is 2q / ((1 - q)(1 - q^2)) E_inf^2
+    # q^(2M) to first order, 4.5e-16 > eps of its t_0 = 1 at M = 318 (mpmath).
+    counts = []
+    for module in (qexp, qbessel):
+        spy = lambda *a, t=module._cauchy_table: counts.append(a[3]) or t(*a)
+        monkeypatch.setattr(module, "_cauchy_table", spy)
+    qbessel._laurent_tables.cache_clear()
+    qexp._lambda_coeffs.cache_clear()
+    qbessel._laurent_tables(0.25, 20, QBase(0.9))
+    qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(0.9))
+    assert (counts[0], counts[2]) == (263, 325)
 
 
 def test_table_rows_equal_single_coefficients():

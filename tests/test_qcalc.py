@@ -311,6 +311,21 @@ class TestBasicHyper:
             t *= r
         assert abs(Fraction(sv.value) - s) <= sv.err_estimate
 
+    @pytest.mark.parametrize("k, j", [(2, 5), (3, 5), (2, 3)])
+    def test_terminating_series_with_a_lower_pole_past_its_end(self, k, j):
+        # The upper q^-k ends the sum at term k, before the lower q^-j would
+        # divide by 0 at index j.  That factor's conditioning still entered
+        # the rounding bound, which read inf (0.9427... +- inf at k, j = 2, 5).
+        q = 0.5
+        sv = basic_hyper([q**-k], [q**-j], QBase(q), 0.3)
+        assert sv.terms_used == k + 1 and math.isfinite(sv.err_estimate)
+        qf, s, t = Fraction(q), Fraction(0), Fraction(1)
+        for n in range(k + 1):
+            s += t
+            r = (1 - qf ** (n - k)) * qf**n / ((1 - qf ** (n + 1)) * (1 - qf ** (n - j)))
+            t *= -r * Fraction(0.3)
+        assert abs(Fraction(sv.value) - s) <= sv.err_estimate
+
     def test_lower_parameter_pole(self):
         with pytest.raises(ParameterPole):
             basic_hyper([0.3], [BASE.q**-1], BASE, 0.1)
