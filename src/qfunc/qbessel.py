@@ -391,7 +391,7 @@ def _phi_bound(nu: float, base: QBase) -> Tuple[float, int]:
     log_b = -_base_poch(q, base)[0]
     for i in range(h):
         x = q**i
-        log_b += max(0.0, math.log(abs((1.0 - a * x) * (1.0 - b * x)) / (1.0 - q * q * x * x)))
+        log_b += math.log(max(1.0, abs((1.0 - a * x) * (1.0 - b * x)) / (1.0 - q * q * x * x)))
     return log_b, h
 
 
@@ -420,8 +420,6 @@ def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
     m1, m2 = _cauchy_terms(0.0, log_b, base, ab), _cauchy_terms(1.0, log_b, base)
     n = window + max(m1, m2)
     f, rel_f = _phi_table(nu, q, n)
-    if not (min(f[h:]) >= 0 or max(f[h:]) <= 0):
-        h = n  # rounding flipped a sign the derivation rules out: sum every |t|
     lim = (0.0, 0.0, 0.0)
     if f[-1]:  # Phi does not terminate
         x, sq = q ** (n - 1), base.squared()

@@ -176,8 +176,10 @@ def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
       * (7M + 12) u sum |t_m| for the series: x^m and its m-fold share of
         x's error, -expm1(m ln q), the quotient and the recursive sum;
       * 4u for the one exp a caller takes and its product by the unit.
-    A vanishing factor gives (-inf, 0, 0, factors taken).  A non-finite a
-    raises DomainError, either stage past max_terms NonConvergence.
+    dL bounds the relative error of the computed factors.  A factor that
+    rounds to 0 enters L at 3u |f|, its error and so the most it can be,
+    and makes unit 0.  A non-finite a raises DomainError, either stage
+    past max_terms NonConvergence.
     """
     if a == 0:
         return 0.0, 1.0, 0.0, 0
@@ -193,24 +195,23 @@ def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
     logs = []
     unit = 1.0
     sens = 0.0  # sum of |f| / |1 - f| over the prefix
-    k = 0
-    try:
-        for lo in range(0, n_prefix, 32):
-            p = 1.0
-            for k in range(lo, min(lo + 32, n_prefix)):
-                # One power per factor: the error of a q^k does not grow with k.
-                f = a * q**k
-                g = 1.0 - f
-                p *= g
+    for lo in range(0, n_prefix, 32):
+        p = 1.0
+        for k in range(lo, min(lo + 32, n_prefix)):
+            # One power per factor: the error of a q^k does not grow with k.
+            f = a * q**k
+            g = 1.0 - f
+            if g:
                 sens += abs(f) / abs(g)
-            pa = abs(p)
-            if not pa:
-                raise DomainError(f"a block of the infinite product at a={a} underflows")
-            logs.append(math.log(pa))
-            unit *= p / pa
-    except ZeroDivisionError:
-        # A factor vanishes exactly; the product is identically zero.
-        return -math.inf, 0.0, 0.0, k + 1
+            else:
+                g = 3.0 * _EPS * abs(f)
+                unit = 0.0
+            p *= g
+        pa = abs(p)
+        if not pa:
+            raise DomainError(f"a block of the infinite product at a={a} underflows")
+        logs.append(math.log(pa))
+        unit *= p / pa
     x = a * q**n_prefix
     ax = abs(x)
     xa = ax  # |x|^m
@@ -246,18 +247,18 @@ def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
 def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
     """Infinite Pochhammer product (a;q)_inf = prod_{k>=0} (1 - a q^k).
 
-    unit e^L of the log form (`_log_poch`), err_estimate |v| expm1(dL) /
-    (1 - expm1(dL)).  A vanishing factor gives an exact 0; a non-finite a,
-    or a product outside the normal doubles, raises DomainError.
+    v = unit e^L of the log form (`_log_poch`), err_estimate |v| expm1(dL).
+    A factor that rounds to 0 gives an exact 0 with err_estimate e^(Re L +
+    dL): the rest of the product times the most that factor can be.  A
+    non-finite a, or an e^L outside the normal doubles, raises DomainError.
     """
     lv, unit, dl, terms = _log_poch(a, base)
-    if not unit:
-        return SeriesValue(0.0, 0.0, terms)
     if not _LOG_TINY <= lv.real < _LOG_HUGE:
         raise DomainError(f"infinite product at a={a}, q={base.q} is not a normal double")
+    if not unit:
+        return SeriesValue(0.0, math.exp(lv.real) * math.exp(dl), terms)
     v = unit * (cmath.exp(lv) if isinstance(lv, complex) else math.exp(lv))
-    eta = math.expm1(dl)
-    return SeriesValue(v, abs(v) * eta / (1.0 - eta) if eta < 1.0 else math.inf, terms)
+    return SeriesValue(v, abs(v) * math.expm1(dl), terms)
 
 
 @functools.lru_cache(maxsize=256)
@@ -276,42 +277,29 @@ def qgamma(alpha: float, base: QBase) -> float:
     unit of (q^alpha;q)_inf (`_log_poch`): no product, about e^-1640 each
     at q = 0.999, is formed.  Memoized per (alpha, base), at most 256
     entries, bit-identical to an uncached call.  A pole raises PoleError, a
-    value outside the normal doubles or a NaN alpha DomainError.
+    value outside the normal doubles, a NaN alpha or a factor of
+    (q^alpha;q)_inf that rounds to 0 DomainError.
     """
     if alpha <= 0 and float(alpha).is_integer():
         raise PoleError(f"q-gamma has a pole at nonpositive integer alpha={alpha}")
     q = base.q
     lv, unit, _, _ = _log_poch(q**alpha, base)
+    if not unit:
+        raise DomainError(f"q-gamma at alpha={alpha}, q={q} rounds onto its pole {round(alpha)}")
     x = _base_poch(q, base)[0] - lv + (1.0 - alpha) * math.log1p(-q)
     if not _LOG_TINY <= x < _LOG_HUGE:
         raise DomainError(f"q-gamma at alpha={alpha}, q={q} is not a normal double")
     return math.exp(x) / unit
 
 
-def _end_index(a: complex, q: float) -> float:
-    """The index n at which the upper factor 1 - a q^n of the kernel is
-    taken as 0 (|a| >= 1 and |1 - a q^n| < _TERMINATES, from the kernel's
-    own a q**n), which ends the series; inf if there is none."""
-    if not 1.0 <= abs(a) < math.inf:
-        return math.inf
-    j = math.floor(math.log(abs(a)) / -math.log(q))
-    ends = (k for k in range(max(0, j - 1), j + 3) if abs(1.0 - a * q**k) < _TERMINATES)
-    return next(ends, math.inf)
-
-
-def _is_terminating(upper: Sequence[complex], base: QBase) -> bool:
-    """Whether some upper parameter equals q^(-m), making the series finite."""
-    return any(_end_index(a, base.q) < math.inf for a in upper)
-
-
 @functools.lru_cache(maxsize=256)
 def _series_memo(
     upper: Tuple[complex, ...], lower: Tuple[complex, ...], q: float, weight: float
 ) -> List:
-    """The memo cell [ratios, c, d, kappa, h] of one coefficient sequence of
-    `_qseries`, keyed on (upper, lower, q, weight), at most 256 keys: the
-    ratios do not depend on the base's tolerances, and a float key is
-    hashed without a call into Python.
+    """The memo cell [ratios, c, d, kappa, h, end] of one coefficient
+    sequence of `_qseries`, keyed on (upper, lower, q, weight), at most 256
+    keys: the ratios do not depend on the base's tolerances, and a float
+    key is hashed without a call into Python.
 
     ratios is None until the key's second use, then a pair: the tuple of
     the term ratios r_n = c_(n+1) / c_n computed so far, at most
@@ -333,41 +321,50 @@ def _series_memo(
         q^(j+1) up to the rounding of j): the factors k = j - 1 .. j + 2
         as computed, (j - 1) / (1 - q) for those before, where |x_k| >=
         1/q, and H(N) for those after, where |x_k| < q^(k-j-1).
-    An upper factor that the kernel takes as 0 (`_end_index`) ends the
-    series, so only the factors before it count, of every parameter; an
-    exactly vanishing lower one before it, or a non-finite parameter, makes
-    kappa infinite.
+    end, the first n with |1 - a q^n| < _TERMINATES for an upper |a| >= 1,
+    ends the series (sys.maxsize: none); for 1 - q > 1e-12 it is one of the
+    k above, so one pass per parameter (`_far_kappa`) finds end and kappa.
+    Only factors before end count, of every parameter; an exactly vanishing
+    lower one before it, or a non-finite parameter, makes kappa infinite.
     """
     params = upper + lower
-    stop = math.inf
-    for a in upper:
-        if abs(a) >= 1.0:  # a cell is built on every new key: skip the calls
-            stop = min(stop, _end_index(a, q))
-    kappa = 0.0
+    kappa, end = 0.0, sys.maxsize
     for p in params:
         a = abs(p)
-        kappa += a / (1.0 - a) if a < 1.0 else _far_conditioning(p, q, stop)
+        if not a < 1.0:  # a cell is built on every new key: most have no such p
+            kappa, end = _far_kappa(params, len(upper), q)
+            break
+        kappa += a / (1.0 - a)
     n = len(params)
-    return [None, 9 + 6 * n, 1.5 if weight else 0.0, 3.0 * kappa, 3.0 * (1 + n) * q / (1.0 - q)]
+    return [None, 9 + 6 * n, 1.5 if weight else 0.0, 3.0 * kappa, 3.0 * (1 + n) * q / (1 - q), end]
 
 
-def _far_conditioning(p: complex, q: float, stop: float) -> float:
-    """The part of kappa (`_series_memo`) of a parameter with |p| >= 1,
-    from its factors k < stop."""
-    a = abs(p)
-    if not a < math.inf:
-        return math.inf
-    j = math.floor(math.log(a) / -math.log(q))
-    kappa = min(max(0, j - 1), stop) / (1.0 - q)
-    for k in range(max(0, j - 1), min(j + 3, stop)):
-        # The kernel's own x_k, so that a factor vanishes here exactly
-        # when it vanishes there.
-        x = p * q**k
-        f = abs(1.0 - x)
-        if not f:
-            return math.inf
-        kappa += abs(x) / f
-    return kappa
+def _far_kappa(params: Tuple[complex, ...], n_upper: int, q: float) -> Tuple[float, float]:
+    """(kappa, end) of `_series_memo`, params[:n_upper] upper, from one pass
+    per finite |p| >= 1 over its x_k = p q**k as the kernel forms them."""
+    parts, end = [], sys.maxsize  # per parameter its part, or (lo, its part before lo + i)
+    for i, p in enumerate(params):
+        a = abs(p)
+        if not 1.0 <= a < math.inf:
+            parts.append(a / (1.0 - a) if a < 1.0 else math.inf)
+            continue
+        j = math.floor(math.log(a) / -math.log(q))
+        lo = max(0, j - 1)
+        sums = [lo / (1.0 - q)]
+        for k in range(lo, j + 3):
+            x = p * q**k
+            f = abs(1.0 - x)
+            if f < _TERMINATES and k < end and i < n_upper:
+                end = k
+            sums.append(sums[-1] + abs(x) / f if f else math.inf)
+        parts.append((lo, sums))
+    kappa = 0.0
+    for part in parts:
+        if type(part) is tuple:
+            lo, sums = part
+            part = sums[min(end - lo, len(sums) - 1)] if end >= lo else end / (1.0 - q)
+        kappa += part
+    return kappa, end
 
 
 def _qseries(
@@ -401,10 +398,12 @@ def _qseries(
     as it does not grow with m.  A lower parameter q^(-k) ahead keeps R
     undefined, so the sum runs on to it and raises ParameterPole, also when
     the terms underflow to 0 first.  An infinite or NaN term raises
-    DomainError at once.  z = 0 ends the sum, and so does an upper factor
-    1 - a q^n below _TERMINATES for |a| >= 1 (a = q^(-n) up to rounding),
-    where no R < 1 need exist.  A plain tuple, so that callers which
-    rescale the sum build one SeriesValue, not two.
+    DomainError at once.  z = 0 ends the sum, and so does the ratio at the
+    cell's end index, 0 as an upper factor there is taken as 0 (a lower
+    factor 0 there still raises ParameterPole); no R < 1 need exist then.
+    With no end and no R < 1 (weight < 0, or 0 with |z| >= 1) it raises
+    NonConvergence at once.  A plain tuple, so that callers which rescale
+    the sum build one SeriesValue, not two.
 
     The bound adds to the tail a first-order rounding bound (Higham,
     Accuracy and Stability of Numerical Algorithms, chs. 3-4), in units
@@ -426,6 +425,9 @@ def _qseries(
     q = base.q
     tol = base.tol
     cell = _series_memo(upper, lower, q, weight)
+    _, c, d, kappa, h, end = cell
+    if weight <= 0 and z and end == sys.maxsize and (weight < 0 or abs(z) >= 1.0):
+        raise NonConvergence(f"non-terminating series of weight {weight} diverges at |z|={abs(z)}")
     if cell[0] is None:
         # A key's first use stores nothing: most keys of one-off calls are
         # never seen again.
@@ -456,8 +458,8 @@ def _qseries(
             # The guards skip building an empty iterator on every term.
             if upper:
                 for a in upper:
-                    f = 1.0 - a * qn
-                    r *= 0.0 if abs(f) < _TERMINATES and abs(a) >= 1.0 else f
+                    r *= 1.0 - a * qn
+                r *= n != end  # 0 at the cell's end index
             if lower:
                 for b in lower:
                     f = 1.0 - b * qn
@@ -477,7 +479,7 @@ def _qseries(
         if not 0.0 < ta < inf:
             if ta:
                 raise DomainError(f"q-series term {n + 1} is not finite: {t}")
-            if not (r and z):  # z = 0, or an upper factor 1 - a q^n taken as 0
+            if not (r and z):  # z = 0, or the ratio at the cell's end index
                 terms, tail = n + 1, 0.0
                 break
         if ta < tol * abs(s):
@@ -499,7 +501,6 @@ def _qseries(
         raise NonConvergence(f"q-series did not converge within {base.max_terms} terms")
     if new:
         cell[0] = rs + tuple(new), top
-    _, c, d, kappa, h = cell
     steps = (terms - 1) * (c + d * terms) * sa
     return s, tail + _EPS * (steps + (kappa + h * (1.0 + math.log(terms))) * (sa - 1.0)), terms
 
@@ -519,8 +520,6 @@ def basic_hyper(
     w = len(lower) - len(upper) + 1
     if z == 0:
         return SeriesValue(1.0, 0.0, 1)
-    if (w < 0 or w == 0 and abs(z) >= 1.0) and not _is_terminating(upper, base):
-        raise NonConvergence(f"non-terminating {len(upper)}phi{len(lower)} diverges at |z|={abs(z)}")
     return SeriesValue(*_qseries(tuple(upper), tuple(lower), base, z * (-1.0) ** w, w))
 
 

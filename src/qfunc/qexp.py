@@ -133,10 +133,10 @@ def _nearest_pole_index(u: complex, q: float) -> int:
 def qexp_eval(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
     """Evaluate the q-exponential of the given type at u.
 
-    Type 1 uses the reciprocal infinite product (valid for every non-pole
-    u); type 2 the entire product; type 3 its everywhere-convergent series.
-    A non-finite u, or a value or error bound that overflows a double,
-    raises DomainError.
+    Type 1 uses the reciprocal infinite product (PoleError where its bound
+    reaches 0); type 2 the entire product; type 3 its everywhere-convergent
+    series.  A non-finite u, or a value or error bound that overflows a
+    double, raises DomainError.
     """
     q = base.q
     u = complex(u)
@@ -148,10 +148,11 @@ def qexp_eval(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
         if abs(u - pole) < 1e-8 * pole:
             raise PoleError(f"u={u} is within the guard band of the pole q^-{m}")
         prod = qpoch_infinite(u, base)
-        if prod.value == 0:
-            raise PoleError(f"u={u} lies on a pole of the reciprocal product")
-        v = 1.0 / prod.value
-        sv = SeriesValue(v, abs(v) * prod.err_estimate / abs(prod.value), prod.terms_used)
+        p, e = prod.value, prod.err_estimate
+        if e >= abs(p):
+            raise PoleError(f"u={u} is within the error bound of a pole of the reciprocal product")
+        v = 1.0 / p
+        sv = SeriesValue(v, abs(v) * e / (abs(p) - e), prod.terms_used)
     elif kind.j == 2:
         sv = qpoch_infinite(-u, base)
     else:
@@ -675,13 +676,14 @@ def _theta_ratio(w: complex, base: QBase) -> complex:
     With p = sqrt(q), Theta(w) = (p;p)_inf (-w;p)_inf (-p/w;p)_inf (Jacobi
     triple product; Gasper & Rahman, Basic Hypergeometric Series, 1.6) and
     (p;p)_inf = (p;q)_inf (q;q)_inf (odd and even powers of p), summed as
-    logs (`_log_poch`); a value outside the normal doubles raises DomainError."""
+    logs (`_log_poch`); a value outside the normal doubles, 0 where a factor
+    rounds to 0 among them, raises DomainError."""
     pb = QBase(math.sqrt(base.q), base.tol, base.max_terms)
     p = pb.q
     l1, u1, _, _ = _log_poch(-w, pb)
     l2, u2, _, _ = _log_poch(-p / w, pb)
     lv = l1 + l2 + _base_poch(p, base)[0]
-    if not _LOG_TINY <= lv.real < _LOG_HUGE:
+    if not (u1 * u2 and _LOG_TINY <= lv.real < _LOG_HUGE):
         raise DomainError(f"type-3 leading constant at w={w} is not a normal double")
     return u1 * u2 * cmath.exp(lv)
 

@@ -380,6 +380,19 @@ class TestLaurent:
             assert (float(c1), float(c2), float(c3)) == (pair.c1, pair.c2, pair.c3)
 
 
+    def test_bessel_table_at_an_order_within_rounding_of_a_half_integer(self, capsys):
+        # A factor of Phi's coefficients rounds to 0 at this order; the table
+        # raised a bare ValueError, printed as "error: math domain error"
+        # with the usage exit code 2.
+        code, out, err = run_cli(
+            capsys, "laurent", "--which", "bessel", "--q", "0.7", "--nu", "0.5000000000000002",
+            "--window", "3",
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["-3", "-2", "-1", "0", "1", "2", "3"]
+
+
 class TestNonFiniteOrder:
     """A non-finite --nu is an error naming the order, exit 64, no traceback."""
 

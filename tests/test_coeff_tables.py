@@ -249,3 +249,23 @@ def test_bound_stays_small_past_the_derived_window(what, u, window):
     err = float(abs(sv.value - exact))
     assert err <= sv.err_estimate + 16 * EPS * float(abs(exact))
     assert sv.err_estimate <= 1e-11 * float(abs(exact))
+
+
+def test_tables_build_at_orders_within_rounding_of_a_half_integer():
+    # nu = c + d 2^-52 max(1, |c|) puts a factor of F within rounding of 0
+    # at some orders; the growth bound of F then took the log of a ratio
+    # that was exactly 0 and raised a bare ValueError (58 of these 3,888
+    # tables, e.g. c = 1/2, d = 1 at q = 0.7).  Such a ratio adds no growth.
+    raised = []
+    for q in (0.1, 0.25, 0.5, 0.7, 0.8, 0.95):
+        base = QBase(q)
+        for c in (0.5, 1.5, 2.5, 3.5, -0.5, -1.5, -2.5, -3.5):
+            for d in range(-40, 41):
+                nu = c + d * 2.0**-52 * max(1.0, abs(c))
+                try:
+                    rows = qbessel._laurent_tables(nu, 8, base)
+                except Exception as exc:  # noqa: BLE001 - any class is a failure here
+                    raised.append((q, nu, type(exc).__name__))
+                    continue
+                assert all(map(math.isfinite, rows[0][2] + rows[1][2])), (q, nu)
+    assert raised == []

@@ -174,15 +174,13 @@ class TestSuiteWork:
         kernel = qcalc._qseries
 
         def spy(upper, lower, base, z, weight):
-            memo = qcalc._series_memo(upper, lower, base.q, weight)[0]
-            known = len(memo[0]) if memo else 0
+            cell = qcalc._series_memo(upper, lower, base.q, weight)
+            known = len(cell[0][0]) if cell[0] else 0
             out = kernel(upper, lower, base, z, weight)
             # One ratio per term after t_0, and one more where the sum
-            # ended on a vanishing upper factor 1 - a q^n.
+            # ended at the cell's end index, a vanishing upper factor.
             n = out[2] - 1
-            used = n + any(
-                abs(1.0 - a * base.q**n) < qcalc._TERMINATES and abs(a) >= 1.0 for a in upper
-            )
+            used = n + (n == cell[5])
             computed.append(max(0, used - known))
             return out
 

@@ -9,6 +9,9 @@ of src/qfunc/ must be read by some other top-level statement of the
 package; a helper read only by its own body or by tests is dead.  Every
 `functools.lru_cache` must carry an integer maxsize: memos are
 process-wide, so an unbounded one grows with every distinct argument.
+Only one function of `qcalc` reads `_TERMINATES`, the tolerance at which
+a series' upper factor is taken as 0, so no other code re-derives where a
+series ends.
 """
 
 import ast
@@ -117,3 +120,33 @@ def test_gate_sees_an_unbounded_memo():
         "@lru_cache(64)\ndef f(x): return x\n"
     )
     assert _unbounded_memos(source) == [3, 5, 7, 9]
+
+
+def _readers(source, name):
+    """Top-level statements of the source that read the name, by function
+    or class name, or by line for any other statement."""
+    readers = []
+    for stmt in ast.parse(source).body:
+        loads = (
+            n for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        )
+        if any(n.id == name for n in loads):
+            readers.append(getattr(stmt, "name", stmt.lineno))
+    return readers
+
+
+def test_one_function_decides_where_a_series_ends():
+    readers = _readers((SRC / "qcalc.py").read_text(), "_TERMINATES")
+    assert len(readers) == 1 and isinstance(readers[0], str), readers
+
+
+def test_gate_sees_a_second_reader():
+    source = (
+        "_T = 1e-12\n"
+        "def a(f):\n    return f < _T\n"
+        "def b(f):\n    return abs(f) < _T\n"
+        "class C:\n    t = _T\n"
+        "x = [_T]\n"
+        "def d(f):\n    return f < 1e-12\n"
+    )
+    assert _readers(source, "_T") == ["a", "b", "C", 8]

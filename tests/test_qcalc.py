@@ -133,6 +133,13 @@ class TestPochhammerInfinite:
     def test_vanishing_factor_gives_exact_zero(self):
         assert qpoch_infinite(1.0, BASE).value == 0.0
 
+    def test_exact_zero_is_bounded_by_the_rest_of_the_product(self):
+        # The factor 1 - q^-2 q^2 rounds to exactly 0 at q = 0.3, but the true
+        # product at these doubles is 7.3e-16; the bound was 0.
+        sv = qpoch_infinite(0.3**-2, QBase(0.3))
+        assert sv.value == 0.0 and sv.err_estimate < 1e-14
+        assert abs(qpoch_oracle(0.3**-2, 0.3)) <= sv.err_estimate
+
     def test_error_estimate_bounds_truncation(self):
         sv = qpoch_infinite(0.3, QBase(0.9))
         exact = 1.0
@@ -231,6 +238,13 @@ class TestQGamma:
         for alpha in (0.25, 0.5, 2.5, -0.5):
             exact = qgamma_oracle(alpha, q)
             assert abs(qgamma(alpha, QBase(q)) - exact) <= 1e-11 * abs(exact), alpha
+
+    @pytest.mark.parametrize("alpha, q, pole", [(-0.9999999999999999, 0.7, -1), (1e-17, 0.5, 0)])
+    def test_factor_that_rounds_to_zero_names_the_pole(self, alpha, q, pole):
+        # A factor of (q^alpha;q)_inf rounds to 0 here, so its log form has
+        # unit 0; dividing by it would raise ZeroDivisionError.
+        with pytest.raises(DomainError, match=f"onto its pole {pole}$"):
+            qgamma(alpha, QBase(q))
 
     def test_value_outside_the_doubles_is_a_domain_error(self):
         # Gamma_q(200) at q = 0.5 is about 2^199 (q;q)_inf: a double; at

@@ -319,6 +319,23 @@ class TestProductBound:
                         exact = qpoch_oracle(-u, q) * qpoch_oracle(-q / u, q)
                     assert abs(mpmath.mpc(sv.value) - exact) <= sv.err_estimate, (q, u)
 
+    @pytest.mark.parametrize("q", [0.3, 0.7, 0.9])
+    def test_bound_covers_oracle_where_a_factor_rounds_to_zero(self, q):
+        # At u = -q^-k the factor 1 - (-u) q^k of e2(u) is 0 or within
+        # rounding of it; the true product at that float u is not 0
+        # (1.06e-17 at q = 0.3, k = 1).  It read 0 +- 0 at 9 of these 12
+        # points and raised DomainError at the other 3, as did Lambda_2.
+        mpmath = pytest.importorskip("mpmath")
+        base = QBase(q)
+        for k in (1, 2, 3, 5):
+            u = -(q**-k)
+            e2, lam = qexp_eval(K2, u, base), qexp._lambda_value(K2, u, base)
+            with mpmath.workdps(40):
+                exact = qpoch_oracle(-u, q)
+                assert abs(mpmath.mpc(e2.value) - exact) <= e2.err_estimate, (q, k)
+                exact *= qpoch_oracle(-(q / u), q)
+                assert abs(mpmath.mpc(lam.value) - exact) <= lam.err_estimate, (q, k)
+
     @pytest.mark.parametrize("kind", [K1, K2, K3])
     def test_product_outside_the_doubles_is_a_domain_error(self, kind):
         # Both factors are finite, about 1e198 and 1e200 for type 3; their

@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import statistics
+import sys
 
 import pytest
 
@@ -152,8 +153,9 @@ class TestSeriesMemo:
                     pass
         extended = [_outcome(call) for _, call in calls]
         assert cold == storing == warm == extended
-        # Every key whose sum does not terminate was extended.
-        open_keys = [k for k in stored if not qcalc._is_terminating(k[0], QBase(k[2]))]
+        # Every key whose sum does not end at an upper factor (the cell's
+        # end index) was extended.
+        open_keys = [k for k in stored if qcalc._series_memo(*k)[5] == sys.maxsize]
         assert all(_stored(*k) > stored[k] for k in open_keys)
 
     def test_oracle_errors_stay_within_twice_the_parent(self):
