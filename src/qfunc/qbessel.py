@@ -25,7 +25,8 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Tuple
+from operator import add, mul
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -460,26 +461,35 @@ def bessel_laurent_coeff(
     return plus[l] if sign == "plus" else minus[l - 1]
 
 
-def _geometric_mean(
-    c1: float, c2: float, e1: float, e2: float, l: int, sign: str, nu: float
-) -> Tuple[float, float]:
-    """c3 = sqrt(c1 c2) with its bound, from c1 and c2 known to within e1 and e2.
+def _geometric_rows(
+    c1: Sequence[float],
+    c2: Sequence[float],
+    e1: Sequence[float],
+    e2: Sequence[float],
+    l0: int,
+    sign: str,
+    nu: float,
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """c3 = sqrt(c1 c2) with its bound, row by row from l = l0, from c1 and
+    c2 known to within e1 and e2.
 
     The true product lies between max(0, |c1| - e1) max(0, |c2| - e2) and
     (|c1| + e1)(|c2| + e2); the bound is the larger distance of c3 from the
     square roots of the two, plus 4 eps of the upper one for rounding.
-    c1 c2 < 0 raises NegativeProduct.
+    The first c1 c2 < 0 raises NegativeProduct (finite rows have no NaN
+    product, so min finds it).
     """
-    prod = c1 * c2
-    if prod < 0:
+    prod = list(map(mul, c1, c2))
+    if prod and min(prod) < 0:
+        i = next(i for i, p in enumerate(prod) if p < 0)
         raise NegativeProduct(
-            f"coefficient product c1*c2 = {prod} < 0 at (l={l}, sign={sign}, nu={nu})"
+            f"coefficient product c1*c2 = {prod[i]} < 0 at (l={l0 + i}, sign={sign}, nu={nu})"
         )
-    c3 = math.sqrt(prod)
-    a1, a2 = abs(c1), abs(c2)
-    hi = math.sqrt((a1 + e1) * (a2 + e2))
-    lo = math.sqrt(max(0.0, a1 - e1) * max(0.0, a2 - e2))
-    return c3, max(hi - c3, c3 - lo) + 4.0 * _EPS * hi
+    c3 = list(map(math.sqrt, prod))
+    a1, a2 = list(map(abs, c1)), list(map(abs, c2))
+    hi = list(map(math.sqrt, map(mul, map(add, a1, e1), map(add, a2, e2))))
+    lo = [math.sqrt(max(0.0, x - dx) * max(0.0, y - dy)) for x, dx, y, dy in zip(a1, e1, a2, e2)]
+    return tuple(c3), tuple([max(h - c, c - w) + 4.0 * _EPS * h for c, h, w in zip(c3, hi, lo)])
 
 
 def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
@@ -495,7 +505,7 @@ def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
     _check_index(l, sign)
     (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(nu, _coeff_window(l), base)
     c1, c2 = (p1[l], p2[l]) if sign == "plus" else (m1[l - 1], m2[l - 1])
-    c3 = _geometric_mean(c1, c2, 0.0, 0.0, l, sign, nu)[0]
+    c3 = _geometric_rows((c1,), (c2,), (0.0,), (0.0,), l, sign, nu)[0][0]
     return CoeffPair(l=l, sign=sign, c1=c1, c2=c2, c3=c3)
 
 
@@ -507,12 +517,8 @@ def _type3_tables(nu: float, window: int, base: QBase) -> _Rows:
     c1 c2 < 0.
     """
     (p1, m1, ep1, em1), (p2, m2, ep2, em2) = _laurent_tables(nu, window, base)
-    cm, em = zip(
-        *(_geometric_mean(*t, l, "minus", nu) for l, t in enumerate(zip(m1, m2, em1, em2), 1))
-    )
-    cp, ep = zip(
-        *(_geometric_mean(*t, l, "plus", nu) for l, t in enumerate(zip(p1, p2, ep1, ep2)))
-    )
+    cm, em = _geometric_rows(m1, m2, em1, em2, 1, "minus", nu)
+    cp, ep = _geometric_rows(p1, p2, ep1, ep2, 0, "plus", nu)
     return cp, cm, ep, em
 
 

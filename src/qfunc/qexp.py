@@ -233,7 +233,7 @@ def _poch_table(c: float, step: int, q: float, n: int) -> Tuple[List[float], flo
     fs = [1.0 - x for x in xs]
     p = list(accumulate(fs, mul, initial=1.0))
     p += p[-1:] * (n - 1 - k0)
-    sens = sum((2.0 + lq * (abs(c) + abs(e))) * x / abs(f) for e, x, f in zip(exps, xs, fs) if f)
+    sens = sum([(2.0 + lq * (abs(c) + abs(e))) * x / abs(f) for e, x, f in zip(exps, xs, fs) if f])
     return p, 2.0 * k0 + sens + 2.0**-7 / (1.0 - q**step)
 
 
@@ -250,10 +250,8 @@ def _exp_table(w: float, q: float, p: Sequence[float]) -> List[float]:
 
 def _abs_sum(a: Sequence[float], bq: Sequence[float], l: int, c: float, k: int) -> float:
     """sum_i |a_(l+i) bq_i| of the dot product c = sum_i a_(l+i) bq_i whose
-    terms share one sign from i = k on: the first k terms, plus |c| less
-    their sum."""
-    if k <= 0:
-        return abs(c)
+    terms share one sign from i = k > 0 on: the first k terms, plus |c|
+    less their sum."""
     head = [a[l + i] * bq[i] for i in range(min(k, len(bq)))]
     return sum(map(abs, head)) + abs(c - sum(head))
 
@@ -376,12 +374,15 @@ def _cauchy_table(
     dc = ac * (math.expm1(dl + 4.0 * _EPS * (abs(lc) - m * lq - l1q)) + 2.0 * _EPS) if unit else 0.0
     kappa = (rel + m + 7.0) * _EPS
     eta = math.exp(log_bound + math.log(m) - 1074.0 * _LN2)
-    bp = [kappa * (_abs_sum(e, fq, l, s, h) + ac) + dc + eta for l, s in zip(ls, plus)]
-    bm = [
-        kappa * q**l * (_abs_sum(f, eq, l, s, h - l) + ac) + q**l * dc + eta
-        for l, s in zip(lm, minus)
-    ]
-    return [s + c for s in plus], [q**l * (s + c) for l, s in zip(lm, minus)], bp, bm
+    # sum |t| of each row: only rows with terms before F's sign index h
+    # need more than |c|.
+    ap = [_abs_sum(e, fq, l, s, h) for l, s in zip(ls, plus)] if h > 0 else list(map(abs, plus))
+    j = max(0, min(len(lm), h - lm.start))
+    am = [_abs_sum(f, eq, l, s, h - l) for l, s in zip(lm[:j], minus)] + list(map(abs, minus[j:]))
+    ql = [q**l for l in lm]
+    bp = [kappa * (a + ac) + dc + eta for a in ap]
+    bm = [kappa * x * (a + ac) + x * dc + eta for x, a in zip(ql, am)]
+    return [s + c for s in plus], [x * (s + c) for x, s in zip(ql, minus)], bp, bm
 
 
 _Rows = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
