@@ -421,7 +421,7 @@ def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
     m1, m2 = _cauchy_terms(0.0, log_b, base, ab), _cauchy_terms(1.0, log_b, base)
     n = window + max(m1, m2)
     f, rel_f = _phi_table(nu, q, n)
-    lim = (0.0, 0.0, 0.0)
+    lim = (0.0, 0.0, 0.0, ())
     if f[-1]:  # Phi does not terminate
         x, sq = q ** (n - 1), base.squared()
         (la, ua, da, _), (lb, ub, db, _) = (_log_poch(c * x, base) for c in ab)
@@ -429,7 +429,7 @@ def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
         lqq, _, dqq, _ = _base_poch(q, base)
         logs = (math.log(abs(f[-1])), la, lb, -l2, -lqq)
         unit = ua * ub * math.copysign(1.0, f[-1])
-        lim = (sum(logs), unit, da + db + d2 + dqq + 3.0 * _EPS * sum(map(abs, logs)))
+        lim = (sum(logs), unit, da + db + d2 + dqq + 3.0 * _EPS * sum(map(abs, logs)), ab)
     p, rel_p = _poch_table(1.0, 1, q, n)  # (q;q)_k, shared by both exponentials
     rel = rel_p + 3.0 + rel_f
     ls, lm = range(window + 1), range(1, window + 1)

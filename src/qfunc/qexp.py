@@ -18,10 +18,11 @@ sequences built once, with each coefficient a single C-level dot product
 over slices, cut at a term count derived from a bound on the sequences
 (`_cauchy_terms`) so that the truncation stays below min(tol, eps) of the
 sum of |terms|.  Type 1, whose E_k = 1/(q;q)_k has no Gaussian decay,
-adds the closed form E_inf F_inf q^M / (1 - q) of every row's tail, from
-the sequences' limits (Euler's product expansion), and so needs about half
-the terms: its remainder falls as q^(2M), not q^M.  The coefficients are
-therefore good to a rounding bound that does not depend on tol.
+adds every row's tail in closed form to second order, from the sequences'
+limits and first Taylor coefficients (Euler's product expansion), and so
+needs about a third of the terms: its remainder falls as q^(3M), not
+q^M.  The coefficients are therefore good to a rounding bound that does
+not depend on tol.
 
 Two memos hold what many calls share: the Lambda rows per (kind, window,
 base) (`_lambda_coeffs`, at most 32 entries), read by every two-sided
@@ -38,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import DomainError, NonConvergence, PoleError
@@ -256,20 +257,20 @@ def _abs_sum(a: Sequence[float], bq: Sequence[float], l: int, c: float, k: int) 
     return sum(map(abs, head)) + abs(c - sum(head))
 
 
-def _tail_log_k(m: int, ps: Sequence[float], q: float) -> float:
-    """ln k of the type-1 tail past m terms (`_cauchy_terms`), k =
-    e^sigma (q / (1 - q) + (1 - e^-sigma) / x) / (1 - q^2) at x = q^m,
-    sigma = sigma(x), with (1 - e^-sigma) / x taken as ((1 - e^-sigma) /
-    sigma) (sigma / x), so that an x that underflows gives k's limit."""
+def _tail_log_k(m: int, ab: Sequence[float], q: float) -> float:
+    """ln k of the type-1 tail past m terms (`_cauchy_terms`): k = (r +
+    s^2 e^(s x) / 2) / (1 - q^3) at x = q^m, s = c1 + r x, with c1 and r(x)
+    as derived there; x may underflow to 0, which gives k's limit."""
     x = q**m
-    r = sum(p / (1.0 - p * x) for p in ps) / (1.0 - q)
-    r += q * q * x / ((1.0 - q * q) * (1.0 - q * q * x * x))  # sigma / x
-    s = r * x
-    d = -math.expm1(-s) / s if s else 1.0
-    return s + math.log(q / (1.0 - q) + d * r) - math.log1p(-q * q)
+    g1 = sum(ab) / (1.0 - q)
+    c1 = max(g1, q / (1.0 - q) - min(g1, 0.0))
+    r = sum([p * p / (2.0 * (1.0 - abs(p) * x)) for p in ab])
+    r = (r + q * q / (1.0 - q * q * x * x) + q * q / (2.0 * (1.0 - q * x))) / (1.0 - q * q)
+    s = c1 + r * x
+    return math.log(r + 0.5 * s * s * math.exp(s * x)) - math.log1p(-(q**3))
 
 
-def _cauchy_terms(w: float, log_bound: float, base: QBase, ps: Sequence[float] = ()) -> int:
+def _cauchy_terms(w: float, log_bound: float, base: QBase, ab: Sequence[float] = ()) -> int:
     """The number of terms M of every dot product of a coefficient table.
 
     A table is the Laurent product E(u) F(q/u) of two Taylor series, E an
@@ -283,27 +284,37 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ps: Sequence[float] =
     that puts it at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.
 
     Type 1 (w = 0) has no Gaussian, so the table adds its tail in closed
-    form (`_cauchy_table`) and M halves.  By Euler's product expansion
-    (Gasper & Rahman, Basic Hypergeometric Series, 1.3), E_k =
-    E_inf (q^(k+1);q)_inf with E_inf = 1/(q;q)_inf, and as 0 <= 1 - (y;q)_inf
-    <= y / (1 - q), |E_k - E_inf| <= E_inf q^(k+1) / (1 - q).  F has
-    Phi's shape, F_i = (a;q)_i (b;q)_i / (q^2;q^2)_i (E itself is
-    (-q;q)_i / (q^2;q^2)_i: a = -q, b = 0), and ps = (|a|, |b|).  So F_i =
-    F_inf g(q^i), g(x) = (q^2 x^2;q^2)_inf / ((a x;q)_inf (b x;q)_inf),
-    and |ln(1 - y)| <= |y| / (1 - |y|) gives |ln g(x)| <= sigma(x) =
-    sum_p p x / ((1 - q)(1 - p x)) + q^2 x^2 / ((1 - q^2)(1 - q^2 x^2)).
-    sigma is convex with sigma(0) = 0, so for i >= M, |F_i / F_inf - 1| <=
-    expm1(sigma(q^i)) <= D q^(i-M), D = expm1(sigma(q^M)).  Writing
-    e f - E_inf F_inf = (e - E_inf) f + E_inf (f - F_inf) and summing over
-    i >= M, each row's tail, sum_i e_(l+i) f_i q^i ascending and
-    sum_i f_(l+i) e_i q^i descending (l >= 0), is E_inf F_inf q^M / (1 - q)
-    + R with |R| <= E_inf |F_inf| k q^(2M), k = ((1 + D) q / (1 - q) +
-    D q^-M) / (1 - q^2) (`_tail_log_k`).  As E_inf |F_inf| <= |t_0|
-    e^log_bound, M is the least count with e^log_bound k q^(2M) <=
-    min(tol, eps), from h on, the least index with max(ps) q^h <= 1/2.  k
-    falls with M towards (q + |a| + |b|) / ((1 - q)(1 - q^2)), which gives
-    the first count tried.  A terminating Phi, b = q^(1-N) with F_i = 0
-    from i = N on, has h >= N, so its tail is exactly 0.
+    form to second order (`_cauchy_table`), and M falls to about two
+    thirds of what the first-order tail needs: the remainder falls as
+    q^(3M), not q^(2M).  By Euler's product expansion (Gasper & Rahman,
+    Basic Hypergeometric Series, 1.3), E_k = E_inf (q^(k+1);q)_inf with
+    E_inf = 1/(q;q)_inf.  F has Phi's shape, F_i = (a;q)_i (b;q)_i /
+    (q^2;q^2)_i (E itself is (-q;q)_i / (q^2;q^2)_i: a = -q, b = 0), and
+    ab = (a, b).  So F_i = F_inf g(q^i), g(x) = (q^2 x^2;q^2)_inf / ((a
+    x;q)_inf (b x;q)_inf).  A term of row l is E_inf F_inf q^i P, P =
+    (y;q)_inf g(x') with x = q^i, and x' = x, y = q^(l+1) x ascending
+    (e_(l+i) f_i), x' = q^l x, y = q x descending (f_(l+i) e_i); so x' <= x
+    and y <= q x.  With ln (y;q)_inf = -sum_n y^n / (n (1 - q^n)) and
+    ln g(x) = sum_n ((a^n + b^n) x^n / (1 - q^n) - q^(2n) x^(2n) / (1 -
+    q^(2n))) / n, ln P = lambda1 + rho: lambda1 = g1 x' - y / (1 - q),
+    g1 = (a + b) / (1 - q) the first Taylor coefficient of g, and, as 1 -
+    q^n >= 1 - q^2 for n >= 2, |rho| <= r(x) x^2, r(x) = (sum_p p^2 / (2
+    (1 - |p| x)) + q^2 / (1 - q^2 x^2) + q^2 / (2 (1 - q x))) / (1 - q^2).  As
+    |lambda1| <= c1 x, c1 = max(g1, q / (1 - q) - min(g1, 0)), and
+    |e^t - 1 - t| <= t^2 e^|t| / 2, |P - 1 - lambda1| <= K(x) x^2, K = r +
+    s^2 e^(s x) / 2, s = c1 + r x, which grows with x.  Summing q^i (1 +
+    lambda1) over i >= M gives each row's tail, sum_i e_(l+i) f_i q^i
+    ascending and sum_i f_(l+i) e_i q^i descending (l >= 0), as C1 + C2 +
+    R: C1 = E_inf F_inf q^M / (1 - q), C2 = E_inf F_inf q^(2M) / (1 - q^2)
+    times g1 - q^(l+1) / (1 - q) ascending or g1 q^l - q / (1 - q)
+    descending, and |R| <= E_inf |F_inf| k q^(3M), k = K(q^M) / (1 - q^3)
+    (`_tail_log_k`).  As E_inf |F_inf| <= |t_0| e^log_bound, M is the
+    least count with e^log_bound k q^(3M) <= min(tol, eps), from h on,
+    the least index with max |p| q^h <= 1/2, which keeps every |p| x and
+    so every log series above convergent.  k falls with M towards K(0) /
+    (1 - q^3), which gives the first count tried.  A terminating Phi, b =
+    q^(1-N) with F_i = 0 from i = N on, has h >= N, so its tail is exactly
+    0.
 
     More than max_terms raises NonConvergence; a (q;q)_inf below the
     smallest normal double (q ~ 0.998 on), which the table's divisors
@@ -315,11 +326,10 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ps: Sequence[float] =
     if w == 0:
         lq = -math.log(q)
         lt = math.log(min(base.tol, _EPS)) - log_bound
-        c = max(ps, default=0.0)
+        c = max(map(abs, ab), default=0.0)
         h = max(0, math.ceil(math.log(2.0 * c) / lq)) if c else 0
-        k0 = math.log((q + sum(ps)) / (1.0 - q)) - math.log1p(-q * q)
-        m = max(h, math.ceil((k0 - lt) / (2.0 * lq)))
-        while _tail_log_k(m, ps, q) - 2.0 * m * lq > lt and m <= base.max_terms:
+        m = max(h, math.ceil((_tail_log_k(sys.maxsize, ab, q) - lt) / (3.0 * lq)))
+        while _tail_log_k(m, ab, q) - 3.0 * m * lq > lt and m <= base.max_terms:
             m += 1
     else:
         y = (log_bound - math.log((1.0 - q) * min(base.tol, _EPS))) / -math.log(q)
@@ -340,49 +350,71 @@ def _cauchy_table(
     ls: range,
     lm: range,
     h: int,
-    lim: Tuple[float, float, float] = (0.0, 0.0, 0.0),
+    lim: Tuple[float, float, float, Sequence[float]] = (0.0, 0.0, 0.0, ()),
 ) -> Tuple[List[float], List[float], List[float], List[float]]:
     """The one coefficient routine: the Laurent product E(u) F(q/u).
 
     Returns (ascending, descending, their bounds): c_l = sum_i e_(l+i) f_i
     q^i for l in ls and c_(-l) = q^l sum_i f_(l+i) e_i q^i for l in lm,
     each one C-level dot product over slices of M = m terms
-    (`_cauchy_terms`) plus, for type 1, the closed-form tail C =
-    E_inf F_inf q^M / (1 - q) of every row.  lim = (L, unit, dL) gives
-    E_inf F_inf = unit e^L with |ln| error dL (unit 0: no tail), so C is
-    good to |C| (expm1(dL') + 2 eps), dL' = dL + 4 eps (|L| + M ln(1/q) +
-    ln(1/(1 - q))) for the rounding of its exponent.  The
-    bound of each row is kappa eps (sum |t| + |C|) + that + eta: kappa adds
-    rel (both sequences' rounding), 2 for the pow q^i, 2 for the products,
-    M - 1 for the sum, 1 for the truncation or the tail's remainder R and 3
-    for q^l, C counting as one more term, and eta = M e^log_bound 2^-1074
-    covers terms that underflow.  f's entries share one sign from index h
-    on (`_abs_sum`).  A non-finite coefficient raises DomainError.
+    (`_cauchy_terms`) plus, for type 1, the closed-form tail C1 + C2 of
+    every row, C1 = E_inf F_inf q^M / (1 - q) and C2 = c2 d_l, c2 =
+    E_inf F_inf q^(2M) / (1 - q^2), d_l = g1 - q^(l+1) / (1 - q)
+    ascending, g1 q^l - q / (1 - q) descending, g1 = (a + b) / (1 - q).
+    lim = (L, unit, dL, (a, b)) gives E_inf F_inf = unit e^L with |ln|
+    error dL (unit 0: no tail), so C1 is good to |C1| (expm1(dL1) + 2 eps),
+    dL1 = dL + 4 eps (|L| + M ln(1/q) + ln(1/(1 - q))) for the rounding
+    of its exponent, and c2 to |c2| (expm1(dL2) + 2 eps), dL2 likewise.
+    |d_l| <= G = (|a| + |b| + q) / (1 - q); a and b each carry one ulp of
+    pow and |ln |p|| eps from their rounded exponent, and the rest of d_l
+    and the product c2 d_l 8 eps of G, so C2 is good to |c2| (G (expm1(dL2)
+    + 10 eps) + eps sum_p |p| (1 + |ln |p||) / (1 - q)).  The bound of
+    each row is kappa eps (sum |t| + |C1| + |c2| G) + those + eta: kappa
+    adds rel (both sequences' rounding), 2 for the pow q^i, 2 for the
+    products, M - 1 for the sum, 1 for the truncation or the tail's
+    remainder R and 3 for q^l, C1 and C2 counting as one more term each,
+    and eta = M e^log_bound 2^-1074 covers terms that underflow.  f's
+    entries share one sign from index h on (`_abs_sum`).  A non-finite
+    coefficient raises DomainError.
     """
     qpow = [q**i for i in range(m)]
     eq = list(map(mul, e, qpow))
     fq = list(map(mul, f, qpow))
     plus = [sum(map(mul, e[l : l + m], fq)) for l in ls]
     minus = [sum(map(mul, f[l : l + m], eq)) for l in lm]
-    lc, unit, dl = lim
-    lq, l1q = math.log(q), math.log1p(-q)
-    x = lc + m * lq - l1q if unit else -math.inf  # ln |C|
-    if x >= _LOG_HUGE or not all(map(math.isfinite, plus + minus)):
-        raise DomainError("two-sided coefficients overflow a double")
-    c = unit * math.exp(x)
-    ac = abs(c)
-    dc = ac * (math.expm1(dl + 4.0 * _EPS * (abs(lc) - m * lq - l1q)) + 2.0 * _EPS) if unit else 0.0
+    ql = [q**l for l in lm]
+    lc, unit, dl, ab = lim
     kappa = (rel + m + 7.0) * _EPS
+    tp, tm, at, dt = [0.0] * len(ls), [0.0] * len(lm), 0.0, 0.0  # the tails and their bounds
+    if unit:
+        lq, l1q, l1q2 = math.log(q), math.log1p(-q), math.log1p(-q * q)
+        x1, x2 = lc + m * lq - l1q, lc + 2 * m * lq - l1q2  # ln |C1|, ln |c2|
+        if x1 >= _LOG_HUGE:
+            raise DomainError("two-sided coefficients overflow a double")
+        c1, c2 = unit * math.exp(x1), unit * math.exp(x2)
+        g1, u = sum(ab) / (1.0 - q), q / (1.0 - q)
+        big = (sum(map(abs, ab)) + q) / (1.0 - q)
+        ex1 = math.expm1(dl + 4.0 * _EPS * (abs(lc) - m * lq - l1q))
+        ex2 = math.expm1(dl + 4.0 * _EPS * (abs(lc) - 2 * m * lq - l1q2))
+        dg = sum([abs(p) * (1.0 + abs(math.log(abs(p)))) for p in ab if p]) / (1.0 - q)
+        tp = [c1 + c2 * (g1 - u * q**l) for l in ls]
+        tm = [c1 + c2 * (g1 * x - u) for x in ql]
+        at = abs(c1) + abs(c2) * big
+        dt = abs(c1) * (ex1 + 2.0 * _EPS) + abs(c2) * (big * (ex2 + 10.0 * _EPS) + _EPS * dg)
+        kappa += _EPS
+    vp = list(map(add, plus, tp))
+    vm = [x * (s + t) for x, s, t in zip(ql, minus, tm)]
+    if not all(map(math.isfinite, vp + vm)):
+        raise DomainError("two-sided coefficients overflow a double")
     eta = math.exp(log_bound + math.log(m) - 1074.0 * _LN2)
     # sum |t| of each row: only rows with terms before F's sign index h
     # need more than |c|.
     ap = [_abs_sum(e, fq, l, s, h) for l, s in zip(ls, plus)] if h > 0 else list(map(abs, plus))
     j = max(0, min(len(lm), h - lm.start))
     am = [_abs_sum(f, eq, l, s, h - l) for l, s in zip(lm[:j], minus)] + list(map(abs, minus[j:]))
-    ql = [q**l for l in lm]
-    bp = [kappa * (a + ac) + dc + eta for a in ap]
-    bm = [kappa * x * (a + ac) + x * dc + eta for x, a in zip(ql, am)]
-    return [s + c for s in plus], [x * (s + c) for x, s in zip(ql, minus)], bp, bm
+    bp = [kappa * (a + at) + dt + eta for a in ap]
+    bm = [kappa * x * (a + at) + x * dt + eta for x, a in zip(ql, am)]
+    return vp, vm, bp, bm
 
 
 _Rows = Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]
@@ -411,10 +443,10 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     w = (2 - kind.delta) / 2.0
     lqq, _, dl, _ = _base_poch(q, base)
     log_b = -2.0 * lqq
-    m = _cauchy_terms(w, log_b, base, (q, 0.0))
+    m = _cauchy_terms(w, log_b, base, (-q, 0.0))
     p, rel = _poch_table(1.0, 1, q, window + m)
     e = _exp_table(w, q, p)
-    lim = (log_b, 1.0, 2.0 * dl) if w == 0 else (0.0, 0.0, 0.0)
+    lim = (log_b, 1.0, 2.0 * dl, (-q, 0.0)) if w == 0 else (0.0, 0.0, 0.0, ())
     ls = range(window + 1)
     a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, ls, range(0), 0, lim)
     minus = [q**l * x for l, x in enumerate(a[1:], 1)]

@@ -111,13 +111,12 @@ def test_tables_are_within_their_bound_of_the_oracle():
     assert bad == [], bad
 
 
-def test_type1_tables_sum_half_the_terms(monkeypatch):
-    # The closed-form type-1 tail (`qexp._cauchy_terms`) needs M with
-    # e^log_bound k q^(2M) <= eps where the parent summed m = 500 and 629
-    # terms with e^log_bound q^m / (1 - q) <= eps: these are ceil(m/2) + 13
-    # and + 10.  ceil(m/2) + 3 is out of reach at q = 0.9: the tail's
-    # remainder on row 0 of Lambda_1 is 2q / ((1 - q)(1 - q^2)) E_inf^2
-    # q^(2M) to first order, 4.5e-16 > eps of its t_0 = 1 at M = 318 (mpmath).
+def test_type1_tables_sum_two_thirds_of_the_terms(monkeypatch):
+    # The second-order type-1 tail (`qexp._cauchy_terms`) needs M with
+    # e^log_bound k q^(3M) <= eps, k = K(q^M) / (1 - q^3), where the
+    # first-order tail summed 263 and 325 terms (k q^(2M) <= ...) and the
+    # truncation alone 500 and 629.  At q = 0.9, k is 706 (Phi, nu = 1/4)
+    # and 629 (Lambda_1) in the limit, and the first count tried holds.
     counts = []
     for module in (qexp, qbessel):
         spy = lambda *a, t=module._cauchy_table: counts.append(a[3]) or t(*a)
@@ -126,7 +125,7 @@ def test_type1_tables_sum_half_the_terms(monkeypatch):
     qexp._lambda_coeffs.cache_clear()
     qbessel._laurent_tables(0.25, 20, QBase(0.9))
     qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(0.9))
-    assert (counts[0], counts[2]) == (263, 325)
+    assert (counts[0], counts[2]) == (180, 223)
 
 
 def test_table_rows_equal_single_coefficients():
@@ -269,3 +268,65 @@ def test_tables_build_at_orders_within_rounding_of_a_half_integer():
                     continue
                 assert all(map(math.isfinite, rows[0][2] + rows[1][2])), (q, nu)
     assert raised == []
+
+
+def _type1_cases():
+    """The oracle grid's type-1 cases: (q, nu or None for Lambda_1, rows)."""
+    return [(q, nu, ls[:3] + ls[-2:]) for q, j, nu, ls in _oracle_grid() if j == 1]
+
+
+def test_type1_tail_remainder_is_within_its_second_order_bound():
+    # Each type-1 row's tail past M terms is C1 + C2 + R with |R| <=
+    # E_inf |F_inf| k q^(3M) (`qexp._cauchy_terms`).  The tail is summed
+    # here in 40 digits, for sampled rows on both sides of both type-1
+    # tables; C1 alone leaves more than that bound on some rows, so the
+    # check sees C2.
+    mpmath = pytest.importorskip("mpmath")
+    bad, first_order_over = [], 0
+    with mpmath.workdps(40):
+        for q, nu, ls in _type1_cases():
+            base = QBase(q)
+            qm = mpmath.mpf(q)
+            if nu is None:
+                log_b = -2.0 * qexp._base_poch(q, base)[0]
+                ab = (-q, 0.0)
+                a, b = -qm, mpmath.mpf(0)
+            else:
+                log_b = qbessel._phi_bound(nu, base)[0]
+                ab = (q ** (nu + 0.5), q ** (0.5 - nu))
+                a, b = qm ** (mpmath.mpf(nu) + 0.5), qm ** (0.5 - mpmath.mpf(nu))
+            m = qexp._cauchy_terms(0.0, log_b, base, ab)
+            n = m + _oracle_terms(q, 0)
+            e, _ = _oracle_sequences(mpmath, qm, 0, None, max(ls) + n)
+            e_inf = 1 / mpmath.qp(qm, qm)
+            if nu is None:
+                f, f_inf = e, e_inf
+            else:
+                # F in exponent form, so that a factor 1 - q^0 is exactly
+                # 0 where Phi terminates (nu = 3/2), and F_inf from F's
+                # last entry by the same identity as `_laurent_tables`.
+                f, x, num = [mpmath.mpf(1)], mpmath.mpf(1), mpmath.mpf(nu)
+                for i in range(max(ls) + n - 1):
+                    x *= (1 - qm ** (num + 0.5 + i)) * (1 - qm ** (0.5 - num + i)) / (1 - qm ** (2 * i + 2))
+                    f.append(x)
+                k = len(f) - 1
+                f_inf = f[k] * mpmath.qp(qm ** (num + 0.5 + k), qm) * mpmath.qp(qm ** (0.5 - num + k), qm)
+                f_inf /= mpmath.qp(qm ** (2 * k + 2), qm * qm)
+            g1 = (a + b) / (1 - qm)
+            scale = e_inf * f_inf * qm ** (2 * m) / (1 - qm * qm)
+            c1 = e_inf * f_inf * qm**m / (1 - qm)
+            bound = float(e_inf * abs(f_inf)) * math.exp(qexp._tail_log_k(m, ab, q)) * q ** (3 * m)
+            qpow = [qm**i for i in range(m, n)]
+            for l in ls:
+                asc = mpmath.fdot(e[l + m : l + n], [x * y for x, y in zip(f[m:n], qpow)])
+                rows = [(asc, g1 - qm ** (l + 1) / (1 - qm))]
+                if l:
+                    desc = mpmath.fdot(f[l + m : l + n], [x * y for x, y in zip(e[m:n], qpow)])
+                    rows.append((desc, g1 * qm**l - qm / (1 - qm)))
+                for tail, d in rows:
+                    first_order_over += float(abs(tail - c1)) > bound
+                    r = float(abs(tail - c1 - scale * d))
+                    if not r <= bound:
+                        bad.append((q, nu, l, m, r, bound))
+    assert bad == [], bad
+    assert first_order_over > 0
