@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .errors import QfuncError
@@ -25,22 +24,7 @@ from .qcalc import QBase
 from .qexp import KindTag, _lambda_value, lambda_laurent_table, qexp_eval
 from .qbessel import BesselSpec, _laurent_tables, _type3_tables, bessel_value
 
-__all__ = ["OutputRecord", "main"]
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One evaluated point, ready for CSV or JSON serialization."""
-
-    function: str
-    kind: int
-    family: str
-    nu: float
-    q: float
-    z_or_u: complex
-    value: complex
-    err_estimate: float
-    error: str = ""
+__all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
@@ -71,39 +55,6 @@ _EVAL_HEADER = [
     "err_estimate",
     "error",
 ]
-
-
-def _record_row(r: OutputRecord) -> List[str]:
-    return [
-        r.function,
-        str(r.kind),
-        r.family,
-        _fmt(r.nu) if r.family else "",
-        _fmt(r.q),
-        _fmt(r.z_or_u.real),
-        _fmt(r.z_or_u.imag),
-        _fmt(r.value.real),
-        _fmt(r.value.imag),
-        _fmt(r.err_estimate),
-        r.error,
-    ]
-
-
-def _record_json(r: OutputRecord) -> str:
-    return json.dumps(
-        {
-            "function": r.function,
-            "kind": r.kind,
-            "family": r.family,
-            "nu": r.nu if r.family else None,
-            "q": r.q,
-            "arg": [r.z_or_u.real, r.z_or_u.imag],
-            "value": [r.value.real, r.value.imag],
-            "err_estimate": r.err_estimate,
-            "error": r.error or None,
-        },
-        separators=(",", ":"),
-    )
 
 
 def _maybe_num(text: str):
@@ -156,8 +107,7 @@ def cmd_eval(args) -> int:
         print("error: no evaluation points given (--u/--z/--grid)", file=sys.stderr)
         return 2
     family = fn[6:] if fn.startswith("bessel") else ""
-    records: List[OutputRecord] = []
-    failed = False
+    results = []
     for p in points:
         value: complex = complex(math.nan, math.nan)
         err = 0.0
@@ -172,26 +122,29 @@ def cmd_eval(args) -> int:
             value, err = sv.value, sv.err_estimate
         except QfuncError as exc:
             msg = f"{type(exc).__name__}: {exc}"
-            failed = True
-        records.append(
-            OutputRecord(
-                function=fn,
-                kind=args.kind,
-                family=family,
-                nu=args.nu if family else 0.0,
-                q=args.q,
-                z_or_u=p,
-                value=value,
-                err_estimate=err,
-                error=msg,
-            )
-        )
+        results.append((p, value, err, msg))
     if args.format == "csv":
-        _emit_rows(_EVAL_HEADER, [_record_row(r) for r in records], "csv", sys.stdout)
+        head = [fn, str(args.kind), family, _fmt(args.nu) if family else "", _fmt(args.q)]
+        rows = [
+            head + [_fmt(x) for x in (p.real, p.imag, v.real, v.imag, e)] + [msg]
+            for p, v, e, msg in results
+        ]
+        _emit_rows(_EVAL_HEADER, rows, "csv", sys.stdout)
     else:
-        for r in records:
-            sys.stdout.write(_record_json(r) + "\n")
-    return 64 if failed else 0
+        for p, v, e, msg in results:
+            doc = {
+                "function": fn,
+                "kind": args.kind,
+                "family": family,
+                "nu": args.nu if family else None,
+                "q": args.q,
+                "arg": [p.real, p.imag],
+                "value": [v.real, v.imag],
+                "err_estimate": e,
+                "error": msg or None,
+            }
+            sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    return 64 if any(msg for *_, msg in results) else 0
 
 
 def cmd_asym(args) -> int:

@@ -528,12 +528,13 @@ def bessel_type3_repr(
     """Two-sided type-3 series at u = (1-q^2)z; requires |u| > q.
 
     The family map of f(w) = sum_l c_l w^l over the geometric-mean tables
-    (`_type3_tables`), summed by `qexp._laurent_sum` to the window of
-    `qexp._laurent_window`, at least max(2, window); its tail past the
-    derived window joins the bound.  As c_l^2 = c1_l c2_l, the rows obey
-    the type-2 Gaussian at half its weight ascending and the type-1 decay
-    q^l descending.  The bound grows with the cancellation in f, as for K,
-    whose single point w = -u alternates the signs.  The prefactor's own
+    (`_type3_tables`, of the window of `qexp._laurent_window`, at least
+    max(2, window)), summed by `qexp._laurent_sum` over the rows |l| <= k
+    of that rule; its tail bound from k + 1 on joins the bound, and
+    terms_used counts the 2k + 1 rows summed.  As c_l^2 = c1_l c2_l, the
+    rows obey the type-2 Gaussian at half its weight ascending and the
+    type-1 decay q^l descending.  The bound grows with the cancellation in
+    f, as for K, whose single point w = -u alternates the signs.  The prefactor's own
     rounding and the connection error at orders other than half-integers
     (`bessel_phi_repr`) stay outside it.
     """
@@ -554,7 +555,7 @@ def bessel_type3_repr(
         s, err = _laurent_sum(tables, w, k)
         return s, err + tail, 0
 
-    return replace(_family(family, nu, u, f, base), terms_used=2 * L + 1)
+    return replace(_family(family, nu, u, f, base), terms_used=2 * k + 1)
 
 
 def bessel_diffeq_residual(spec: BesselSpec, z: complex, base: QBase) -> float:

@@ -74,7 +74,7 @@ __all__ = [
     "qexp_asymptotic",
 ]
 
-_VALID_PAIRS = {(1, 2), (2, 0), (3, 1)}
+_DELTAS = {1: 2, 2: 0, 3: 1}  # type j -> its exponent parameter delta
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,17 @@ class KindTag:
     delta: int
 
     def __post_init__(self) -> None:
-        if (self.j, self.delta) not in _VALID_PAIRS:
+        if _DELTAS.get(self.j) != self.delta:
             raise ValueError(
-                f"(j, delta) must be one of {(sorted(_VALID_PAIRS))}, "
+                f"(j, delta) must be one of {sorted(_DELTAS.items())}, "
                 f"got ({self.j}, {self.delta})"
             )
 
     @classmethod
     def from_j(cls, j: int) -> "KindTag":
-        deltas = {1: 2, 2: 0, 3: 1}
-        if j not in deltas:
+        if j not in _DELTAS:
             raise ValueError(f"kind j must be 1, 2 or 3, got {j}")
-        return cls(j, deltas[j])
+        return cls(j, _DELTAS[j])
 
 
 @dataclass(frozen=True)
@@ -123,31 +122,20 @@ class AsymptoticEstimate:
     N: float
 
 
-def _nearest_pole_index(u: complex, q: float) -> int:
-    """Index m >= 0 of the reciprocal-product pole q^(-m) nearest to |u|."""
-    r = abs(u)
-    if r <= 0:
-        return 0
-    return max(0, round(-math.log(r) / math.log(q)))
-
-
 def qexp_eval(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
     """Evaluate the q-exponential of the given type at u.
 
-    Type 1 uses the reciprocal infinite product (PoleError where its bound
-    reaches 0); type 2 the entire product; type 3 its everywhere-convergent
-    series.  A non-finite u, or a value or error bound that overflows a
-    double, raises DomainError.
+    Type 1 uses the reciprocal infinite product; its poles u = q^(-m) are
+    decided by the product's own error bound alone: PoleError where that
+    bound reaches |(u;q)_inf|, else 1/(u;q)_inf with the bound carried
+    through the reciprocal.  Type 2 is the entire product and type 3 its
+    everywhere-convergent series.  A non-finite u, or a value or error
+    bound that overflows a double, raises DomainError.
     """
-    q = base.q
     u = complex(u)
     if not cmath.isfinite(u):
         raise DomainError(f"q-exponential needs a finite argument, got u={u}")
     if kind.j == 1:
-        m = _nearest_pole_index(u, q)
-        pole = q ** (-m)
-        if abs(u - pole) < 1e-8 * pole:
-            raise PoleError(f"u={u} is within the guard band of the pole q^-{m}")
         prod = qpoch_infinite(u, base)
         p, e = prod.value, prod.err_estimate
         if e >= abs(p):
@@ -316,7 +304,8 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ab: Sequence[float] =
     q^(1-N) with F_i = 0 from i = N on, has h >= N, so its tail is exactly
     0.
 
-    More than max_terms raises NonConvergence; a (q;q)_inf below the
+    More than max_terms raises NonConvergence, which gives the least count
+    known, a lower bound on the need; a (q;q)_inf below the
     smallest normal double (q ~ 0.998 on), which the table's divisors
     (q;q)_k approach, DomainError.
     """
@@ -333,10 +322,11 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ab: Sequence[float] =
             m += 1
     else:
         y = (log_bound - math.log((1.0 - q) * min(base.tol, _EPS))) / -math.log(q)
-        b = 1.0 - w / 2.0  # w M(M-1)/2 + M = (w/2) M^2 + b M
-        m = math.ceil((math.sqrt(b * b + 2.0 * w * y) - b) / w)
+        m = _least_n(w / 2.0, 1.0, y)  # w M(M-1)/2 + M >= y
     if m > base.max_terms:
-        raise NonConvergence(f"coefficient table needs {m} terms, more than {base.max_terms}")
+        raise NonConvergence(
+            f"coefficient table needs more than max_terms={base.max_terms} terms (at least {m})"
+        )
     return max(1, m)
 
 
@@ -460,35 +450,26 @@ def _laurent_sum(
     w: complex,
     k: int,
 ) -> Tuple[complex, float]:
-    """sum_l plus_l w^l + sum_(l>=1) minus_l w^(-l) by Horner's rule in w and
-    in 1/w, over rows (plus, minus, bplus, bminus), l <= L, in
-    `_cauchy_table`'s layout, and its bound sum_l (b_l + g |c_l|) |w|^l.
-    g = 10 (L + 1) eps covers Horner's rule (Higham, Accuracy and Stability
+    """sum_(l<=k) plus_l w^l + sum_(1<=l<=k) minus_l w^(-l) by Horner's rule
+    in w and in 1/w, over rows (plus, minus, bplus, bminus) in
+    `_cauchy_table`'s layout, and its bound sum_(l<=k) (b_l + g |c_l|) |w|^l.
+    g = 10 (k + 1) eps covers Horner's rule (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 5): at most 4 eps per step for the complex
-    product and sum, 6 eps per power of 1/w.  A row past k takes |c_l| for
-    b_l: it is off by at most |c_l| plus its a-priori bound, and the
-    caller's tail from k on covers those (`_laurent_window`), so a bound
-    floor such as 2^-1074 is never multiplied by |w|^l there.  A sum or
-    bound that overflows raises DomainError.
+    product and sum, 6 eps per power of 1/w.  Rows past k are not summed:
+    the caller's tail bound from k + 1 on covers them (`_laurent_window`).
+    A sum or bound that overflows raises DomainError.
     """
     plus, minus, bplus, bminus = rows
-    g = 10.0 * len(plus) * _EPS
-    h = 1.0 + g
+    g = 10.0 * (k + 1) * _EPS
     v = 1.0 / w
     aw = abs(w)
     s: complex = 0.0
     r = 0.0
-    for c in reversed(plus[k + 1 :]):
-        s = s * w + c
-        r = r * aw + h * abs(c)
     for c, b in zip(reversed(plus[: k + 1]), reversed(bplus[: k + 1])):
         s = s * w + c
         r = r * aw + b + g * abs(c)
     t: complex = 0.0
     rt = 0.0
-    for c in reversed(minus[k:]):
-        t = (t + c) * v
-        rt = (rt + h * abs(c)) / aw
     for c, b in zip(reversed(minus[:k]), reversed(bminus[:k])):
         t = (t + c) * v
         rt = (rt + b + g * abs(c)) / aw
@@ -524,11 +505,12 @@ def _laurent_window(
     and the tail from term n on is at most term n over (1 - its ratio).
     `_least_window` gives the least window that puts each side's tail below
     t times the parabola's peak, as `_cauchy_terms` gives a term count.
-    L >= window is that window at t = tol, the rows to sum; k <= L is it at
-    t = min(tol, eps), and the tail is taken from k + 1 on, so that the rows
-    past k, which `_laurent_sum` bounds by |c_l|, add at most about eps of
-    the peak.  A non-finite au or a peak beyond the double range raises
-    DomainError, L above max_terms NonConvergence.
+    L >= window is that window at t = tol, the rows of the table to build
+    (the caller's window only sizes that shared, memoized table); k <= L is
+    it at t = min(tol, eps), the last row `_laurent_sum` sums, and the tail
+    bound from k + 1 on covers every later row, in the table or past it.
+    A non-finite au or a peak beyond the double range raises DomainError,
+    L above max_terms NonConvergence.
     """
     if not math.isfinite(au):
         raise DomainError(f"two-sided series at non-finite |u|={au}")
@@ -625,12 +607,15 @@ def lambda_laurent_eval(
 ) -> SeriesValue:
     """Evaluate the two-sided expansion sum_l a_l u^l by `_laurent_sum`.
 
-    Every a_l is positive, so the bound's rounding term is 10 (L + 1) eps
+    Every a_l is positive, so the bound's rounding term is 10 (k + 1) eps
     Lambda(|u|), which near arg u = pi can exceed |Lambda(u)| by orders of
-    magnitude.  Types 2 and 3 sum to the window of `_laurent_window`, at
-    least `window`, and add its tail past the derived window; type-1
-    coefficients tend to (q;q)_inf^-2, so that part comes from their pole
-    expansion instead (`_type1_tail`).  A window below 1 raises ValueError.
+    magnitude.  Types 2 and 3 sum the rows |l| <= k of `_laurent_window`
+    from a table of at least `window` rows and add its tail bound from
+    k + 1 on; type-1 coefficients tend to (q;q)_inf^-2, so every row is
+    summed up to `window` and the part past it comes from their pole
+    expansion instead (`_type1_tail`).  terms_used counts the rows summed
+    (2k + 1, 2 window + 1 for type 1) plus the pole expansion's terms.  A
+    window below 1 raises ValueError.
     """
     if u == 0:
         raise DomainError("two-sided expansion is undefined at u = 0")
@@ -659,7 +644,7 @@ def lambda_laurent_eval(
 
     L, k, tail = _laurent_window((w, w), log_c, window, au, base)
     s, err = _laurent_sum(_lambda_coeffs(kind, L, base), u, k)
-    return SeriesValue(s, err + tail, 2 * L + 1)
+    return SeriesValue(s, err + tail, 2 * k + 1)
 
 
 def lambda_closed_form(kind: KindTag, u: complex, base: QBase) -> complex:

@@ -242,6 +242,100 @@ class TestEval:
         assert err.startswith("error: grid count must be at least 1")
 
 
+# `qfunc eval` output pinned in both formats: qexp, lambda and besselK, a
+# complex --z, a --grid and one PoleError row.  Rows without an error must
+# match byte for byte; an error row is compared by exception class only,
+# since its message may name the rule that raised it.
+_EVAL_PINS = [
+    (
+        ["eval", "--fn", "qexp", "--kind", "1", "--q", "0.5", "--u", "0.3,0.2", "--u", "2", "--z=-1.5,0.25"],
+        64,
+        [
+            'qexp,1,,,0.5,0.3,0.2,1.6390830833354637,0.8969146997136935,8.291259573650197e-15,',
+            'qexp,1,,,0.5,2.0,0.0,nan,nan,0.0,PoleError',
+            'qexp,1,,,0.5,-1.5,0.25,0.1113939486512304,0.031087082251031642,7.254888058468848e-16,',
+        ],
+        [
+            '{"function":"qexp","kind":1,"family":"","nu":null,"q":0.5,"arg":[0.3,0.2],"value":[1.6390830833354637,0.8969146997136935],"err_estimate":8.291259573650197e-15,"error":null}',
+            '{"function":"qexp","kind":1,"family":"","nu":null,"q":0.5,"arg":[2.0,0.0],"value":[NaN,NaN],"err_estimate":0.0,"error":"PoleError"}',
+            '{"function":"qexp","kind":1,"family":"","nu":null,"q":0.5,"arg":[-1.5,0.25],"value":[0.1113939486512304,0.031087082251031642],"err_estimate":7.254888058468848e-16,"error":null}',
+        ],
+    ),
+    (
+        ["eval", "--fn", "qexp", "--kind", "3", "--q", "0.7", "--grid", "-2.5", "3", "4"],
+        0,
+        [
+            'qexp,3,,,0.7,-2.5,0.0,0.0003456232925700806,0.0,2.680057735250707e-10,',
+            'qexp,3,,,0.7,-0.6666666666666667,0.0,0.10622007739188412,0.0,6.805305914761888e-13,',
+            'qexp,3,,,0.7,1.1666666666666665,0.0,40.73120355412511,0.0,4.5055783425189666e-12,',
+            'qexp,3,,,0.7,3.0,0.0,5518.313768535069,0.0,8.232977536980074e-10,',
+        ],
+        [
+            '{"function":"qexp","kind":3,"family":"","nu":null,"q":0.7,"arg":[-2.5,0.0],"value":[0.0003456232925700806,0.0],"err_estimate":2.680057735250707e-10,"error":null}',
+            '{"function":"qexp","kind":3,"family":"","nu":null,"q":0.7,"arg":[-0.6666666666666667,0.0],"value":[0.10622007739188412,0.0],"err_estimate":6.805305914761888e-13,"error":null}',
+            '{"function":"qexp","kind":3,"family":"","nu":null,"q":0.7,"arg":[1.1666666666666665,0.0],"value":[40.73120355412511,0.0],"err_estimate":4.5055783425189666e-12,"error":null}',
+            '{"function":"qexp","kind":3,"family":"","nu":null,"q":0.7,"arg":[3.0,0.0],"value":[5518.313768535069,0.0],"err_estimate":8.232977536980074e-10,"error":null}',
+        ],
+    ),
+    (
+        ["eval", "--fn", "lambda", "--kind", "2", "--q", "0.6", "--z", "0.7,-0.4", "--u", "1.5"],
+        0,
+        [
+            'lambda,2,,,0.6,1.5,0.0,37.57606021359952,0.0,4.938780321245693e-13,',
+            'lambda,2,,,0.6,0.7,-0.4,18.836619630275294,-0.7665690068579227,2.4203713935329146e-13,',
+        ],
+        [
+            '{"function":"lambda","kind":2,"family":"","nu":null,"q":0.6,"arg":[1.5,0.0],"value":[37.57606021359952,0.0],"err_estimate":4.938780321245693e-13,"error":null}',
+            '{"function":"lambda","kind":2,"family":"","nu":null,"q":0.6,"arg":[0.7,-0.4],"value":[18.836619630275294,-0.7665690068579227],"err_estimate":2.4203713935329146e-13,"error":null}',
+        ],
+    ),
+    (
+        ["eval", "--fn", "besselK", "--kind", "2", "--nu", "0.25", "--q", "0.5", "--z", "1.2,0.5", "--grid", "0.5", "2", "3"],
+        0,
+        [
+            'besselK,2,K,0.25,0.5,1.2,0.5,-0.030241117322637304,-0.05885951341645987,4.6572406942606595e-14,',
+            'besselK,2,K,0.25,0.5,0.5,0.0,0.30560624861300867,0.0,2.519827810160051e-14,',
+            'besselK,2,K,0.25,0.5,1.25,0.0,0.009598007823227115,0.0,4.540124899713378e-14,',
+            'besselK,2,K,0.25,0.5,2.0,0.0,-0.020191291591189917,0.0,6.799896732057625e-14,',
+        ],
+        [
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[1.2,0.5],"value":[-0.030241117322637304,-0.05885951341645987],"err_estimate":4.6572406942606595e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[0.5,0.0],"value":[0.30560624861300867,0.0],"err_estimate":2.519827810160051e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[1.25,0.0],"value":[0.009598007823227115,0.0],"err_estimate":4.540124899713378e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[2.0,0.0],"value":[-0.020191291591189917,0.0],"err_estimate":6.799896732057625e-14,"error":null}',
+        ],
+    ),
+]
+
+_EVAL_HEADER_LINE = "function,kind,family,nu,q,arg_re,arg_im,value_re,value_im,err_estimate,error"
+
+
+def _error_class_only(line, fmt):
+    """An error row with its message cut to the exception class."""
+    if fmt == "csv":
+        cells = next(csv.reader([line]))
+        return ",".join(cells[:-1] + [cells[-1].split(":")[0]])
+    doc = json.loads(line)
+    return json.dumps({**doc, "error": doc["error"].split(":")[0]}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,code,csv_rows,json_rows", _EVAL_PINS)
+def test_eval_output_is_pinned(capsys, argv, code, csv_rows, json_rows, fmt):
+    got_code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert got_code == code
+    if fmt == "csv":
+        header, *lines, end = out.split("\r\n")
+        assert (header, end) == (_EVAL_HEADER_LINE, "")
+        want = csv_rows
+    else:
+        *lines, end = out.split("\n")
+        assert end == ""
+        want = json_rows
+    got = [l if l.endswith((",", '"error":null}')) else _error_class_only(l, fmt) for l in lines]
+    assert got == want
+
+
 class TestAsym:
     def test_qexp_table(self, capsys):
         code, out, _ = run_cli(

@@ -9,12 +9,14 @@ derives for it.  The type-3 representation is checked the same way,
 against the geometric-mean series summed in 30-digit arithmetic.
 """
 
+import cmath
 import math
 import random
 
 import pytest
 
 from qfunc import qbessel, qexp
+from qfunc.errors import NegativeProduct, NonConvergence
 from qfunc.qbessel import bessel_type3_repr
 from qfunc.qcalc import QBase
 from qfunc.qexp import KindTag
@@ -199,8 +201,8 @@ def test_type3_repr_bound_counts_coefficient_rounding(family, q, nu, u):
 
 
 def _lambda_oracle(mpmath, j, u, q):
-    """Lambda_j(u) = e(u) e(q/u) for j = 2, 3, summed in mpmath."""
-    qm, um = mpmath.mpf(q), mpmath.mpf(u)
+    """Lambda_j(u) = e(u) e(q/u) for j = 2, 3 and complex u, summed in mpmath."""
+    qm, um = mpmath.mpf(q), mpmath.mpc(u)
     if j == 2:
         return mpmath.qp(-um, qm) * mpmath.qp(-qm / um, qm)
 
@@ -248,6 +250,79 @@ def test_bound_stays_small_past_the_derived_window(what, u, window):
     err = float(abs(sv.value - exact))
     assert err <= sv.err_estimate + 16 * EPS * float(abs(exact))
     assert sv.err_estimate <= 1e-11 * float(abs(exact))
+
+
+def test_type3_repr_bound_does_not_grow_with_the_window():
+    # The caller's window only sizes the table: rows past the derived k
+    # are covered by the tail bound and not summed, so neither I:3's value
+    # nor its bound at u = 1000 depends on a window above k.
+    a, b = (bessel_type3_repr("I", 0.25, 1000.0, w, QBase(0.5)) for w in (80, 300))
+    assert (a.value, a.err_estimate) == (b.value, b.err_estimate)
+
+
+def _abs_rows_past(rows, au, k):
+    """sum_(l > k) |c_l| au^l over both sides of a table, in logs."""
+    plus, minus = rows[:2]
+    la = math.log(au)
+    terms = [(c, l) for l, c in enumerate(plus)] + [(c, -l) for l, c in enumerate(minus, 1)]
+    return sum(math.exp(math.log(abs(c)) + l * la) for c, l in terms if c and abs(l) > k)
+
+
+def test_rows_past_k_are_within_the_tail_bound(monkeypatch):
+    # `qexp._laurent_sum` sums rows l <= k only; the tail bound of
+    # `qexp._laurent_window` from k + 1 on must cover the table's rows
+    # k < l <= L as well as every row past L, and the value must stay
+    # within its bound of a 40-digit oracle.
+    mpmath = pytest.importorskip("mpmath")
+    seen = []
+    window_rule = qexp._laurent_window
+
+    def spy(ws, log_c, window, au, base):
+        seen.append((au, window_rule(ws, log_c, window, au, base)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qexp, "_laurent_window", spy)
+    monkeypatch.setattr(qbessel, "_laurent_window", spy)
+    rng = random.Random(20)
+    cases, past_k = 0, 0
+    for i in range(76):
+        seen.clear()
+        if i < 60:
+            q, j, window = rng.uniform(0.2, 0.9), rng.choice((2, 3)), rng.randint(3, 200)
+            u = cmath.rect(10 ** rng.uniform(-3, 4), rng.uniform(-math.pi, math.pi))
+            sv = qexp.lambda_laurent_eval(KindTag.from_j(j), u, window, QBase(q))
+            au, (L, k, tail) = seen[-1]
+            rows = qexp._lambda_coeffs(KindTag.from_j(j), L, QBase(q))
+            with mpmath.workdps(40):
+                exact = _lambda_oracle(mpmath, j, u, q)
+        else:
+            q, nu, family = rng.uniform(0.2, 0.7), rng.uniform(-2, 2), rng.choice("IJKY")
+            u = q * 10 ** rng.uniform(0.3, 3)
+            try:
+                sv = bessel_type3_repr(family, nu, u, 20, QBase(q))
+            except NegativeProduct:
+                continue
+            au, (L, k, tail) = seen[-1]
+            rows = qbessel._type3_tables(nu, L, QBase(q))
+            with mpmath.workdps(40):
+                exact = _type3_oracle(mpmath, family, nu, u, q, L + 20)
+        rest = _abs_rows_past(rows, au, k)
+        assert rest <= tail, (i, q, u, L, k, rest, tail)
+        assert float(abs(sv.value - exact)) <= sv.err_estimate, (i, q, u)
+        cases, past_k = cases + 1, past_k + (k < L)
+    assert cases >= 70 and past_k >= 40, (cases, past_k)
+
+
+@pytest.mark.parametrize("q,max_terms", [(0.997, 100000), (0.9, 50)])
+def test_table_nonconvergence_names_a_lower_bound(q, max_terms):
+    # Lambda_1's table at q = 0.997 needs at least 126,598 terms, the first
+    # count tried; at q = 0.9 that first count, 223, already holds.
+    least = {0.997: 126598, 0.9: 223}[q]
+    with pytest.raises(NonConvergence) as info:
+        qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(q, max_terms=max_terms))
+    assert str(info.value) == (
+        f"coefficient table needs more than max_terms={max_terms} terms (at least {least})"
+    )
 
 
 def test_tables_build_at_orders_within_rounding_of_a_half_integer():

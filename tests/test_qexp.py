@@ -68,8 +68,38 @@ class TestEval:
     def test_type1_pole_guard(self, m):
         with pytest.raises(PoleError):
             qexp_eval(K1, BASE.q**-m, BASE)
-        with pytest.raises(PoleError):
-            qexp_eval(K1, BASE.q**-m * (1.0 + 1e-9), BASE)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_type1_next_to_a_pole_is_pole_error_or_within_its_bound(self, q, m):
+        # The product's own error bound is the only pole test: a point a
+        # few ulps from a pole either raises PoleError or returns a value
+        # its bound covers against a 50-digit 1/(u;q)_inf, and one 1e-9 of
+        # it, far outside the product's rounding, returns a value.
+        mpmath = pytest.importorskip("mpmath")
+        base, pole = QBase(q), q**-m
+        points = [pole * (1.0 + 1e-9), pole * (1.0 - 1e-9)]
+        for direction in (math.inf, 0.0):
+            u = pole
+            for _ in range(4):
+                u = math.nextafter(u, direction)
+                points.append(u)
+        for i, u in enumerate(points):
+            try:
+                sv = qexp_eval(K1, u, base)
+            except PoleError:
+                assert i >= 2, (q, m, u)
+                continue
+            with mpmath.workdps(50):
+                exact = 1 / mpmath.qp(mpmath.mpf(u), mpmath.mpf(q))
+            assert abs(sv.value - exact) <= sv.err_estimate, (q, m, u)
+
+    def test_type1_every_float_pole_raises(self):
+        rng = random.Random(20)
+        for _ in range(500):
+            q, m = rng.uniform(0.2, 0.97), rng.randint(0, 8)
+            with pytest.raises(PoleError):
+                qexp_eval(K1, q**-m, QBase(q))
 
     @given(
         re=st.floats(-0.9, 0.9),
