@@ -12,11 +12,10 @@ ch. 1), with d = delta = 2, 0, 1 for types 1, 2, 3:
   caller                      upper           lower              weight   z
   basic_hyper (rPhis)         a_i             b_j                s-r+1    (-1)^(s-r+1) z
   qexp_eval type 3            -               -                  1/2      u
-  bessel_series (base q^2)    -               q^(2nu+2)          2-d      -+(1-q^2)^2 z^2 q^((2-d)(1+nu))
+  _series (base q^2)          -               q^(2nu+2)          2-d      -+(1-q^2)^2 z^2 q^((2-d)(1+nu))
   _bessel_i_base_q            -               q^(l+1)            2-d      q^((2-d)(l+1)/2 + d/2)
-  _type1_tail (w = u, q/u)    q, w            q w                1        -q^(window+2)
 
-The `bessel_series` argument stays real when it is real: at real and at
+The `_series` argument stays real when it is real: at real and at
 purely imaginary z its imaginary part is exactly 0, and the kernel is
 handed a float, so the sum runs in real arithmetic with the same roundings.
 
@@ -30,10 +29,14 @@ the parameters bounds the tail past t_n by |t_n| R / (1 - R), and the sum
 ends when that is below tol |s| too; a first-order rounding bound is added.
 
 The two-sided sums are one Horner evaluator (`qexp._laurent_sum`) over
-coefficients that are dot products of two precomputed sequences
-(`qexp._cauchy_table`), summed to eps whatever tol is; their window and
-tail come from the coefficients' a-priori bound (`qexp._laurent_window`),
-not from the terms.
+coefficients summed to eps whatever tol is: closed forms from product
+identities for Lambda_1 and Lambda_2 (`qexp._lambda_coeffs`), dot
+products of two precomputed sequences (`qexp._cauchy_table`) for the
+rest; their window and tail come from the coefficients' a-priori bound
+(`qexp._laurent_window`), not from the terms.  The Gaussian sums of
+Lambda_1's pole expansion (`qexp._lambda_coeffs`, `qexp._type1_tail`)
+are not kernel calls: each term is one pow of q, and the term count
+comes from one quadratic (`qexp._least_n`).
 
 An infinite product (a;q)_inf is the one other loop, and its native form
 is its logarithm (`_log_poch`), O(sqrt(ln(1/eps) / ln(1/q))) work for

@@ -11,18 +11,22 @@ The self-reciprocal products L(u) = e^(j)(u) e^(j)(q/u) admit two-sided
 relation for type 3), and have discrete closed forms on the lattice
 |u| = q^(n+lam) that drive the large-argument asymptotics.
 
-Every two-sided coefficient table of the package, of L here and of the
-Bessel products e(u) Phi(u) in `qbessel`, is one routine
-(`_cauchy_table`): the Laurent product E(u) F(q/u) of two Taylor
-sequences built once, with each coefficient a single C-level dot product
-over slices, cut at a term count derived from a bound on the sequences
-(`_cauchy_terms`) so that the truncation stays below min(tol, eps) of the
-sum of |terms|.  Type 1, whose E_k = 1/(q;q)_k has no Gaussian decay,
-adds every row's tail in closed form to second order, from the sequences'
-limits and first Taylor coefficients (Euler's product expansion), and so
-needs about a third of the terms: its remainder falls as q^(3M), not
-q^M.  The coefficients are therefore good to a rounding bound that does
-not depend on tol.
+L_1 and L_2 have one closed form per coefficient, from their product
+identities (`_lambda_coeffs`): the Jacobi triple product gives L_2's
+a_l = q^(l(l-1)/2) / (q;q)_inf, and the pole expansion of L_1, which
+also sums L_1's part past a window (`_type1_tail`), gives a_l as an
+alternating Gaussian sum over (q;q)_inf^2.  Every other two-sided
+coefficient table, of L_3 and of the Bessel products e(u) Phi(u) in
+`qbessel`, is one routine (`_cauchy_table`): the Laurent product E(u)
+F(q/u) of two Taylor sequences built once, with each coefficient a
+single C-level dot product over slices, cut at a term count derived from
+a bound on the sequences (`_cauchy_terms`) so that the truncation stays
+below min(tol, eps) of the sum of |terms|.  Type 1, whose E_k =
+1/(q;q)_k has no Gaussian decay, adds every row's tail in closed form to
+second order, from the sequences' limits and first Taylor coefficients
+(Euler's product expansion), and so needs about a third of the terms:
+its remainder falls as q^(3M), not q^M.  The coefficients are therefore
+good to a rounding bound that does not depend on tol.
 
 Two memos hold what many calls share: the Lambda rows per (kind, window,
 base) (`_lambda_coeffs`, at most 32 entries), read by every two-sided
@@ -276,9 +280,8 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ab: Sequence[float] =
     thirds of what the first-order tail needs: the remainder falls as
     q^(3M), not q^(2M).  By Euler's product expansion (Gasper & Rahman,
     Basic Hypergeometric Series, 1.3), E_k = E_inf (q^(k+1);q)_inf with
-    E_inf = 1/(q;q)_inf.  F has Phi's shape, F_i = (a;q)_i (b;q)_i /
-    (q^2;q^2)_i (E itself is (-q;q)_i / (q^2;q^2)_i: a = -q, b = 0), and
-    ab = (a, b).  So F_i = F_inf g(q^i), g(x) = (q^2 x^2;q^2)_inf / ((a
+    E_inf = 1/(q;q)_inf.  F is Phi's, F_i = (a;q)_i (b;q)_i /
+    (q^2;q^2)_i, and ab = (a, b).  So F_i = F_inf g(q^i), g(x) = (q^2 x^2;q^2)_inf / ((a
     x;q)_inf (b x;q)_inf).  A term of row l is E_inf F_inf q^i P, P =
     (y;q)_inf g(x') with x = q^i, and x' = x, y = q^(l+1) x ascending
     (e_(l+i) f_i), x' = q^l x, y = q x descending (f_(l+i) e_i); so x' <= x
@@ -418,30 +421,85 @@ def _coeff_window(l: int) -> int:
     return 1 << (max(l, 8) - 1).bit_length()
 
 
+def _inv_qq(power: int, base: QBase) -> Tuple[float, float]:
+    """(q;q)_inf^-power, the prefactor of the Lambda_1 (power 2) and Lambda_2
+    (power 1) coefficients, and its relative error expm1(power dL): dL
+    bounds the error of ln (q;q)_inf and counts the one exp (`_base_poch`).
+    A prefactor beyond the doubles raises DomainError."""
+    lqq, _, dl, _ = _base_poch(base.q, base)
+    if -power * lqq >= _LOG_HUGE:
+        raise DomainError(f"(q;q)_inf^-{power} at q={base.q} is beyond the doubles")
+    return math.exp(-power * lqq), math.expm1(power * dl)
+
+
 @functools.lru_cache(maxsize=32)
 def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     """Rows l <= window of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
 
-    The coefficient table with F = E, so log_bound = -2 ln (q;q)_inf, every
-    term is positive and a_(-l) = q^l a_l.  For type 1, F = E is Phi's
-    shape with a = -q and b = 0 (`_cauchy_terms`), and E_inf F_inf =
-    (q;q)_inf^-2 comes from the log form of `_base_poch`.  Memoized per (kind,
-    window, base), at most 32 entries process-wide; the rows are tuples
-    because every caller shares the cached object.
+    Every a_l is positive and a_(-l) = q^l a_l.  Types 1 and 2 come from
+    product identities, one formula per coefficient; u = 2^-53 below, and
+    a pow of the exact q at an integer exponent is within one ulp (2u).
+
+    Lambda_2 = (-u;q)_inf (-q/u;q)_inf = sum_l q^(l(l-1)/2) u^l / (q;q)_inf
+    by the Jacobi triple product (Gasper & Rahman, Basic Hypergeometric
+    Series, 1.6.1), the identity `_theta_ratio` reads at base sqrt(q): a_l
+    = q^(l(l-1)/2) P, P = 1/(q;q)_inf (`_inv_qq`), and a_(-l) = a_(l+1).
+    The pow and the product add 3u to P's error; a pow that underflows is
+    off by at most 2^-1075, and the product by as much again, so each row
+    is good to a_l (expm1(dL) + 4u) + (P + 1) 2^-1074.
+
+    Lambda_1 = 1/((u;q)_inf (q/u;q)_inf) = (q;q)_inf^-2 sum_(m in Z) (-1)^m
+    q^(m(m+1)/2) / (1 - u q^m), the pole expansion that `_type1_tail` sums
+    past the window; on q < |u| < 1 it gives a_l = P S_l for l >= 0, P =
+    (q;q)_inf^-2, S_l = sum_(m>=0) (-1)^m t_m, t_m = q^(m(m+1)/2 + m l).
+    The terms alternate and fall (t_(m+1) / t_m = q^(m+1+l)), so the sum
+    of the first M is within t_M of S_l, and S_l >= 1 - q^(l+1): M is the
+    least count with q^(M(M+1)/2 + M l) <= u (1 - q^(l+1)), which keeps
+    the truncation below u S_l.  The even and odd terms are summed apart
+    by `math.fsum` (u each of their sum) and subtracted (u |S|); with the
+    pows' 2u, S_l is good to 3u sum t_m + u |S| + t_M + M 2^-1074 (the
+    terms that underflow), and a_l to P times that plus a_l (expm1(2 dL) +
+    2u).  a_(-l) = q^l a_l adds 3u of a_(-l) and (1 + a_l) 2^-1074 for a q^l
+    or a product that underflows.  (q;q)_inf^-2 beyond the doubles (q
+    between 0.995 and 0.997 on) raises DomainError.
+
+    Type 3 is the coefficient table with F = E, log_bound = -2 ln
+    (q;q)_inf.  Memoized per (kind, window, base), at most 32 entries
+    process-wide; the rows are tuples because every caller shares the
+    cached object.
     """
     q = base.q
-    w = (2 - kind.delta) / 2.0
-    lqq, _, dl, _ = _base_poch(q, base)
-    log_b = -2.0 * lqq
-    m = _cauchy_terms(w, log_b, base, (-q, 0.0))
-    p, rel = _poch_table(1.0, 1, q, window + m)
-    e = _exp_table(w, q, p)
-    lim = (log_b, 1.0, 2.0 * dl, (-q, 0.0)) if w == 0 else (0.0, 0.0, 0.0, ())
-    ls = range(window + 1)
-    a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, ls, range(0), 0, lim)
-    minus = [q**l * x for l, x in enumerate(a[1:], 1)]
-    # The product q^l a_l can underflow: its bound keeps that 2^-1074.
-    bminus = [q**l * x + 2.0**-1074 for l, x in enumerate(b[1:], 1)]
+    tiny = 2.0**-1074
+    if kind.j == 2:
+        p, rel = _inv_qq(1, base)
+        a = [q ** (l * (l - 1) // 2) * p for l in range(window + 2)]
+        b = [x * (rel + 4.0 * _EPS) + (p + 1.0) * tiny for x in a]
+        return tuple(a[: window + 1]), tuple(a[2:]), tuple(b[: window + 1]), tuple(b[2:])
+    if kind.j == 1:
+        p, rel = _inv_qq(2, base)
+        lq = math.log(q)
+        a, b = [], []
+        for l in range(window + 1):
+            m = _least_n(0.5, l + 1.0, (math.log(_EPS) + math.log1p(-(q ** (l + 1)))) / lq)
+            t = [q ** (i * (i + 1) // 2 + i * l) for i in range(m + 1)]
+            even, odd = math.fsum(t[0:m:2]), math.fsum(t[1:m:2])
+            s = even - odd
+            a.append(p * s)
+            err = 3.0 * _EPS * (even + odd) + _EPS * s + t[m] + m * tiny
+            b.append(p * err + a[-1] * (rel + 2.0 * _EPS))
+    else:
+        log_b = -2.0 * _base_poch(q, base)[0]
+        m = _cauchy_terms(0.5, log_b, base)
+        pq, rel = _poch_table(1.0, 1, q, window + m)
+        e = _exp_table(0.5, q, pq)
+        a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, range(window + 1), range(0), 0)
+    ql = [q**l for l in range(1, window + 1)]
+    minus = list(map(mul, ql, a[1:]))
+    if kind.j == 1:
+        bminus = [x * (y + 3.0 * _EPS * c) + (1.0 + c) * tiny for x, c, y in zip(ql, a[1:], b[1:])]
+    else:
+        # The product q^l a_l can underflow: its bound keeps that 2^-1074.
+        bminus = [x * y + tiny for x, y in zip(ql, b[1:])]
     return tuple(a), tuple(minus), tuple(b), tuple(bminus)
 
 
@@ -576,30 +634,38 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
     """The type-1 expansion beyond the window, sum_{|l|>window} a_l u^l.
 
     The coefficients have the pole expansion a_l = (q;q)_inf^-2 sum_{m>=0}
-    (-1)^m q^(m(m+1)/2 + m l) for l >= 0, and a_(-l) = q^l a_l.  Summed over
-    l first, with e = window + 1, the tail is (q;q)_inf^-2 (T(u) + T(q/u)),
-      T(w) = sum_m (-1)^m q^(m(m+1)/2) (q^m w)^e / (1 - q^m w)
-           = w^e / (1 - w) _qseries((q, w), (q w,), q, -q^(e+1), 1),
-    the upper q cancelling (q;q)_m.  Each sum carries the kernel's bound;
-    the prefactor adds (13 (e + 1) + 5 |w| / (1 - |w|)) u of T relative,
-    u = 2^-53: w = q/u is good to 5u, which w^e raises e-fold and
-    1 - q^m w amplifies by at most |w| / (1 - |w|); CPython's w^e, a chain
-    of complex products or a polar form whose modulus and phase e arg w
-    carry e u and 2 pi e u, adds (2 pi + 1) e u; the last operations 13u.
+    (-1)^m q^(m(m+1)/2 + m l) for l >= 0, and a_(-l) = q^l a_l
+    (`_lambda_coeffs`).  Summed over l first, with e = window + 1, the
+    tail is (q;q)_inf^-2 (T(u) + T(q/u)), one Gaussian sum per w:
+      T(w) = w^e sum_m (-1)^m g_m / (1 - q^m w),  g_m = q^(m(m+1)/2 + m e).
+    As |1 - q^m w| >= 1 - |w| and g_(m+1) / g_m = q^(m+1+e), the terms past
+    the first M are at most R = g_M / ((1 - |w|) (1 - q^(M+1+e))), with M the
+    least count that puts g_M at min(tol, eps).  Rounding, in u = 2^-53 of
+    |w|^e sum |terms|: g_m and q^m one pow each (2u); w = q/u is good to 5u,
+    so q^m w to 8u, which 1 - q^m w amplifies by at most |w| / (1 - |w|),
+    and its subtraction and the quotient add 2u and 5u; the sum adds 2u per
+    term; w's 5u raised e-fold, CPython's w^e, a chain of complex products
+    or a polar form whose modulus and phase e arg w carry e u and 2 pi e u,
+    and the last product add (6 + 2 pi) e + 3.  In all kappa = 13 (e + 1) +
+    2 M + 8 |w| / (1 - |w|), and T is good to |w|^e (kappa u sum |terms| +
+    R).  The prefactor carries `_inv_qq`'s bound.
     """
     q = base.q
     e = window + 1
+    m = _least_n(0.5, e + 1.0, math.log(min(base.tol, _EPS)) / math.log(q))
+    g = [q ** (i * (i + 1) // 2 + i * e) for i in range(m + 1)]
+    sg = [-x if i % 2 else x for i, x in enumerate(g[:m])]
+    qm = [q**i for i in range(m)]
     s: complex = 0.0
-    err, terms = 0.0, 0
+    err = 0.0
     for w in (u, q / u):
-        v, dv, n = _qseries((q, w), (q * w,), base, -(q ** (e + 1)), 1)
-        p, aw = w**e / (1.0 - w), abs(w)
-        s += p * v
-        err += abs(p) * (dv + (13.0 * (e + 1) + 5.0 * aw / (1.0 - aw)) * _EPS * abs(v))
-        terms += n
-    lqq, _, dl, _ = _base_poch(q, base)
-    inv = math.exp(-2.0 * lqq)
-    return SeriesValue(s * inv, inv * (err + abs(s) * math.expm1(2.0 * dl)), terms)
+        t = [x / (1.0 - y * w) for x, y in zip(sg, qm)]
+        aw, pw = abs(w), w**e
+        kappa = 13.0 * (e + 1) + 2.0 * m + 8.0 * aw / (1.0 - aw)
+        s += pw * sum(t)
+        err += abs(pw) * (kappa * _EPS * sum(map(abs, t)) + g[m] / ((1.0 - aw) * (1.0 - q ** (m + 1 + e))))
+    p, rel = _inv_qq(2, base)
+    return SeriesValue(s * p, p * (err + abs(s) * (rel + 2.0 * _EPS)), 2 * m)
 
 
 def lambda_laurent_eval(
@@ -611,7 +677,8 @@ def lambda_laurent_eval(
     Lambda(|u|), which near arg u = pi can exceed |Lambda(u)| by orders of
     magnitude.  Types 2 and 3 sum the rows |l| <= k of `_laurent_window`
     from a table of at least `window` rows and add its tail bound from
-    k + 1 on; type-1 coefficients tend to (q;q)_inf^-2, so every row is
+    k + 1 on, whose row bound C is exact for type 2 and an evaluated e3
+    for type 3; type-1 coefficients tend to (q;q)_inf^-2, so every row is
     summed up to `window` and the part past it comes from their pole
     expansion instead (`_type1_tail`).  terms_used counts the rows summed
     (2k + 1, 2 window + 1 for type 1) plus the pole expansion's terms.  A
@@ -636,11 +703,14 @@ def lambda_laurent_eval(
     log_qq = _base_poch(q, base)[0]
 
     def log_c(n: int) -> float:
-        # For l >= n, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1 give
-        # a_l <= q^(w l(l-1)/2) e(x) / (q;q)_inf, x = q^(1 + w n), and
-        # e(x) <= 1/(x;q)_inf <= exp(x / ((1 - q)(1 - x))) for x in [0, 1).
-        x = q ** (1.0 + w * n)
-        return x / ((1.0 - q) * (1.0 - x)) - log_qq
+        # Type 2: a_l = q^(l(l-1)/2) / (q;q)_inf exactly (`_lambda_coeffs`).
+        # Type 3: for l >= n, (q;q)_(l+i) >= (q;q)_inf and q^(w i(i-1)/2) <= 1
+        # give a_l <= q^(w l(l-1)/2) e(x) / (q;q)_inf, x = q^(1 + w n), and
+        # e(x) is at most its evaluated value plus err_estimate.
+        if kind.j == 2:
+            return -log_qq
+        sv = qexp_eval(kind, q ** (1.0 + w * n), base)
+        return math.log(abs(sv.value) + sv.err_estimate) - log_qq
 
     L, k, tail = _laurent_window((w, w), log_c, window, au, base)
     s, err = _laurent_sum(_lambda_coeffs(kind, L, base), u, k)

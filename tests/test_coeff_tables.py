@@ -5,8 +5,11 @@ exponential's E_k = q^(w k(k-1)/2) / (q;q)_k and Phi's
 F_m = (q^(nu+1/2);q)_m (q^(-nu+1/2);q)_m / (q^2;q^2)_m.  The oracle sums
 the same products in 40-digit arithmetic far past double precision and
 checks each double coefficient against the bound the table routine
-derives for it.  The type-3 representation is checked the same way,
-against the geometric-mean series summed in 30-digit arithmetic.
+derives for it.  The Lambda_1 and Lambda_2 rows come from product
+identities instead (`qexp._lambda_coeffs`), and the same Cauchy-product
+oracle, which shares nothing with them, checks them too.  The type-3
+representation is checked the same way, against the geometric-mean series
+summed in 30-digit arithmetic.
 """
 
 import cmath
@@ -16,7 +19,7 @@ import random
 import pytest
 
 from qfunc import qbessel, qexp
-from qfunc.errors import NegativeProduct, NonConvergence
+from qfunc.errors import DomainError, NegativeProduct, NonConvergence
 from qfunc.qbessel import bessel_type3_repr
 from qfunc.qcalc import QBase
 from qfunc.qexp import KindTag
@@ -78,6 +81,8 @@ def _oracle_grid():
         for nu in (0.1, 0.25, 0.75, 0.95, 1.2, 1.5, 2.3) if q == 0.95 else (1.2, 1.5, 2.3):
             for j in (1, 2):
                 cases.append((q, j, nu, _sample_ls(rng)))
+    # The Lambda_1 and Lambda_2 identities where (q;q)_inf is about e^-165.
+    cases += [(0.99, j, None, _sample_ls(rng)) for j in (1, 2)]
     return cases
 
 
@@ -116,18 +121,30 @@ def test_tables_are_within_their_bound_of_the_oracle():
 def test_type1_tables_sum_two_thirds_of_the_terms(monkeypatch):
     # The second-order type-1 tail (`qexp._cauchy_terms`) needs M with
     # e^log_bound k q^(3M) <= eps, k = K(q^M) / (1 - q^3), where the
-    # first-order tail summed 263 and 325 terms (k q^(2M) <= ...) and the
-    # truncation alone 500 and 629.  At q = 0.9, k is 706 (Phi, nu = 1/4)
-    # and 629 (Lambda_1) in the limit, and the first count tried holds.
+    # first-order tail summed 263 terms (k q^(2M) <= ...) and the
+    # truncation alone 500.  At q = 0.9, k is 706 (Phi, nu = 1/4) in the
+    # limit, and the first count tried holds.
     counts = []
-    for module in (qexp, qbessel):
-        spy = lambda *a, t=module._cauchy_table: counts.append(a[3]) or t(*a)
-        monkeypatch.setattr(module, "_cauchy_table", spy)
+    spy = lambda *a, t=qbessel._cauchy_table: counts.append(a[3]) or t(*a)
+    monkeypatch.setattr(qbessel, "_cauchy_table", spy)
     qbessel._laurent_tables.cache_clear()
-    qexp._lambda_coeffs.cache_clear()
     qbessel._laurent_tables(0.25, 20, QBase(0.9))
-    qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(0.9))
-    assert (counts[0], counts[2]) == (180, 223)
+    assert counts[0] == 180
+
+
+def test_lambda_identity_rows_call_no_cauchy_product(monkeypatch):
+    # Lambda_1 and Lambda_2 rows come from their product identities; only
+    # Lambda_3 is a coefficient table.
+    calls = []
+    for name in ("_cauchy_table", "_cauchy_terms"):
+        real = getattr(qexp, name)
+        monkeypatch.setattr(qexp, name, lambda *a, n=name, r=real: calls.append(n) or r(*a))
+    qexp._lambda_coeffs.cache_clear()
+    for j in (1, 2):
+        qexp._lambda_coeffs(KindTag.from_j(j), 40, QBase(0.9))
+    assert calls == []
+    qexp._lambda_coeffs(KindTag.from_j(3), 40, QBase(0.9))
+    assert sorted(calls) == ["_cauchy_table", "_cauchy_terms"]
 
 
 def test_table_rows_equal_single_coefficients():
@@ -204,7 +221,7 @@ def _lambda_oracle(mpmath, j, u, q):
     """Lambda_j(u) = e(u) e(q/u) for j = 2, 3 and complex u, summed in mpmath."""
     qm, um = mpmath.mpf(q), mpmath.mpc(u)
     if j == 2:
-        return mpmath.qp(-um, qm) * mpmath.qp(-qm / um, qm)
+        return mpmath.qp(-um, qm, maxterms=10**6) * mpmath.qp(-qm / um, qm, maxterms=10**6)
 
     def e3(x):
         s, t, k = mpmath.mpf(0), mpmath.mpf(1), 0  # t = q^(k(k-1)/4) x^k / (q;q)_k
@@ -313,16 +330,46 @@ def test_rows_past_k_are_within_the_tail_bound(monkeypatch):
     assert cases >= 70 and past_k >= 40, (cases, past_k)
 
 
-@pytest.mark.parametrize("q,max_terms", [(0.997, 100000), (0.9, 50)])
+@pytest.mark.parametrize("q,max_terms", [(0.997, 50000), (0.9, 50)])
 def test_table_nonconvergence_names_a_lower_bound(q, max_terms):
-    # Lambda_1's table at q = 0.997 needs at least 126,598 terms, the first
-    # count tried; at q = 0.9 that first count, 223, already holds.
-    least = {0.997: 126598, 0.9: 223}[q]
+    # The type-1 Bessel table (nu = 1/4) at q = 0.997 needs at least
+    # 66,282 terms, the first count tried; at q = 0.9 that first count,
+    # 180, already holds.
+    least = {0.997: 66282, 0.9: 180}[q]
     with pytest.raises(NonConvergence) as info:
-        qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(q, max_terms=max_terms))
+        qbessel._laurent_tables(0.25, 20, QBase(q, max_terms=max_terms))
     assert str(info.value) == (
         f"coefficient table needs more than max_terms={max_terms} terms (at least {least})"
     )
+
+
+def test_lambda1_beyond_the_doubles_is_a_domain_error():
+    # (q;q)_inf^-2 is about e^650 at q = 0.995 and e^1087 at q = 0.997.
+    qexp._lambda_coeffs.cache_clear()
+    assert math.isfinite(qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(0.995))[0][0])
+    with pytest.raises(DomainError):
+        qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(0.997))
+    with pytest.raises(DomainError):
+        qexp.lambda_laurent_eval(KindTag.from_j(1), 0.998, 20, QBase(0.997))
+
+
+@pytest.mark.parametrize(
+    "j,u,most",
+    [(2, 0.7, 3.5e-12), (2, 0.9, 3.5e-12), (2, 2.5, 3.5e-12), (3, 0.7, 2.1e-10), (3, 0.95, 1.5e-4)],
+)
+def test_two_sided_bounds_stay_informative_near_q_one(j, u, most):
+    # At q = 0.99 and window 20 the a-priori row bound C = exp(x / ((1 -
+    # q)(1 - x))) / (q;q)_inf gave relative bounds of 5.9e7 and 1.6e18
+    # (Lambda_2 at 0.7 and 0.9), 2.2e-4 (Lambda_2 at 2.5), 287 and 8.1e25
+    # (Lambda_3 at 0.7 and 0.95); the exact C of Lambda_2 and the
+    # evaluated e3 of Lambda_3 keep the true error, 1e-14 to 4e-14 and
+    # below 1e-15, within a bound of at most `most` of the value.
+    mpmath = pytest.importorskip("mpmath")
+    sv = qexp.lambda_laurent_eval(KindTag.from_j(j), u, 20, QBase(0.99))
+    with mpmath.workdps(40):
+        exact = _lambda_oracle(mpmath, j, u, 0.99)
+        err = float(abs(sv.value - exact))
+    assert err <= sv.err_estimate <= most * float(abs(exact))
 
 
 def test_tables_build_at_orders_within_rounding_of_a_half_integer():
@@ -346,47 +393,39 @@ def test_tables_build_at_orders_within_rounding_of_a_half_integer():
 
 
 def _type1_cases():
-    """The oracle grid's type-1 cases: (q, nu or None for Lambda_1, rows)."""
-    return [(q, nu, ls[:3] + ls[-2:]) for q, j, nu, ls in _oracle_grid() if j == 1]
+    """The oracle grid's type-1 Bessel cases: (q, nu, rows)."""
+    return [(q, nu, ls[:3] + ls[-2:]) for q, j, nu, ls in _oracle_grid() if j == 1 and nu is not None]
 
 
 def test_type1_tail_remainder_is_within_its_second_order_bound():
     # Each type-1 row's tail past M terms is C1 + C2 + R with |R| <=
     # E_inf |F_inf| k q^(3M) (`qexp._cauchy_terms`).  The tail is summed
-    # here in 40 digits, for sampled rows on both sides of both type-1
-    # tables; C1 alone leaves more than that bound on some rows, so the
-    # check sees C2.
+    # here in 40 digits, for sampled rows on both sides of the type-1
+    # Bessel tables; C1 alone leaves more than that bound on some rows, so
+    # the check sees C2.
     mpmath = pytest.importorskip("mpmath")
     bad, first_order_over = [], 0
     with mpmath.workdps(40):
         for q, nu, ls in _type1_cases():
             base = QBase(q)
             qm = mpmath.mpf(q)
-            if nu is None:
-                log_b = -2.0 * qexp._base_poch(q, base)[0]
-                ab = (-q, 0.0)
-                a, b = -qm, mpmath.mpf(0)
-            else:
-                log_b = qbessel._phi_bound(nu, base)[0]
-                ab = (q ** (nu + 0.5), q ** (0.5 - nu))
-                a, b = qm ** (mpmath.mpf(nu) + 0.5), qm ** (0.5 - mpmath.mpf(nu))
+            log_b = qbessel._phi_bound(nu, base)[0]
+            ab = (q ** (nu + 0.5), q ** (0.5 - nu))
+            a, b = qm ** (mpmath.mpf(nu) + 0.5), qm ** (0.5 - mpmath.mpf(nu))
             m = qexp._cauchy_terms(0.0, log_b, base, ab)
             n = m + _oracle_terms(q, 0)
             e, _ = _oracle_sequences(mpmath, qm, 0, None, max(ls) + n)
             e_inf = 1 / mpmath.qp(qm, qm)
-            if nu is None:
-                f, f_inf = e, e_inf
-            else:
-                # F in exponent form, so that a factor 1 - q^0 is exactly
-                # 0 where Phi terminates (nu = 3/2), and F_inf from F's
-                # last entry by the same identity as `_laurent_tables`.
-                f, x, num = [mpmath.mpf(1)], mpmath.mpf(1), mpmath.mpf(nu)
-                for i in range(max(ls) + n - 1):
-                    x *= (1 - qm ** (num + 0.5 + i)) * (1 - qm ** (0.5 - num + i)) / (1 - qm ** (2 * i + 2))
-                    f.append(x)
-                k = len(f) - 1
-                f_inf = f[k] * mpmath.qp(qm ** (num + 0.5 + k), qm) * mpmath.qp(qm ** (0.5 - num + k), qm)
-                f_inf /= mpmath.qp(qm ** (2 * k + 2), qm * qm)
+            # F in exponent form, so that a factor 1 - q^0 is exactly 0
+            # where Phi terminates (nu = 3/2), and F_inf from F's last entry
+            # by the same identity as `_laurent_tables`.
+            f, x, num = [mpmath.mpf(1)], mpmath.mpf(1), mpmath.mpf(nu)
+            for i in range(max(ls) + n - 1):
+                x *= (1 - qm ** (num + 0.5 + i)) * (1 - qm ** (0.5 - num + i)) / (1 - qm ** (2 * i + 2))
+                f.append(x)
+            k = len(f) - 1
+            f_inf = f[k] * mpmath.qp(qm ** (num + 0.5 + k), qm) * mpmath.qp(qm ** (0.5 - num + k), qm)
+            f_inf /= mpmath.qp(qm ** (2 * k + 2), qm * qm)
             g1 = (a + b) / (1 - qm)
             scale = e_inf * f_inf * qm ** (2 * m) / (1 - qm * qm)
             c1 = e_inf * f_inf * qm**m / (1 - qm)

@@ -145,18 +145,20 @@ def _clear_memos():
 class TestSuiteWork:
     # Kernel calls of one cold run_suite(SuiteConfig()): 3797 when the
     # difference equation evaluated a fourth point and the type-3 functional
-    # residual summed two of its exponentials twice, then 3425; the 30 more
-    # are the type-1 Lambda tail (`qexp._type1_tail`), two kernel sums for
-    # each of the suite's 15 type-1 `lambda_laurent_eval` calls.
-    KERNEL_CALLS = 3455
+    # residual summed two of its exponentials twice, then 3425, then 3455
+    # while the type-1 Lambda tail (`qexp._type1_tail`) took two kernel sums
+    # for each of the suite's 15 type-1 `lambda_laurent_eval` calls; that
+    # tail is now a direct sum.  The 15 more are the e3 that bounds the
+    # rows of each of the suite's 15 type-3 `lambda_laurent_eval` calls.
+    KERNEL_CALLS = 3440
     # Term ratios the kernel computes in the same run, the ones its memo
     # (`qcalc._series_memo`) does not hold: 54,666 for the 58,028 terms
     # before the memo, one per term after the first; 7436 under the
-    # geometric stop rule.  Of the 401 more, 50 are the type-1 tail's 30
-    # sums (80 terms, every key used once) and 351 the terms the derived
-    # tail bound needs before it falls below tol (58,028 -> 60,709 terms
-    # over the other 3425 calls).
-    COEFFICIENTS = 7837
+    # geometric stop rule.  351 more are the terms the derived tail bound
+    # needs before it falls below tol (58,028 -> 60,709 terms over the
+    # other 3425 calls); the type-1 tail's 50 are gone, and the e3 calls
+    # read ratios their cell already holds.
+    COEFFICIENTS = 7787
 
     def test_cold_suite_kernel_calls_are_pinned(self, monkeypatch):
         _clear_memos()

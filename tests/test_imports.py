@@ -11,7 +11,9 @@ package; a helper read only by its own body or by tests is dead.  Every
 process-wide, so an unbounded one grows with every distinct argument.
 Only one function of `qcalc` reads `_TERMINATES`, the tolerance at which
 a series' upper factor is taken as 0, so no other code re-derives where a
-series ends.
+series ends.  The top-level functions that call the summation kernel
+`_qseries` are exactly the callers that `qcalc`'s module docstring lists
+in its table, so the table cannot go stale.
 """
 
 import ast
@@ -150,3 +152,45 @@ def test_gate_sees_a_second_reader():
         "def d(f):\n    return f < 1e-12\n"
     )
     assert _readers(source, "_T") == ["a", "b", "C", 8]
+
+
+def _kernel_callers(sources):
+    """Names of the top-level functions of the given sources that call
+    `_qseries` anywhere in their body."""
+    callers = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = (n for n in ast.walk(stmt) if isinstance(n, ast.Call))
+                if any(isinstance(c.func, ast.Name) and c.func.id == "_qseries" for c in calls):
+                    callers.add(stmt.name)
+    return callers
+
+
+def _table_callers(source):
+    """The first word of every row of the caller table in the module
+    docstring: the rows between the header line that starts with `caller`
+    and the next blank line."""
+    lines = ast.get_docstring(ast.parse(source)).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["caller"])
+    rows = []
+    for line in lines[start + 1 :]:
+        if not line.strip():
+            break
+        rows.append(line.split()[0])
+    return set(rows)
+
+
+def test_kernel_callers_match_the_qcalc_table():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert _kernel_callers(sources) == _table_callers((SRC / "qcalc.py").read_text())
+
+
+def test_gate_sees_a_kernel_caller_missing_from_the_table():
+    doc = '"""Kernel.\n\n  caller   upper\n  f (x)    a\n  _g       b\n\nMore text.\n"""\n'
+    source = doc + "def f(z):\n    return _qseries((), (), z)\n"
+    other = "def _g(z):\n    return [_qseries(z)]\ndef h(z):\n    return qseries(z)\n"
+    stray = "def k(z):\n    def inner():\n        return _qseries(z)\n    return inner\n"
+    assert _table_callers(source) == {"f", "_g"}
+    assert _kernel_callers([source, other]) == {"f", "_g"}
+    assert _kernel_callers([source, other, stray]) == {"f", "_g", "k"}
