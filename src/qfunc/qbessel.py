@@ -366,9 +366,9 @@ def _phi_table(nu: float, q: float, n: int) -> Tuple[List[float], float]:
     coefficients of Phi_nu in (q/u)^m, and their relative rounding bound
     in units of eps.  The caller has checked that (q^2;q^2)_inf is a
     normal double."""
-    pa, ra = _poch_table(nu + 0.5, 1, q, n)
-    pm, rm = _poch_table(0.5 - nu, 1, q, n)
-    p2, r2 = _poch_table(2.0, 2, q, n)
+    pa, ra = _poch_table(nu, 0.5, 1, q, n)
+    pm, rm = _poch_table(0.5, -nu, 1, q, n)
+    p2, r2 = _poch_table(2.0, 0.0, 2, q, n)
     return [x * y / z for x, y, z in zip(pa, pm, p2)], ra + rm + r2 + 2.0
 
 
@@ -430,7 +430,7 @@ def _laurent_tables(nu: float, window: int, base: QBase) -> Tuple[_Rows, _Rows]:
         logs = (math.log(abs(f[-1])), la, lb, -l2, -lqq)
         unit = ua * ub * math.copysign(1.0, f[-1])
         lim = (sum(logs), unit, da + db + d2 + dqq + 3.0 * _EPS * sum(map(abs, logs)), ab)
-    p, rel_p = _poch_table(1.0, 1, q, n)  # (q;q)_k, shared by both exponentials
+    p, rel_p = _poch_table(1.0, 0.0, 1, q, n)  # (q;q)_k, shared by both exponentials
     rel = rel_p + 3.0 + rel_f
     ls, lm = range(window + 1), range(1, window + 1)
     e1, e2 = _exp_table(0.0, q, p), _exp_table(1.0, q, p[: window + m2])

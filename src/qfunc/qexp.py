@@ -208,26 +208,41 @@ def _bessel_i_base_q(kind: KindTag, l: int, base: QBase) -> float:
     return y**l / qgamma(l + 1, base) * s
 
 
-def _poch_table(c: float, step: int, q: float, n: int) -> Tuple[List[float], float]:
-    """(q^c; q^step)_k for k < n, and a bound on their relative rounding error.
+def _two_sum(a: float, b: float) -> Tuple[float, float]:
+    """(s, r) with s = fl(a + b) and s + r = a + b exactly (TwoSum; Higham,
+    Accuracy and Stability of Numerical Algorithms, 4.3)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
 
-    Factor i is 1 - x_i with x_i = q^(c + step i), one pow of the exact q.
-    In units of eps its relative error is at most 2 (the subtraction and
-    the running product) plus (2 + |ln q| (|c| + |c + step i|)) |x_i| /
-    |1 - x_i|: the pow, within one ulp, and its rounded exponent,
-    amplified by the factor's sensitivity.  Factors with x_i < 2^-60 are 1.0 in double and are not
-    formed, which adds 2^-7 / (1 - q^step).  A factor that is exactly 0
-    makes every later entry an exact 0.
+
+def _poch_table(a: float, b: float, step: int, q: float, n: int) -> Tuple[List[float], float]:
+    """(q^c; q^step)_k for k < n, c = a + b, and a bound on their relative
+    rounding error in units of u = 2^-53.
+
+    Factor i is 1 - q^e = -expm1(x), x = e ln q, with the exponent e = a +
+    b + step i taken exactly: s = fl(c + step i) and the roundings r of
+    both sums come from TwoSum (`_two_sum`), and x = s ln q + r ln q.  As
+    |r| <= u |s|, and r = 0 wherever c + step i cancels, x is within 4u
+    of e ln q: 2u for the log, within one ulp, and u for each product and
+    the sum.  d ln |expm1(x)| / d ln |x| is sigma(x) = x / (1 - e^-x), at
+    most 1 for x < 0 and 1 + x above, and -expm1 is within one ulp, so the
+    factor is good to (2 + 4 sigma) u whatever its size, and the product
+    adds u per factor.  sigma = |x| (1 - f) / |f| from the factor f, and
+    1 where x = 0: a factor is exactly 0 only where its exponent is, and
+    then every later entry is exactly 0 too.  Factors with q^e < 2^-60
+    are 1.0 in double and are not formed, which adds 2^-7 / (1 - q^step).
     """
-    lq = -math.log(q)
-    k0 = min(n - 1, max(0, math.ceil((60.0 * _LN2 / lq - c) / step)))
-    exps = [c + step * i for i in range(k0)]
-    xs = [q**e for e in exps]
-    fs = [1.0 - x for x in xs]
+    lq = math.log(q)
+    c, r0 = _two_sum(a, b)
+    k0 = min(n - 1, max(0, math.ceil((60.0 * _LN2 / -lq - c) / step)))
+    sums = [_two_sum(c, float(step * i)) for i in range(k0)]
+    xs = [lq * s + lq * (r + r0) for s, r in sums]
+    fs = [-math.expm1(x) for x in xs]
     p = list(accumulate(fs, mul, initial=1.0))
     p += p[-1:] * (n - 1 - k0)
-    sens = sum([(2.0 + lq * (abs(c) + abs(e))) * x / abs(f) for e, x, f in zip(exps, xs, fs) if f])
-    return p, 2.0 * k0 + sens + 2.0**-7 / (1.0 - q**step)
+    sigma = sum([abs(x) * (1.0 - f) / abs(f) if f else 1.0 for x, f in zip(xs, fs)])
+    return p, 3.0 * k0 + 4.0 * sigma + 2.0**-7 / (1.0 - q**step)
 
 
 def _exp_table(w: float, q: float, p: Sequence[float]) -> List[float]:
@@ -490,7 +505,7 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     else:
         log_b = -2.0 * _base_poch(q, base)[0]
         m = _cauchy_terms(0.5, log_b, base)
-        pq, rel = _poch_table(1.0, 1, q, window + m)
+        pq, rel = _poch_table(1.0, 0.0, 1, q, window + m)
         e = _exp_table(0.5, q, pq)
         a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, range(window + 1), range(0), 0)
     ql = [q**l for l in range(1, window + 1)]

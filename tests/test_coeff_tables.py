@@ -392,6 +392,65 @@ def test_tables_build_at_orders_within_rounding_of_a_half_integer():
     assert raised == []
 
 
+def _exact_exponent_rows(mpmath, qm, nu, e_seqs, window, m):
+    """Rows |l| <= window of the Bessel tables at the float order nu, for
+    each exponential sequence in e_seqs, summed over m terms.  F's factors
+    1 - q^e take q^e with its exponent e = nu + 1/2 + i or 1/2 - nu + i
+    formed exactly, one pow each for i < 4, the only factors whose exponent
+    can lie within 1/2 of 0 on the grid below; a product by q after that.
+    So a factor is exactly 0 where its exponent is."""
+    f, p = [], mpmath.mpf(1)
+    half = mpmath.mpf(1) / 2
+    for i in range(window + m):
+        f.append(p)
+        if i < 4:
+            xa, xb = qm ** (nu + half + i), qm ** (half - nu + i)
+        else:
+            xa, xb = xa * qm, xb * qm
+        p *= (1 - xa) * (1 - xb) / (1 - qm ** (2 * i + 2))
+    qpow = [qm**i for i in range(m)]
+    fq = [x * y for x, y in zip(f, qpow)]
+    out = []
+    for e in e_seqs:
+        eq = [x * y for x, y in zip(e, qpow)]
+        rows = {l: mpmath.fdot(e[l : l + m], fq) for l in range(window + 1)}
+        rows.update({-l: qm**l * mpmath.fdot(f[l : l + m], eq) for l in range(1, window + 1)})
+        out.append(rows)
+    return out
+
+
+def test_tables_near_a_half_integer_are_within_their_bound_of_the_oracle():
+    # nu = c + d 2^-52 max(1, |c|) puts a factor of F within rounding of 0.
+    # Formed as 1 - q^e, that factor read exactly 0 where it is a few 1e-17
+    # (260 of these 7,072 rows under-reported, e.g. q = 0.7, nu = 1/2 + 1
+    # ulp, type-1 row 1: 0 +- 4.8e-321 against -6.8e-17), and its
+    # conditioning 1 / |1 - q^e| made other bounds larger than the rows.
+    # Formed as -expm1(e ln q) with e exact, every row is within its bound,
+    # and the bound is at most 1e-10 max(1, |c|) of max(1, |row|): rows of
+    # a few thousand at q = 0.9 carry relative bounds below 1e-12, at exact
+    # half-integers too.
+    mpmath = pytest.importorskip("mpmath")
+    window, bad, loose = 8, [], []
+    with mpmath.workdps(40):
+        for q in (0.25, 0.5, 0.7, 0.9):
+            qm = mpmath.mpf(q)
+            m = math.ceil(32 * math.log(10) / -math.log(q))
+            e_seqs = [_oracle_sequences(mpmath, qm, w, None, window + m)[0] for w in (0, 1)]
+            for c in (0.5, 1.5, 2.5, -1.5):
+                for d in range(-6, 7):
+                    nu = c + d * 2.0**-52 * max(1.0, abs(c))
+                    exact = _exact_exponent_rows(mpmath, qm, mpmath.mpf(nu), e_seqs, window, m)
+                    for j, (plus, minus, bp, bm) in enumerate(qbessel._laurent_tables(nu, window, QBase(q))):
+                        got = {l: (plus[l], bp[l]) for l in range(window + 1)}
+                        got.update({-l: (minus[l - 1], bm[l - 1]) for l in range(1, window + 1)})
+                        for l, (value, bound) in got.items():
+                            if not abs(mpmath.mpf(value) - exact[j][l]) <= bound:
+                                bad.append((q, nu, j + 1, l, value, bound))
+                            if bound > 1e-10 * max(1.0, abs(c)) * max(1.0, abs(value)):
+                                loose.append((q, nu, j + 1, l, value, bound))
+    assert bad == [] and loose == [], (bad[:5], loose[:5])
+
+
 def _type1_cases():
     """The oracle grid's type-1 Bessel cases: (q, nu, rows)."""
     return [(q, nu, ls[:3] + ls[-2:]) for q, j, nu, ls in _oracle_grid() if j == 1 and nu is not None]
