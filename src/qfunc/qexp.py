@@ -490,6 +490,7 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
         a = [q ** (l * (l - 1) // 2) * p for l in range(window + 2)]
         b = [x * (rel + 4.0 * _EPS) + (p + 1.0) * tiny for x in a]
         return tuple(a[: window + 1]), tuple(a[2:]), tuple(b[: window + 1]), tuple(b[2:])
+    ql = [q**l for l in range(1, window + 1)]
     if kind.j == 1:
         p, rel = _inv_qq(2, base)
         lq = math.log(q)
@@ -502,20 +503,16 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
             a.append(p * s)
             err = 3.0 * _EPS * (even + odd) + _EPS * s + t[m] + m * tiny
             b.append(p * err + a[-1] * (rel + 2.0 * _EPS))
+        bminus = [x * (y + 3.0 * _EPS * c) + (1.0 + c) * tiny for x, c, y in zip(ql, a[1:], b[1:])]
     else:
         log_b = -2.0 * _base_poch(q, base)[0]
         m = _cauchy_terms(0.5, log_b, base)
         pq, rel = _poch_table(1.0, 0.0, 1, q, window + m)
         e = _exp_table(0.5, q, pq)
         a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, range(window + 1), range(0), 0)
-    ql = [q**l for l in range(1, window + 1)]
-    minus = list(map(mul, ql, a[1:]))
-    if kind.j == 1:
-        bminus = [x * (y + 3.0 * _EPS * c) + (1.0 + c) * tiny for x, c, y in zip(ql, a[1:], b[1:])]
-    else:
         # The product q^l a_l can underflow: its bound keeps that 2^-1074.
         bminus = [x * y + tiny for x, y in zip(ql, b[1:])]
-    return tuple(a), tuple(minus), tuple(b), tuple(bminus)
+    return tuple(a), tuple(map(mul, ql, a[1:])), tuple(b), tuple(bminus)
 
 
 def _laurent_sum(
