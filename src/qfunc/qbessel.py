@@ -500,7 +500,7 @@ def type3_coeff(l: int, sign: str, nu: float, base: QBase) -> CoeffPair:
     (delta = 1) to within 7e-16 at nu = 1/2, 3/2 and 5/2 (I and J, u = 2
     and 3 e^(0.7i), q = 0.5), while the Laurent coefficients of e3(u)
     Phi(u), the other candidate, miss it by 0.14 to 0.28 at nu = 3/2.
-    Why the geometric mean is exact is open (ROADMAP item 1).
+    Why the geometric mean is exact is open (ROADMAP item 8).
     """
     _check_index(l, sign)
     (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(nu, _coeff_window(l), base)

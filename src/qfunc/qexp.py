@@ -440,10 +440,10 @@ def _inv_qq(power: int, base: QBase) -> Tuple[float, float]:
     """(q;q)_inf^-power, the prefactor of the Lambda_1 (power 2) and Lambda_2
     (power 1) coefficients, and its relative error expm1(power dL): dL
     bounds the error of ln (q;q)_inf and counts the one exp (`_base_poch`).
-    A prefactor beyond the doubles raises DomainError."""
+    A (q;q)_inf^power below the normal doubles raises DomainError."""
     lqq, _, dl, _ = _base_poch(base.q, base)
-    if -power * lqq >= _LOG_HUGE:
-        raise DomainError(f"(q;q)_inf^-{power} at q={base.q} is beyond the doubles")
+    if power * lqq < _LOG_TINY:
+        raise DomainError(f"(q;q)_inf^{power} at q={base.q} is below the normal doubles")
     return math.exp(-power * lqq), math.expm1(power * dl)
 
 
@@ -459,9 +459,12 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     by the Jacobi triple product (Gasper & Rahman, Basic Hypergeometric
     Series, 1.6.1), the identity `_theta_ratio` reads at base sqrt(q): a_l
     = q^(l(l-1)/2) P, P = 1/(q;q)_inf (`_inv_qq`), and a_(-l) = a_(l+1).
-    The pow and the product add 3u to P's error; a pow that underflows is
-    off by at most 2^-1075, and the product by as much again, so each row
-    is good to a_l (expm1(dL) + 4u) + (P + 1) 2^-1074.
+    The power n = l(l-1)/2 is taken as q^min(n, N) P q^max(0, n - N), N
+    the least n with q^n P <= 1: so q^min(n, N) P lies in (q, P], and only
+    the last pow and product can underflow, by at most 2^-1074 and 2^-1075,
+    where a_l itself is below the normal doubles.  Two pows and two
+    products add 6u to P's error, so each row is good to a_l (expm1(dL) +
+    7u) + 2^-1073.
 
     Lambda_1 = 1/((u;q)_inf (q/u;q)_inf) = (q;q)_inf^-2 sum_(m in Z) (-1)^m
     q^(m(m+1)/2) / (1 - u q^m), the pole expansion that `_type1_tail` sums
@@ -475,8 +478,8 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     pows' 2u, S_l is good to 3u sum t_m + u |S| + t_M + M 2^-1074 (the
     terms that underflow), and a_l to P times that plus a_l (expm1(2 dL) +
     2u).  a_(-l) = q^l a_l adds 3u of a_(-l) and (1 + a_l) 2^-1074 for a q^l
-    or a product that underflows.  (q;q)_inf^-2 beyond the doubles (q
-    between 0.995 and 0.997 on) raises DomainError.
+    or a product that underflows.  A (q;q)_inf^2 below the normal doubles
+    (q between 0.995 and 0.997 on) raises DomainError.
 
     Type 3 is the coefficient table with F = E, log_bound = -2 ln
     (q;q)_inf.  Memoized per (kind, window, base), at most 32 entries
@@ -487,8 +490,10 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     tiny = 2.0**-1074
     if kind.j == 2:
         p, rel = _inv_qq(1, base)
-        a = [q ** (l * (l - 1) // 2) * p for l in range(window + 2)]
-        b = [x * (rel + 4.0 * _EPS) + (p + 1.0) * tiny for x in a]
+        top = math.ceil(math.log(p) / -math.log(q))
+        ns = [l * (l - 1) // 2 for l in range(window + 2)]
+        a = [q ** min(n, top) * p * q ** max(0, n - top) for n in ns]
+        b = [x * (rel + 7.0 * _EPS) + 2.0 * tiny for x in a]
         return tuple(a[: window + 1]), tuple(a[2:]), tuple(b[: window + 1]), tuple(b[2:])
     ql = [q**l for l in range(1, window + 1)]
     if kind.j == 1:
