@@ -221,11 +221,12 @@ def _poch_table(a: float, b: float, step: int, q: float, n: int) -> Tuple[List[f
     rounding error in units of u = 2^-53.
 
     Factor i is 1 - q^e = -expm1(x), x = e ln q, with the exponent e = a +
-    b + step i taken exactly: s = fl(c + step i) and the roundings r of
-    both sums come from TwoSum (`_two_sum`), and x = s ln q + r ln q.  As
-    |r| <= u |s|, and r = 0 wherever c + step i cancels, x is within 4u
-    of e ln q: 2u for the log, within one ulp, and u for each product and
-    the sum.  d ln |expm1(x)| / d ln |x| is sigma(x) = x / (1 - e^-x), at
+    b + step i taken exactly as s + r: s = fl(c + step i), and TwoSum
+    (`_two_sum`) finds the roundings of both sums; where a + b rounded, one
+    more TwoSum folds its rounding into s, so |r| <= u |s| (s + r is then e
+    to u^2 e).  x = s ln q + r ln q is within 4u of e ln q: 2u for the
+    log, within one ulp, and u for each product and the sum.
+    d ln |expm1(x)| / d ln |x| is sigma(x) = x / (1 - e^-x), at
     most 1 for x < 0 and 1 + x above, and -expm1 is within one ulp, so the
     factor is good to (2 + 4 sigma) u whatever its size, and the product
     adds u per factor.  sigma = |x| (1 - f) / |f| from the factor f, and
@@ -237,7 +238,9 @@ def _poch_table(a: float, b: float, step: int, q: float, n: int) -> Tuple[List[f
     c, r0 = _two_sum(a, b)
     k0 = min(n - 1, max(0, math.ceil((60.0 * _LN2 / -lq - c) / step)))
     sums = [_two_sum(c, float(step * i)) for i in range(k0)]
-    xs = [lq * s + lq * (r + r0) for s, r in sums]
+    if r0:
+        sums = [_two_sum(s, r + r0) for s, r in sums]
+    xs = [lq * s + lq * r for s, r in sums]
     fs = [-math.expm1(x) for x in xs]
     p = list(accumulate(fs, mul, initial=1.0))
     p += p[-1:] * (n - 1 - k0)
@@ -296,11 +299,11 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ab: Sequence[float] =
     q^(3M), not q^(2M).  By Euler's product expansion (Gasper & Rahman,
     Basic Hypergeometric Series, 1.3), E_k = E_inf (q^(k+1);q)_inf with
     E_inf = 1/(q;q)_inf.  F is Phi's, F_i = (a;q)_i (b;q)_i /
-    (q^2;q^2)_i, and ab = (a, b).  So F_i = F_inf g(q^i), g(x) = (q^2 x^2;q^2)_inf / ((a
-    x;q)_inf (b x;q)_inf).  A term of row l is E_inf F_inf q^i P, P =
-    (y;q)_inf g(x') with x = q^i, and x' = x, y = q^(l+1) x ascending
-    (e_(l+i) f_i), x' = q^l x, y = q x descending (f_(l+i) e_i); so x' <= x
-    and y <= q x.  With ln (y;q)_inf = -sum_n y^n / (n (1 - q^n)) and
+    (q^2;q^2)_i, and ab = (a, b).  So F_i = F_inf g(q^i), g(x) =
+    (q^2 x^2;q^2)_inf / ((a x;q)_inf (b x;q)_inf).  A term of row l is
+    E_inf F_inf q^i P, P = (y;q)_inf g(x') with x = q^i, and x' = x,
+    y = q^(l+1) x ascending (e_(l+i) f_i), x' = q^l x, y = q x descending
+    (f_(l+i) e_i); so x' <= x and y <= q x.  With ln (y;q)_inf = -sum_n y^n / (n (1 - q^n)) and
     ln g(x) = sum_n ((a^n + b^n) x^n / (1 - q^n) - q^(2n) x^(2n) / (1 -
     q^(2n))) / n, ln P = lambda1 + rho: lambda1 = g1 x' - y / (1 - q),
     g1 = (a + b) / (1 - q) the first Taylor coefficient of g, and, as 1 -
@@ -514,7 +517,8 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
         m = _cauchy_terms(0.5, log_b, base)
         pq, rel = _poch_table(1.0, 0.0, 1, q, window + m)
         e = _exp_table(0.5, q, pq)
-        a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, range(window + 1), range(0), 0)
+        ls = range(window + 1)
+        a, _, b, _ = _cauchy_table(e, e, 2.0 * (rel + 3.0), m, log_b, q, ls, range(0), 0)
         # The product q^l a_l can underflow: its bound keeps that 2^-1074.
         bminus = [x * y + tiny for x, y in zip(ql, b[1:])]
     return tuple(a), tuple(map(mul, ql, a[1:])), tuple(b), tuple(bminus)
@@ -680,7 +684,8 @@ def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
         aw, pw = abs(w), w**e
         kappa = 13.0 * (e + 1) + 2.0 * m + 8.0 * aw / (1.0 - aw)
         s += pw * sum(t)
-        err += abs(pw) * (kappa * _EPS * sum(map(abs, t)) + g[m] / ((1.0 - aw) * (1.0 - q ** (m + 1 + e))))
+        rest = g[m] / ((1.0 - aw) * (1.0 - q ** (m + 1 + e)))
+        err += abs(pw) * (kappa * _EPS * sum(map(abs, t)) + rest)
     p, rel = _inv_qq(2, base)
     return SeriesValue(s * p, p * (err + abs(s) * (rel + 2.0 * _EPS)), 2 * m)
 
