@@ -221,31 +221,33 @@ def _poch_table(a: float, b: float, step: int, q: float, n: int) -> Tuple[List[f
     rounding error in units of u = 2^-53.
 
     Factor i is 1 - q^e = -expm1(x), x = e ln q, with the exponent e = a +
-    b + step i taken exactly as s + r: s = fl(c + step i), and TwoSum
-    (`_two_sum`) finds the roundings of both sums; where a + b rounded, one
-    more TwoSum folds its rounding into s, so |r| <= u |s| (s + r is then e
-    to u^2 e).  x = s ln q + r ln q is within 4u of e ln q: 2u for the
-    log, within one ulp, and u for each product and the sum.
-    d ln |expm1(x)| / d ln |x| is sigma(x) = x / (1 - e^-x), at
-    most 1 for x < 0 and 1 + x above, and -expm1 is within one ulp, so the
-    factor is good to (2 + 4 sigma) u whatever its size, and the product
-    adds u per factor.  sigma = |x| (1 - f) / |f| from the factor f, and
-    1 where x = 0: a factor is exactly 0 only where its exponent is, and
-    then every later entry is exactly 0 too.  Factors with q^e < 2^-60
-    are 1.0 in double and are not formed, which adds 2^-7 / (1 - q^step).
+    b + step i.  TwoSum (`_two_sum`) finds the rounding r of c = fl(a + b)
+    exactly; s = fl(c + step i) is within u of c + step i, and exact where
+    that sum cancels, and where r is not 0 one more TwoSum folds it into s
+    as s' + r' = s + r, |r'| <= u |s'|.  So x = s' ln q + r' ln q is within
+    5u of e ln q: u for the sum, 2u for the log, within one ulp, and u for
+    each product and the last sum.  d ln |expm1(x)| / d ln |x| is sigma(x)
+    = x / (1 - e^-x), at most 1 for x < 0 and 1 + x above, and -expm1 is
+    within one ulp, so the factor is good to (2 + 5 sigma) u whatever its
+    size, and the product adds u per factor.  sigma = |x| (1 - f) / |f|
+    from the factor f, and 1 where x = 0: a factor is exactly 0 only where
+    its exponent is, and then every later entry is exactly 0 too.  Factors
+    with q^e < 2^-60 are 1.0 in double and are not formed, which adds 2^-7
+    / (1 - q^step).
     """
     lq = math.log(q)
-    c, r0 = _two_sum(a, b)
+    c, r = _two_sum(a, b)
     k0 = min(n - 1, max(0, math.ceil((60.0 * _LN2 / -lq - c) / step)))
-    sums = [_two_sum(c, float(step * i)) for i in range(k0)]
-    if r0:
-        sums = [_two_sum(s, r + r0) for s, r in sums]
-    xs = [lq * s + lq * r for s, r in sums]
+    sums = [c + step * i for i in range(k0)]
+    if r:
+        xs = [lq * s + lq * t for s, t in (_two_sum(s, r) for s in sums)]
+    else:
+        xs = [lq * s for s in sums]
     fs = [-math.expm1(x) for x in xs]
     p = list(accumulate(fs, mul, initial=1.0))
     p += p[-1:] * (n - 1 - k0)
     sigma = sum([abs(x) * (1.0 - f) / abs(f) if f else 1.0 for x, f in zip(xs, fs)])
-    return p, 3.0 * k0 + 4.0 * sigma + 2.0**-7 / (1.0 - q**step)
+    return p, 3.0 * k0 + 5.0 * sigma + 2.0**-7 / (1.0 - q**step)
 
 
 def _exp_table(w: float, q: float, p: Sequence[float]) -> List[float]:
