@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .qcalc import LatticePoint, QBase, lattice_decompose, qgamma
+from .qcalc import LatticePoint, QBase, SeriesValue, lattice_decompose, qgamma
 from .qexp import (
     KindTag,
     classical_limit_check,
@@ -31,7 +31,9 @@ from .qexp import (
 )
 from .qbessel import (
     BesselSpec,
+    _combination_raw,
     _laurent_tables,
+    _series,
     _type3_tables,
     bessel_asymptotic,
     bessel_diffeq_residual,
@@ -272,6 +274,31 @@ def _check_diffeq(cfg: SuiteConfig, rng: random.Random, fault: float) -> _Worst:
     return w
 
 
+def _pair_functions(
+    kind: KindTag, pair: str, nu: float, base: QBase
+) -> Tuple[Callable[[complex], complex], Callable[[complex], complex]]:
+    """f1 and f2 of a Wronskian pair at a non-integer order: J and Y (pair
+    "JY") or I and K ("IK").  Y (K) is the combination of the J (I) series
+    at orders nu and -nu (`qbessel._combination_raw`), so both values at a
+    point come from those two series, each summed once, and equal what
+    `bessel_value` returns for each family."""
+    fam1, fam2 = pair
+    b2 = base.squared()
+    summed = {}
+
+    def series_at(t: complex) -> Callable[[float], SeriesValue]:
+        def series(s: float) -> SeriesValue:
+            if (s, t) not in summed:
+                summed[s, t] = _series(kind, fam1, s, t, base, b2)
+            return summed[s, t]
+
+        return series
+
+    f1 = lambda t: series_at(t)(nu).value
+    f2 = lambda t: _combination_raw(fam2, nu, series_at(t), base, b2).value
+    return f1, f2
+
+
 def _check_wronskian(cfg: SuiteConfig, rng: random.Random, fault: float) -> _Worst:
     w = _Worst()
     for q in cfg.q_grid:
@@ -283,9 +310,7 @@ def _check_wronskian(cfg: SuiteConfig, rng: random.Random, fault: float) -> _Wor
                 if float(nu).is_integer():
                     continue
                 for pair in ("JY", "IK"):
-                    fam1, fam2 = pair
-                    f1 = lambda t, s=BesselSpec(kind, fam1, nu): bessel_value(s, t, base).value
-                    f2 = lambda t, s=BesselSpec(kind, fam2, nu): bessel_value(s, t, base).value
+                    f1, f2 = _pair_functions(kind, pair, nu, base)
                     for frac in (0.45, 0.8):
                         z = zmax * frac
                         wd = wronskian(f1, f2, z, base)

@@ -15,7 +15,8 @@ L_1 and L_2 have one closed form per coefficient, from their product
 identities (`_lambda_coeffs`): the Jacobi triple product gives L_2's
 a_l = q^(l(l-1)/2) / (q;q)_inf, and the pole expansion of L_1, which
 also sums L_1's part past a window (`_type1_tail`), gives a_l as an
-alternating Gaussian sum over (q;q)_inf^2.  Every other two-sided
+alternating Gaussian sum over (q;q)_inf^2, summed for the top row of a
+table and carried down by its exact recurrence.  Every other two-sided
 coefficient table, of L_3 and of the Bessel products e(u) Phi(u) in
 `qbessel`, is one routine (`_cauchy_table`): the Laurent product E(u)
 F(q/u) of two Taylor sequences built once, with each coefficient a
@@ -287,11 +288,14 @@ def _cauchy_terms(w: float, log_bound: float, base: QBase, ab: Sequence[float] =
 
     A table is the Laurent product E(u) F(q/u) of two Taylor series, E an
     exponential's (`_cauchy_table`).  Every ratio of E's entries obeys
-    |E_(k+i) / E_k| <= q^(w i(i-1)/2) / (q;q)_inf, as
-    (q^(k+1);q)_i >= (q;q)_inf; with B_F bounding F's ratios the same
-    way, without the Gaussian, every term of a coefficient is
-    |t_i| <= |t_0| e^log_bound q^(w i(i-1)/2 + i), log_bound =
-    ln(B_E B_F).  For w > 0 the tail past M terms is then below |t_0|
+    |E_(k+i) / E_k| <= q^(w_E i(i-1)/2) / (q;q)_inf, w_E = (2 - delta) / 2,
+    as (q^(k+1);q)_i >= (q;q)_inf; with B_F q^(w_F i(i-1)/2) bounding F's
+    ratios the same way, every term of a coefficient is |t_i| <= |t_0|
+    e^log_bound q^(w i(i-1)/2 + i), w = w_E + w_F, log_bound = ln(B_E B_F).
+    Phi's F has no Gaussian (w_F = 0); Lambda_3's F = E carries its own,
+    so that table takes w = 1, not 1/2, and a quarter fewer terms per row
+    (11, 26 and 62 at q = 0.5, 0.85 and 0.95, against 14, 36 and 87).
+    For w > 0 the tail past M terms is then below |t_0|
     e^log_bound q^(w M(M-1)/2 + M) / (1 - q), and M is the least count
     that puts it at min(tol, eps) |t_0| <= min(tol, eps) sum |t_i|.
 
@@ -475,19 +479,26 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     q^(m(m+1)/2) / (1 - u q^m), the pole expansion that `_type1_tail` sums
     past the window; on q < |u| < 1 it gives a_l = P S_l for l >= 0, P =
     (q;q)_inf^-2, S_l = sum_(m>=0) (-1)^m t_m, t_m = q^(m(m+1)/2 + m l).
-    The terms alternate and fall (t_(m+1) / t_m = q^(m+1+l)), so the sum
-    of the first M is within t_M of S_l, and S_l >= 1 - q^(l+1): M is the
-    least count with q^(M(M+1)/2 + M l) <= u (1 - q^(l+1)), which keeps
-    the truncation below u S_l.  The even and odd terms are summed apart
-    by `math.fsum` (u each of their sum) and subtracted (u |S|); with the
-    pows' 2u, S_l is good to 3u sum t_m + u |S| + t_M + M 2^-1074 (the
-    terms that underflow), and a_l to P times that plus a_l (expm1(2 dL) +
-    2u).  a_(-l) = q^l a_l adds 3u of a_(-l) and (1 + a_l) 2^-1074 for a q^l
-    or a product that underflows.  A (q;q)_inf^2 below the normal doubles
-    (q between 0.995 and 0.997 on) raises DomainError.
+    Shifting m by one gives S_l = 1 - q^(l+1) S_(l+1) exactly, so only the
+    top row, l = W = window, is summed.  Its terms alternate and fall
+    (t_(m+1) / t_m = q^(m+1+W)), so the sum of the first M is within t_M
+    of S_W, and S_W >= 1 - q^(W+1): M is the least count with
+    q^(M(M+1)/2 + M W) <= u (1 - q^(W+1)), which keeps the truncation
+    below u S_W.  The even and odd terms are summed apart by `math.fsum`
+    (u each of their sum) and subtracted (u |S|); with the pows' 2u, S_W
+    is good to e_W = 3u sum t_m + u |S| + t_M + M 2^-1074 (the terms that
+    underflow).  The recurrence runs down from there and contracts: as
+    0 < S_l <= 1, the product q^(l+1) S_(l+1) < 1 takes 3u (one pow, one
+    product) and the difference u, so e_l <= q^(l+1) e_(l+1) + 4u, and an
+    underflow of the product, at most 2^-1074, is inside that.  a_l is
+    good to P e_l plus a_l (expm1(2 dL) + 2u).  a_(-l) = q^l a_l adds 3u
+    of a_(-l) and (1 + a_l) 2^-1074 for a q^l or a product that
+    underflows.  A (q;q)_inf^2 below the normal doubles (q between 0.995
+    and 0.997 on) raises DomainError.
 
     Type 3 is the coefficient table with F = E, log_bound = -2 ln
-    (q;q)_inf.  Memoized per (kind, window, base), at most 32 entries
+    (q;q)_inf, and the Gaussian of both sequences (`_cauchy_terms` at w =
+    1).  Memoized per (kind, window, base), at most 32 entries
     process-wide; the rows are tuples because every caller shares the
     cached object.
     """
@@ -503,20 +514,22 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     ql = [q**l for l in range(1, window + 1)]
     if kind.j == 1:
         p, rel = _inv_qq(2, base)
-        lq = math.log(q)
-        a, b = [], []
-        for l in range(window + 1):
-            m = _least_n(0.5, l + 1.0, (math.log(_EPS) + math.log1p(-(q ** (l + 1)))) / lq)
-            t = [q ** (i * (i + 1) // 2 + i * l) for i in range(m + 1)]
-            even, odd = math.fsum(t[0:m:2]), math.fsum(t[1:m:2])
-            s = even - odd
-            a.append(p * s)
-            err = 3.0 * _EPS * (even + odd) + _EPS * s + t[m] + m * tiny
-            b.append(p * err + a[-1] * (rel + 2.0 * _EPS))
+        w = window
+        m = _least_n(0.5, w + 1.0, (math.log(_EPS) + math.log1p(-(q ** (w + 1)))) / math.log(q))
+        t = [q ** (i * (i + 1) // 2 + i * w) for i in range(m + 1)]
+        even, odd = math.fsum(t[0:m:2]), math.fsum(t[1:m:2])
+        s = even - odd
+        e = 3.0 * _EPS * (even + odd) + _EPS * s + t[m] + m * tiny
+        rows = [(s, e)]
+        for x in reversed(ql):  # q^(l+1) for l = W - 1 .. 0
+            s, e = 1.0 - x * s, x * e + 4.0 * _EPS
+            rows.append((s, e))
+        a = [p * s for s, _ in reversed(rows)]
+        b = [p * e + x * (rel + 2.0 * _EPS) for (_, e), x in zip(reversed(rows), a)]
         bminus = [x * (y + 3.0 * _EPS * c) + (1.0 + c) * tiny for x, c, y in zip(ql, a[1:], b[1:])]
     else:
         log_b = -2.0 * _base_poch(q, base)[0]
-        m = _cauchy_terms(0.5, log_b, base)
+        m = _cauchy_terms(1.0, log_b, base)
         pq, rel = _poch_table(1.0, 0.0, 1, q, window + m)
         e = _exp_table(0.5, q, pq)
         ls = range(window + 1)

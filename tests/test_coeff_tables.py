@@ -147,6 +147,31 @@ def test_lambda_identity_rows_call_no_cauchy_product(monkeypatch):
     assert sorted(calls) == ["_cauchy_table", "_cauchy_terms"]
 
 
+def test_lambda1_rows_sum_one_row_directly(monkeypatch):
+    # S_l = 1 - q^(l+1) S_(l+1) gives every Lambda_1 row below the top one;
+    # a directly summed row sizes its Gaussian sum with one `_least_n`.
+    sized = []
+    least_n = qexp._least_n
+    monkeypatch.setattr(qexp, "_least_n", lambda *a: sized.append(a) or least_n(*a))
+    for q in (0.3, 0.55, 0.85):
+        qexp._lambda_coeffs.cache_clear()
+        sized.clear()
+        qexp._lambda_coeffs(KindTag.from_j(1), 40, QBase(q))
+        assert len(sized) == 1, q
+
+
+@pytest.mark.parametrize("q, m", [(0.5, 11), (0.85, 26), (0.95, 62)])
+def test_lambda3_table_counts_the_gaussian_of_both_sequences(q, m, monkeypatch):
+    # F = E carries its own Gaussian, so the terms per row fall by a quarter
+    # from the 14, 36 and 87 that E's Gaussian alone gives.
+    counts = []
+    spy = lambda *a, t=qexp._cauchy_table: counts.append(a[3]) or t(*a)
+    monkeypatch.setattr(qexp, "_cauchy_table", spy)
+    qexp._lambda_coeffs.cache_clear()
+    qexp._lambda_coeffs(KindTag.from_j(3), 20, QBase(q))
+    assert counts == [m]
+
+
 def test_table_rows_equal_single_coefficients():
     base = QBase(0.8)
     plus, minus, _, _ = qbessel._laurent_tables(0.75, 12, base)[0]

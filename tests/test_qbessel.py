@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 import random
 
@@ -57,6 +59,43 @@ class TestNormalization:
         for u in (1.5, 3.0, -2.0 + 1.0j):
             sv = phi_nu(0.5, u, BASE)
             assert sv.value == 1.0 and sv.err_estimate == 0.0
+
+    @pytest.mark.parametrize("q", [0.25, 0.7, 0.9])
+    def test_phi_factor_near_a_half_integer_order_is_within_its_bound(self, q):
+        # The upper parameter q^(1/2 - nu) makes a factor within 1e-12 of 0,
+        # but not 0: the series converges (|q/u| < 1), so it sums on past
+        # that factor.  Ending there read 1 +- 0 against errors of 1e-16 to
+        # 2e-13 at nu = 1/2 + d.  The oracle takes the exponents exactly.
+        mpmath = pytest.importorskip("mpmath")
+        bad = []
+        for c, d, u, tol in itertools.product(
+            (0.5, 1.5), (1e-15, -1e-15, 1e-14, 1e-13, 2e-12, -2e-12), (1.5, 3.0, -2.0), (1e-6, 1e-12)
+        ):
+            nu = c + d
+            if q ** (0.5 - nu) == 1.0:
+                continue  # the parameter itself rounds onto the exact 0: below
+            sv = phi_nu(nu, u, QBase(q, tol=tol))
+            with mpmath.workdps(40):
+                mq, mnu = mpmath.mpf(q), mpmath.mpf(nu)
+                upper = [mq ** (mnu + 0.5), mq ** (0.5 - mnu)]
+                err = abs(sv.value - mpmath.qhyper(upper, [-mq], mq, mq / u))
+            if not err <= sv.err_estimate:
+                bad.append((q, nu, u, tol, float(err), sv.err_estimate))
+        assert not bad
+
+    @pytest.mark.xfail(strict=True, reason="q^(1/2 - nu) rounds to 1.0 before the kernel sees it")
+    def test_phi_factor_one_ulp_from_a_half_integer_order(self):
+        # At nu = 1/2 + 1 ulp the caller's rounded power q^(1/2 - nu) is
+        # exactly 1.0, so the kernel sums an exactly terminating series and
+        # reports 1 +- 0 against a true 1 - 2.4e-17 (ROADMAP item 1).
+        mpmath = pytest.importorskip("mpmath")
+        q, nu, u = 0.7, 0.5000000000000002, 1.5
+        sv = phi_nu(nu, u, QBase(q))
+        with mpmath.workdps(40):
+            mq, mnu = mpmath.mpf(q), mpmath.mpf(nu)
+            upper = [mq ** (mnu + 0.5), mq ** (0.5 - mnu)]
+            err = abs(sv.value - mpmath.qhyper(upper, [-mq], mq, mq / u))
+        assert err <= sv.err_estimate
 
     def test_phi_factor_domain(self):
         with pytest.raises(NonConvergence):
@@ -395,18 +434,20 @@ class TestMemos:
     def test_base_products_are_built_once_per_base(self, monkeypatch):
         # The log forms of (q;q)_inf and (sqrt(q);q)_inf depend on the base
         # alone; the two-sided sums, their tables and bounds, the type-1
-        # tail, q-gamma and the type-3 leading term all read them.
+        # tail, q-gamma and the type-3 leading term all read them.  The
+        # per-base memo is replaced by one of the same size whose every
+        # computation is counted.
         built = []
-        log_form = qcalc._log_poch
+        compute = qcalc._base_poch.__wrapped__
 
         def counting(a, base):
             built.append((a, base))
-            return log_form(a, base)
+            return compute(a, base)
 
+        memo = functools.lru_cache(maxsize=256)(counting)
         for module in (qcalc, qexp, qbessel):
-            if hasattr(module, "_log_poch"):
-                monkeypatch.setattr(module, "_log_poch", counting)
-        qcalc._base_poch.cache_clear()
+            if hasattr(module, "_base_poch"):
+                monkeypatch.setattr(module, "_base_poch", memo)
         qbessel._laurent_tables.cache_clear()
         qexp._lambda_coeffs.cache_clear()
         qexp._leading_constant.cache_clear()

@@ -121,6 +121,38 @@ def _qpoch_grid(seed=2006, per_q=20):
 _QPOCH_GRID = _qpoch_grid()
 
 
+def _eta_grid(seed=2210):
+    """q on both sides of e^(-2 pi), where (q;q)_inf turns to the eta
+    transformation, across (0, 1), and three q near 1."""
+    rng = random.Random(seed)
+    lo = math.log(qcalc._ETA_Q)
+    grid = [math.exp(lo * (1.0 + rng.random())) for _ in range(4)]  # below
+    grid += [math.exp(lo * rng.random() ** 2) for _ in range(12)]  # above
+    return grid + [qcalc._ETA_Q, 0.99, 0.999, 0.9995]
+
+
+_ETA_GRID = _eta_grid()
+
+
+class TestFreshBaseWork:
+    """What a constant costs where each call brings a new q."""
+
+    def test_qgamma_makes_one_product_and_qq_none(self, monkeypatch):
+        calls = []
+        log_form = qcalc._log_poch
+        monkeypatch.setattr(qcalc, "_log_poch", lambda a, b: calls.append(a) or log_form(a, b))
+        for q in (0.3, 0.618, 0.97):
+            base = QBase(q)
+            qcalc._base_poch.cache_clear()
+            qgamma.__wrapped__(0.75, base)
+            assert len(calls) == 1, q
+            calls.clear()
+            qcalc._base_poch.cache_clear()
+            sv = qpoch_infinite(q, base)
+            assert calls == [] and sv.terms_used == (q < 0.35)
+            assert sv.value == math.exp(qcalc._eta_log_qq(base)[0])
+
+
 class TestPochhammerInfinite:
     def test_zero_argument(self):
         sv = qpoch_infinite(0.0, BASE)
@@ -208,6 +240,34 @@ class TestPochhammerInfinite:
                 exact = qpoch_oracle(a, q)
                 ratio = unit * mpmath.exp(mpmath.mpc(lv) - mpmath.log(exact))
                 assert abs(ratio - 1) <= math.expm1(dl), (a, float(abs(ratio - 1)), dl)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_eta_form_bounds_oracle_below_the_product_bound(self, tol):
+        # From q = e^(-2 pi) on, (q;q)_inf comes from the eta transformation;
+        # below it from the product.  Each is within its bound dL of a
+        # 40-digit product, and the eta bound is below the product's.
+        mpmath = pytest.importorskip("mpmath")
+        bad = []
+        for q in _ETA_GRID:
+            base = QBase(q, tol=tol)
+            qcalc._base_poch.cache_clear()
+            lv, unit, dl, _ = qcalc._base_poch(q, base)
+            loop = qcalc._log_poch(q, base)
+            if q < qcalc._ETA_Q:
+                assert (lv, unit, dl) == loop[:3]
+            elif not dl < loop[2]:
+                bad.append((q, "bound", dl, loop[2]))
+            with mpmath.workdps(40):
+                err = float(abs(lv - mpmath.log(qpoch_oracle(q, q))))
+            if not (unit == 1.0 and err <= dl):
+                bad.append((q, err, dl))
+        assert not bad
+
+    @pytest.mark.parametrize("q", [0.999, 0.9995])
+    def test_eta_bound_is_ten_times_below_the_product_bound_near_q_one(self, q):
+        base = QBase(q)
+        qcalc._base_poch.cache_clear()
+        assert 10.0 * qcalc._base_poch(q, base)[2] <= qcalc._log_poch(q, base)[2]
 
     @given(a=st.floats(-0.9, 0.9), q=st.floats(0.1, 0.9))
     @settings(max_examples=60)
@@ -324,6 +384,23 @@ class TestBasicHyper:
                 r /= 1 - Fraction(p) * qf**n
             t *= r
         assert abs(Fraction(sv.value) - s) <= sv.err_estimate
+
+    @pytest.mark.parametrize("q, k", [(0.7, 2), (0.3, 3), (0.1, 3)])
+    @pytest.mark.parametrize("z", [0.5, -0.9])
+    def test_convergent_series_sums_past_a_factor_that_rounds_off_zero(self, q, k, z):
+        # The same parameter q^(-k) as above, whose factor at index k is
+        # 1e-16 and not 0.  The series converges at |z| < 1, so the factor
+        # does not end it: ending there left the terms past it out of the
+        # sum and out of its bound.  The bound holds against the sum at the
+        # double a.
+        mpmath = pytest.importorskip("mpmath")
+        a = q**-k
+        for tol in (1e-6, 1e-12):
+            sv = basic_hyper([a], [], QBase(q, tol=tol), z)
+            assert sv.terms_used > k + 1
+            with mpmath.workdps(40):
+                exact = mpmath.qhyper([mpmath.mpf(a)], [], mpmath.mpf(q), z)
+                assert abs(sv.value - exact) <= sv.err_estimate
 
     @pytest.mark.parametrize("k, j", [(2, 5), (3, 5), (2, 3)])
     def test_terminating_series_with_a_lower_pole_past_its_end(self, k, j):
