@@ -57,26 +57,16 @@ _EVAL_HEADER = [
 ]
 
 
-def _maybe_num(text: str):
-    """Recover int/float typing for JSON output of tabular cells."""
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-
-def _emit_rows(header: List[str], rows: List[List[str]], fmt: str, out) -> None:
+def _emit_rows(header: List[str], rows: Sequence[Sequence], fmt: str, out) -> None:
+    """Rows of ints, floats and strings: floats by `_fmt` in CSV, every
+    number as a JSON number."""
     if fmt == "csv":
         w = csv.writer(out, lineterminator="\r\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([_fmt(c) if isinstance(c, float) else c for c in row] for row in rows)
     else:
         for row in rows:
-            cells = [_maybe_num(c) for c in row]
-            out.write(json.dumps(dict(zip(header, cells)), separators=(",", ":")) + "\n")
+            out.write(json.dumps(dict(zip(header, row)), separators=(",", ":")) + "\n")
 
 
 def _base_from_args(args) -> QBase:
@@ -124,11 +114,8 @@ def cmd_eval(args) -> int:
             msg = f"{type(exc).__name__}: {exc}"
         results.append((p, value, err, msg))
     if args.format == "csv":
-        head = [fn, str(args.kind), family, _fmt(args.nu) if family else "", _fmt(args.q)]
-        rows = [
-            head + [_fmt(x) for x in (p.real, p.imag, v.real, v.imag, e)] + [msg]
-            for p, v, e, msg in results
-        ]
+        head = [fn, args.kind, family, args.nu if family else "", args.q]
+        rows = [head + [p.real, p.imag, v.real, v.imag, e, msg] for p, v, e, msg in results]
         _emit_rows(_EVAL_HEADER, rows, "csv", sys.stdout)
     else:
         for p, v, e, msg in results:
@@ -164,7 +151,7 @@ def cmd_asym(args) -> int:
         header += ["ratio", "phi_min", "phi_max"]
     base = _base_from_args(args)
     rows = [
-        [str(n)] + [_fmt(x) for x in (abs(exact), abs(leading), rel, *extra)]
+        [n, abs(exact), abs(leading), rel, *extra]
         for n, exact, leading, rel, extra in _decay_rows(
             selector, (args.q, args.nu, args.lam), n_range, base
         )
@@ -180,14 +167,13 @@ def cmd_laurent(args) -> int:
     if args.which == "lambda":
         table = lambda_laurent_table(KindTag.from_j(args.kind), args.window, base)
         header = ["l", "coeff"]
-        rows = [[str(l), _fmt(table.coeffs[l])] for l in sorted(table.coeffs)]
+        rows = [[l, table.coeffs[l]] for l in sorted(table.coeffs)]
     else:
         header = ["l", "sign", "c1", "c2", "c3"]
         (p1, m1, _, _), (p2, m2, _, _) = _laurent_tables(args.nu, args.window, base)
         p3, m3 = _type3_tables(args.nu, args.window, base)[:2]
-        sides = [(-l, "minus", m1[l - 1], m2[l - 1], m3[l - 1]) for l in range(args.window, 0, -1)]
-        sides += [(l, "plus", p1[l], p2[l], p3[l]) for l in range(args.window + 1)]
-        rows = [[str(l), sign, *map(_fmt, cs)] for l, sign, *cs in sides]
+        rows = [(-l, "minus", m1[l - 1], m2[l - 1], m3[l - 1]) for l in range(args.window, 0, -1)]
+        rows += [(l, "plus", p1[l], p2[l], p3[l]) for l in range(args.window + 1)]
     _emit_rows(header, rows, args.format, sys.stdout)
     return 0
 

@@ -513,25 +513,22 @@ def _check_decay(
 
 
 def _check_type3_bracket(cfg: SuiteConfig, rng: random.Random, fault: float) -> _Worst:
-    # Magnitude ratio exact/leading must land inside the sampled bracket.
+    # Magnitude ratio exact/leading must land inside the sampled bracket,
+    # both as the decay table computes them (`_decay_rows`).
     w = _Worst()
     for q in cfg.q_grid:
         base = QBase(q)
         for n, lam in cfg.lattice_points:
             if n > -4:
                 continue
-            u = q ** (n + lam)
-            pt = lattice_decompose(u, base)
             for family in ("I", "K"):
-                est, br = type3_asymptotic_bracket(family, 0.25, pt, base)
-                spec = BesselSpec(KindTag.from_j(3), family, 0.25)
-                exact = bessel_value(spec, u / (1.0 - q * q), base).value
-                ratio = fault * abs(exact) / abs(est.leading)
-                span = max(br.phi_max - br.phi_min, 1e-300)
-                if ratio < br.phi_min:
-                    w.feed((br.phi_min - ratio) / span, f"{family}, q={q}, n={n} (below)")
-                elif ratio > br.phi_max:
-                    w.feed((ratio - br.phi_max) / span, f"{family}, q={q}, n={n} (above)")
+                ratio, lo, hi = _decay_rows(f"{family}:3", (q, 0.25, lam), [n], base)[0][4]
+                ratio *= fault
+                span = max(hi - lo, 1e-300)
+                if ratio < lo:
+                    w.feed((lo - ratio) / span, f"{family}, q={q}, n={n} (below)")
+                elif ratio > hi:
+                    w.feed((ratio - hi) / span, f"{family}, q={q}, n={n} (above)")
     return w
 
 

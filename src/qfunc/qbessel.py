@@ -43,6 +43,7 @@ from .qcalc import (
     _base_poch,
     _log_poch,
     _qseries,
+    _times,
     basic_hyper,
     qgamma,
 )
@@ -342,21 +343,22 @@ def _family(
 def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
     """Second-solution representation at u = (1-q^2)z, types 1 and 2 only.
 
-    The family map of f(w) = e(w) Phi_nu(w), with Phi's bound as the bound
-    of f.  Exact only at half-integer orders.  At other orders sqrt(u) I_nu
-    and sqrt(u) K_nu carry u^(+-nu+1/2) and are not single-valued around 0,
-    while this representation is single-valued on its annulus, so every
-    family carries a connection error that oscillates in u.  At nu = 1/4
-    it reaches about 6e-5 for K at q = 0.25 and 4e-9 at q = 0.5, and 7e-2
-    for I at q = 0.25.
+    The family map of f(w) = e(w) Phi_nu(w), bounded by the product rule
+    (`qcalc._times`) from the bounds of e and Phi.  Exact only at
+    half-integer orders.  At other orders sqrt(u) I_nu and sqrt(u) K_nu
+    carry u^(+-nu+1/2) and are not single-valued around 0, while this
+    representation is single-valued on its annulus, so every family
+    carries a connection error that oscillates in u.  At nu = 1/4 it
+    reaches about 6e-5 for K at q = 0.25 and 4e-9 at q = 0.5, and 7e-2 for
+    I at q = 0.25.
     """
     if spec.kind.j not in (1, 2):
         raise ValueError("phi representation exists for types 1 and 2 only")
 
     def f(w: complex) -> Tuple[complex, float, int]:
         phi = phi_nu(spec.nu, w, base)
-        e = qexp_eval(spec.kind, w, base).value
-        return e * phi.value, phi.err_estimate, phi.terms_used
+        sv = _times(qexp_eval(spec.kind, w, base), phi, "phi representation factor at w", w)
+        return sv.value, sv.err_estimate, sv.terms_used
 
     return _family(spec.family, spec.nu, u, f, base)
 

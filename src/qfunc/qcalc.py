@@ -33,10 +33,11 @@ coefficients summed to eps whatever tol is: closed forms from product
 identities for Lambda_1 and Lambda_2 (`qexp._lambda_coeffs`), dot
 products of two precomputed sequences (`qexp._cauchy_table`) for the
 rest; their window and tail come from the coefficients' a-priori bound
-(`qexp._laurent_window`), not from the terms.  The Gaussian sums of
-Lambda_1's pole expansion (`qexp._lambda_coeffs`, `qexp._type1_tail`)
-are not kernel calls: each term is one pow of q, and the term count
-comes from one quadratic (`qexp._least_n`).
+(`qexp._laurent_window`), not from the terms.  Lambda_1's own two-sided
+value is its pole expansion summed whole.  Its Gaussian sums, for that
+value and for a table's top row, are one routine (`qexp._pole_sum`),
+not kernel calls: each term is one pow of q, and the term count comes
+from one quadratic (`qexp._least_n`).
 
 An infinite product (a;q)_inf is the one other loop, and its native form
 is its logarithm (`_log_poch`), O(sqrt(ln(1/eps) / ln(1/q))) work for
@@ -133,6 +134,20 @@ class SeriesValue:
     value: complex
     err_estimate: float
     terms_used: int
+
+
+def _times(a: SeriesValue, b: SeriesValue, what: str, at: complex) -> SeriesValue:
+    """The product a b of two bounded values, good to |b| e_a + |a| e_b +
+    e_a e_b + 4u |a b| (u = 2^-53, for the product's own rounding), with
+    their terms added.  A product or bound that is not a finite double
+    raises DomainError naming what and the point it was at."""
+    v = a.value * b.value
+    ma, mb = abs(a.value), abs(b.value)
+    ea, eb = a.err_estimate, b.err_estimate
+    err = mb * ea + ma * eb + ea * eb + 4.0 * _EPS * ma * mb
+    if not (cmath.isfinite(v) and math.isfinite(err)):
+        raise DomainError(f"{what}={at} is not a finite double")
+    return SeriesValue(v, err, a.terms_used + b.terms_used)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ relation for type 3), and have discrete closed forms on the lattice
 
 L_1 and L_2 have one closed form per coefficient, from their product
 identities (`_lambda_coeffs`): the Jacobi triple product gives L_2's
-a_l = q^(l(l-1)/2) / (q;q)_inf, and the pole expansion of L_1, which
-also sums L_1's part past a window (`_type1_tail`), gives a_l as an
-alternating Gaussian sum over (q;q)_inf^2, summed for the top row of a
-table and carried down by its exact recurrence.  Every other two-sided
-coefficient table, of L_3 and of the Bessel products e(u) Phi(u) in
-`qbessel`, is one routine (`_cauchy_table`): the Laurent product E(u)
-F(q/u) of two Taylor sequences built once, with each coefficient a
-single C-level dot product over slices, cut at a term count derived from
-a bound on the sequences (`_cauchy_terms`) so that the truncation stays
-below min(tol, eps) of the sum of |terms|.  Type 1, whose E_k =
+a_l = q^(l(l-1)/2) / (q;q)_inf, and the pole expansion of L_1 gives a_l
+as an alternating Gaussian sum over (q;q)_inf^2, summed for the top row
+of a table and carried down by its exact recurrence.  Summed over l,
+the same expansion is L_1's two-sided value, two Gaussian sums of one
+routine (`_pole_sum`), so that value needs no table.  Every other
+two-sided coefficient table, of L_3 and of the Bessel products e(u)
+Phi(u) in `qbessel`, is one routine (`_cauchy_table`): the Laurent
+product E(u) F(q/u) of two Taylor sequences built once, with each
+coefficient a single C-level dot product over slices, cut at a term
+count derived from a bound on the sequences (`_cauchy_terms`) so that
+the truncation stays below min(tol, eps) of the sum of |terms|.  Type 1, whose E_k =
 1/(q;q)_k has no Gaussian decay, adds every row's tail in closed form to
 second order, from the sequences' limits and first Taylor coefficients
 (Euler's product expansion), and so needs about a third of the terms:
@@ -30,10 +31,11 @@ its remainder falls as q^(3M), not q^M.  The coefficients are therefore
 good to a rounding bound that does not depend on tol.
 
 Two memos hold what many calls share: the Lambda rows per (kind, window,
-base) (`_lambda_coeffs`, at most 32 entries), read by every two-sided
-Lambda reader, and the constant of the lattice leading term per (kind,
-lam, theta, base) (`_leading_constant`, at most 256 entries), which does
-not depend on n and so is shared by every row of one lattice table.
+base) (`_lambda_coeffs`, at most 32 entries), read by every Lambda
+coefficient reader and by the two-sided sums of L_2 and L_3, and the
+constant of the lattice leading term per (kind, lam, theta, base)
+(`_leading_constant`, at most 256 entries), which does not depend on n
+and so is shared by every row of one lattice table.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .qcalc import (
     _base_poch,
     _log_poch,
     _qseries,
+    _times,
     lattice_decompose,
     qgamma,
     qpoch_infinite,
@@ -175,19 +178,11 @@ def classical_limit_check(
 
 
 def _lambda_value(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
-    """Lambda(u) = e(u) e(q/u), bounded by |e(q/u)| r + |e(u)| s + r s + 4u |Lambda|
-    for factors within r and s (u = 2^-53, for the product's rounding).  A
-    product that is not a finite double raises DomainError."""
+    """Lambda(u) = e(u) e(q/u), bounded by the product rule (`_times`)."""
     if u == 0:
         raise DomainError("lambda product is undefined at u = 0")
     a, b = (qexp_eval(kind, w, base) for w in (u, base.q / u))
-    v = a.value * b.value
-    ma, mb = abs(a.value), abs(b.value)
-    ea, eb = a.err_estimate, b.err_estimate
-    err = mb * ea + ma * eb + ea * eb + 4.0 * _EPS * ma * mb
-    if not (cmath.isfinite(v) and math.isfinite(err)):
-        raise DomainError(f"lambda product at u={u} is not a finite double")
-    return SeriesValue(v, err, a.terms_used + b.terms_used)
+    return _times(a, b, "lambda product at u", u)
 
 
 def lambda_product(kind: KindTag, u: complex, base: QBase) -> complex:
@@ -456,6 +451,33 @@ def _inv_qq(power: int, base: QBase) -> Tuple[float, float]:
     return math.exp(-power * lqq), math.expm1(power * dl)
 
 
+def _pole_sum(w: complex, e: int, q: float, dw: float = 0.0) -> SeriesValue:
+    """S(w, e) = sum_(m>=0) (-1)^m g_m / (1 - q^m w), g_m = q^(m(m+1)/2 + m e),
+    for |w| < 1 and e >= 0, with w known to a relative dw: the Gaussian sum
+    of Lambda_1's pole expansion (`_lambda_coeffs`, `lambda_laurent_eval`).
+
+    As |1 - q^m w| >= 1 - |w| and g_(m+1) / g_m = q^(m+1+e), the terms past
+    the first M are at most g_M / ((1 - |w|) (1 - q^(M+1+e))), and M is the
+    least count with g_M <= u (`_least_n`), u = 2^-53, whatever tol is.
+    Rounding, relative to each term t_m: g_m and q^m one pow each (2u), so
+    q^m w is good to 3u + dw of its size, at most |w|, which 1 - q^m w
+    amplifies by at most |w| / (1 - |w|); the subtraction adds u and the
+    quotient 5u.  `math.fsum` sums the real and the imaginary parts, each
+    correctly rounded, so S is good to kappa sum |t_m| + u |S| plus the
+    truncation, kappa = 8u + (3u + dw) |w| / (1 - |w|).  A pow that
+    underflows is within 2^-1074, not 2u, of its value: (M + 1) 2^-1074 /
+    (1 - |w|) covers those of g_m and g_M.  terms_used is M.
+    """
+    aw = abs(w)
+    m = _least_n(0.5, e + 1.0, math.log(_EPS) / math.log(q))
+    g = [q ** (i * (i + 1) // 2 + i * e) for i in range(m + 1)]
+    t = [(-x if i % 2 else x) / (1.0 - q**i * w) for i, x in enumerate(g[:m])]
+    s = complex(math.fsum([x.real for x in t]), math.fsum([x.imag for x in t]))
+    kappa = 8.0 * _EPS + (3.0 * _EPS + dw) * aw / (1.0 - aw)
+    rest = (g[m] / (1.0 - q ** (m + 1 + e)) + (m + 1) * 2.0**-1074) / (1.0 - aw)
+    return SeriesValue(s, kappa * sum(map(abs, t)) + _EPS * abs(s) + rest, m)
+
+
 @functools.lru_cache(maxsize=32)
 def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     """Rows l <= window of Lambda(u) = e(u) e(q/u) in `_cauchy_table`'s layout.
@@ -476,25 +498,19 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     7u) + 2^-1073.
 
     Lambda_1 = 1/((u;q)_inf (q/u;q)_inf) = (q;q)_inf^-2 sum_(m in Z) (-1)^m
-    q^(m(m+1)/2) / (1 - u q^m), the pole expansion that `_type1_tail` sums
-    past the window; on q < |u| < 1 it gives a_l = P S_l for l >= 0, P =
-    (q;q)_inf^-2, S_l = sum_(m>=0) (-1)^m t_m, t_m = q^(m(m+1)/2 + m l).
+    q^(m(m+1)/2) / (1 - u q^m), its pole expansion; on q < |u| < 1 it gives
+    a_l = P S_l for l >= 0, P = (q;q)_inf^-2, S_l = S(0, l) = sum_(m>=0)
+    (-1)^m q^(m(m+1)/2 + m l), the Gaussian sum `_pole_sum` at w = 0.
     Shifting m by one gives S_l = 1 - q^(l+1) S_(l+1) exactly, so only the
-    top row, l = W = window, is summed.  Its terms alternate and fall
-    (t_(m+1) / t_m = q^(m+1+W)), so the sum of the first M is within t_M
-    of S_W, and S_W >= 1 - q^(W+1): M is the least count with
-    q^(M(M+1)/2 + M W) <= u (1 - q^(W+1)), which keeps the truncation
-    below u S_W.  The even and odd terms are summed apart by `math.fsum`
-    (u each of their sum) and subtracted (u |S|); with the pows' 2u, S_W
-    is good to e_W = 3u sum t_m + u |S| + t_M + M 2^-1074 (the terms that
-    underflow).  The recurrence runs down from there and contracts: as
-    0 < S_l <= 1, the product q^(l+1) S_(l+1) < 1 takes 3u (one pow, one
-    product) and the difference u, so e_l <= q^(l+1) e_(l+1) + 4u, and an
-    underflow of the product, at most 2^-1074, is inside that.  a_l is
-    good to P e_l plus a_l (expm1(2 dL) + 2u).  a_(-l) = q^l a_l adds 3u
-    of a_(-l) and (1 + a_l) 2^-1074 for a q^l or a product that
-    underflows.  A (q;q)_inf^2 below the normal doubles (q between 0.995
-    and 0.997 on) raises DomainError.
+    top row, l = W = window, is summed, to within its bound e_W.  The
+    recurrence runs down from there and contracts: as 0 < S_l <= 1, the
+    product q^(l+1) S_(l+1) < 1 takes 3u (one pow, one product) and the
+    difference u, so e_l <= q^(l+1) e_(l+1) + 4u, and an underflow of the
+    product, at most 2^-1074, is inside that.  a_l is good to P e_l plus
+    a_l (expm1(2 dL) + 2u).  a_(-l) = q^l a_l adds 3u of a_(-l) and (1 +
+    a_l) 2^-1074 for a q^l or a product that underflows.  A (q;q)_inf^2
+    below the normal doubles (q between 0.995 and 0.997 on) raises
+    DomainError.
 
     Type 3 is the coefficient table with F = E, log_bound = -2 ln
     (q;q)_inf, and the Gaussian of both sequences (`_cauchy_terms` at w =
@@ -514,12 +530,8 @@ def _lambda_coeffs(kind: KindTag, window: int, base: QBase) -> _Rows:
     ql = [q**l for l in range(1, window + 1)]
     if kind.j == 1:
         p, rel = _inv_qq(2, base)
-        w = window
-        m = _least_n(0.5, w + 1.0, (math.log(_EPS) + math.log1p(-(q ** (w + 1)))) / math.log(q))
-        t = [q ** (i * (i + 1) // 2 + i * w) for i in range(m + 1)]
-        even, odd = math.fsum(t[0:m:2]), math.fsum(t[1:m:2])
-        s = even - odd
-        e = 3.0 * _EPS * (even + odd) + _EPS * s + t[m] + m * tiny
+        top = _pole_sum(0.0, window, q)
+        s, e = top.value.real, top.err_estimate
         rows = [(s, e)]
         for x in reversed(ql):  # q^(l+1) for l = W - 1 .. 0
             s, e = 1.0 - x * s, x * e + 4.0 * _EPS
@@ -666,76 +678,48 @@ def lambda_laurent_table(kind: KindTag, window: int, base: QBase) -> LaurentTabl
     return LaurentTable(kind=kind, window=window, coeffs=coeffs)
 
 
-def _type1_tail(u: complex, window: int, base: QBase) -> SeriesValue:
-    """The type-1 expansion beyond the window, sum_{|l|>window} a_l u^l.
-
-    The coefficients have the pole expansion a_l = (q;q)_inf^-2 sum_{m>=0}
-    (-1)^m q^(m(m+1)/2 + m l) for l >= 0, and a_(-l) = q^l a_l
-    (`_lambda_coeffs`).  Summed over l first, with e = window + 1, the
-    tail is (q;q)_inf^-2 (T(u) + T(q/u)), one Gaussian sum per w:
-      T(w) = w^e sum_m (-1)^m g_m / (1 - q^m w),  g_m = q^(m(m+1)/2 + m e).
-    As |1 - q^m w| >= 1 - |w| and g_(m+1) / g_m = q^(m+1+e), the terms past
-    the first M are at most R = g_M / ((1 - |w|) (1 - q^(M+1+e))), with M the
-    least count that puts g_M at min(tol, eps).  Rounding, in u = 2^-53 of
-    |w|^e sum |terms|: g_m and q^m one pow each (2u); w = q/u is good to 5u,
-    so q^m w to 8u, which 1 - q^m w amplifies by at most |w| / (1 - |w|),
-    and its subtraction and the quotient add 2u and 5u; the sum adds 2u per
-    term; w's 5u raised e-fold, CPython's w^e, a chain of complex products
-    or a polar form whose modulus and phase e arg w carry e u and 2 pi e u,
-    and the last product add (6 + 2 pi) e + 3.  In all kappa = 13 (e + 1) +
-    2 M + 8 |w| / (1 - |w|), and T is good to |w|^e (kappa u sum |terms| +
-    R).  The prefactor carries `_inv_qq`'s bound.
-    """
-    q = base.q
-    e = window + 1
-    m = _least_n(0.5, e + 1.0, math.log(min(base.tol, _EPS)) / math.log(q))
-    g = [q ** (i * (i + 1) // 2 + i * e) for i in range(m + 1)]
-    sg = [-x if i % 2 else x for i, x in enumerate(g[:m])]
-    qm = [q**i for i in range(m)]
-    s: complex = 0.0
-    err = 0.0
-    for w in (u, q / u):
-        t = [x / (1.0 - y * w) for x, y in zip(sg, qm)]
-        aw, pw = abs(w), w**e
-        kappa = 13.0 * (e + 1) + 2.0 * m + 8.0 * aw / (1.0 - aw)
-        s += pw * sum(t)
-        rest = g[m] / ((1.0 - aw) * (1.0 - q ** (m + 1 + e)))
-        err += abs(pw) * (kappa * _EPS * sum(map(abs, t)) + rest)
-    p, rel = _inv_qq(2, base)
-    return SeriesValue(s * p, p * (err + abs(s) * (rel + 2.0 * _EPS)), 2 * m)
-
-
 def lambda_laurent_eval(
     kind: KindTag, u: complex, window: int, base: QBase
 ) -> SeriesValue:
-    """Evaluate the two-sided expansion sum_l a_l u^l by `_laurent_sum`.
+    """Evaluate the two-sided expansion sum_l a_l u^l.
 
-    Every a_l is positive, so the bound's rounding term is 10 (k + 1) eps
-    Lambda(|u|), which near arg u = pi can exceed |Lambda(u)| by orders of
-    magnitude.  Types 2 and 3 sum the rows |l| <= k of `_laurent_window`
-    from a table of at least `window` rows and add its tail bound from
-    k + 1 on, whose row bound C is exact for type 2 and an evaluated e3
-    for type 3; type-1 coefficients tend to (q;q)_inf^-2, so every row is
-    summed up to `window` and the part past it comes from their pole
-    expansion instead (`_type1_tail`).  terms_used counts the rows summed
-    (2k + 1, 2 window + 1 for type 1) plus the pole expansion's terms.  A
-    window below 1 raises ValueError.
+    Types 2 and 3 sum the rows |l| <= k of `_laurent_window` by
+    `_laurent_sum` from a table of at least `window` rows and add its tail
+    bound from k + 1 on, whose row bound C is exact for type 2 and an
+    evaluated e3 for type 3.  Every a_l is positive, so the bound's
+    rounding term is 10 (k + 1) eps Lambda(|u|), which near arg u = pi can
+    exceed |Lambda(u)| by orders of magnitude; terms_used is 2k + 1.
+
+    Type 1 sums all its rows at once: summed over l, the pole expansion of
+    its coefficients (`_lambda_coeffs`) is Lambda_1(u) = (q;q)_inf^-2 (S(u,
+    0) + w S(w, 1)), w = q/u, two Gaussian sums (`_pole_sum`), so its value
+    does not depend on `window`, and terms_used is their two term counts.
+    w = q/u is good to 6u (CPython's complex quotient: 3u for its
+    denominator, then up to 3u more per part), which `_pole_sum` carries
+    through 1 - q^m w; the product w S(w, 1) and the prefactor are bounded
+    by the product rule (`_times`), the sum of the two parts adds u of it.
+    A window below 1 raises ValueError.
     """
     if u == 0:
         raise DomainError("two-sided expansion is undefined at u = 0")
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
     au = abs(u)
+    q = base.q
     if kind.j == 1:
-        if not base.q < au < 1.0:
+        w = q / u
+        if not (q < au < 1.0 and abs(w) < 1.0):
             raise DomainError(
                 f"type-1 two-sided expansion requires q < |u| < 1, got |u|={au}"
             )
-        s, err = _laurent_sum(_lambda_coeffs(kind, window, base), u, window)
-        tail = _type1_tail(u, window, base)
-        terms = 2 * window + 1 + tail.terms_used
-        return SeriesValue(s + tail.value, err + tail.err_estimate, terms)
-    q = base.q
+        what, dw = "type-1 two-sided sum at u", 6.0 * _EPS
+        s0 = _pole_sum(u, 0, q)
+        s1 = _times(SeriesValue(w, dw * abs(w), 0), _pole_sum(w, 1, q, dw), what, u)
+        s = s0.value + s1.value
+        err = s0.err_estimate + s1.err_estimate + _EPS * abs(s)
+        p, rel = _inv_qq(2, base)
+        sv = SeriesValue(s, err, s0.terms_used + s1.terms_used)
+        return _times(SeriesValue(p, p * rel, 0), sv, what, u)
     w = (2 - kind.delta) / 2.0
     log_qq = _base_poch(q, base)[0]
 

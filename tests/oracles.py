@@ -91,6 +91,27 @@ def bessel_series_oracle(delta, family, nu, z, q):
         return mpmath.mpf(z) ** nu / qgamma_oracle(nu + 1, qf) * s
 
 
+def bessel_oracle(delta, family, nu, z, q):
+    """J, Y, I or K of exponent parameter delta at argument 2(1-q^2)z, real
+    z > 0, to 40 digits: J and I by their defining series
+    (`bessel_series_oracle`), Y and K at a non-integer order by their
+    defining combinations, with P = q^(-nu^2+nu) Gamma_Q(nu) Gamma_Q(1-nu),
+    Q = q^2 (exact):
+      Y = P (cos(nu pi) J_nu - J_-nu) / pi,   K = P (I_-nu - I_nu) / 2."""
+    mpmath = pytest.importorskip("mpmath")
+    if family in ("J", "I"):
+        return bessel_series_oracle(delta, family, nu, z, q)
+    src = "J" if family == "Y" else "I"
+    qf = Fraction(q) ** 2
+    with mpmath.workdps(40):
+        p = mpmath.mpf(q) ** (-nu * nu + nu) * qgamma_oracle(nu, qf) * qgamma_oracle(1 - nu, qf)
+        plus = bessel_series_oracle(delta, src, nu, z, q)
+        minus = bessel_series_oracle(delta, src, -nu, z, q)
+        if family == "Y":
+            return p * (mpmath.cos(nu * mpmath.pi) * plus - minus) / mpmath.pi
+        return p * (minus - plus) / 2
+
+
 def qseries_oracle(upper, lower, q, z, weight):
     """The sum of the package's summation kernel (`qcalc._qseries`),
     sum_n prod (a_i;q)_n / [(q;q)_n prod (b_j;q)_n] q^(weight n(n-1)/2) z^n,
@@ -139,34 +160,21 @@ def qseries_oracle(upper, lower, q, z, weight):
         return mpmath.mpc(mpmath.ldexp(s[0], -bits), mpmath.ldexp(s[1], -bits))
 
 
-def type1_tail_oracle(u, window, q):
-    """The type-1 Lambda expansion beyond the window, sum_{|l|>window} a_l u^l,
-    to 50 digits from the binary values of u and q, by the pole expansion
-    a_l = (q;q)_inf^-2 sum_{m>=0} (-1)^m q^(m(m+1)/2 + m l), a_(-l) = q^l a_l:
-    (q;q)_inf^-2 sum_m (-1)^m q^(m(m+1)/2) (x^e / (1 - x) + y^e / (1 - y)),
-    x = q^m u, y = q^(m+1) / u, e = window + 1.  (q;q)_inf is Euler's
-    pentagonal sum sum_k (-1)^k q^(k(3k-1)/2) over all integers k."""
+def pole_sum_oracle(w, e, q):
+    """S(w, e) = sum_(m>=0) (-1)^m q^(m(m+1)/2 + m e) / (1 - q^m w), the
+    Gaussian sum of the type-1 Lambda's pole expansion, to 50 digits from
+    the binary values of w and q, as an mpmath number.  Its terms fall by
+    q^(m+e) each; the sum ends once a term is below 1e-55 of it."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        mq, mu = mpmath.mpf(q), mpmath.mpc(u)
+        mq, mw = mpmath.mpf(q), mpmath.mpc(w)
         small = mpmath.mpf(10) ** -55
-        e = window + 1
-        qq, k = mpmath.mpf(1), 1
+        # g = (-1)^m q^(m(m+1)/2 + m e), x = q^m
+        s, g, x, m = mpmath.mpc(0), mpmath.mpf(1), mpmath.mpf(1), 0
         while True:
-            t = (-1) ** k * (mq ** (k * (3 * k - 1) // 2) + mq ** (k * (3 * k + 1) // 2))
-            qq += t
-            if abs(t) < small:
-                break
-            k += 1
-        s = mpmath.mpc(0)
-        qe, ue, ve = mq**e, mu**e, (mq / mu) ** e
-        # x = q^m u, y = q^(m+1) / u, g = (-1)^m q^(m(m+1)/2), xe = q^(m e)
-        x, y, g, xe = mu, mq / mu, mpmath.mpf(1), mpmath.mpf(1)
-        m = 0
-        while True:
-            t = g * (ue * xe / (1 - x) + ve * xe / (1 - y))
+            t = g / (1 - x * mw)
             s += t
             if abs(t) < small * abs(s):
-                return complex(s / qq**2)
+                return s
             m += 1
-            x, y, g, xe = x * mq, y * mq, -g * mq**m, xe * qe
+            g, x = -g * mq ** (m + e), x * mq

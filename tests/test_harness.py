@@ -146,10 +146,11 @@ class TestSuiteWork:
     # Kernel calls of one cold run_suite(SuiteConfig()): 3797 when the
     # difference equation evaluated a fourth point and the type-3 functional
     # residual summed two of its exponentials twice, then 3425, then 3455
-    # while the type-1 Lambda tail (`qexp._type1_tail`) took two kernel sums
-    # for each of the suite's 15 type-1 `lambda_laurent_eval` calls; that
-    # tail is now a direct sum.  The 15 more are the e3 that bounds the
-    # rows of each of the suite's 15 type-3 `lambda_laurent_eval` calls.
+    # while the tail past the window of each of the suite's 15 type-1
+    # `lambda_laurent_eval` calls took two kernel sums; the type-1 value is
+    # now its pole expansion's two Gaussian sums (`qexp._pole_sum`), which
+    # call no kernel.  The 15 more are the e3 that bounds the rows of each
+    # of the suite's 15 type-3 `lambda_laurent_eval` calls.
     KERNEL_CALLS = 3440
     # Term ratios the kernel computes in the same run, the ones its memo
     # (`qcalc._series_memo`) does not hold: 54,666 for the 58,028 terms

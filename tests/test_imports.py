@@ -13,10 +13,15 @@ Only one function of `qcalc` reads `_TERMINATES`, the tolerance at which
 a series' upper factor is taken as 0, so no other code re-derives where a
 series ends.  The top-level functions that call the summation kernel
 `_qseries` are exactly the callers that `qcalc`'s module docstring lists
-in its table, so the table cannot go stale.
+in its table, so the table cannot go stale.  Every backticked
+`qcalc.`, `qexp.`, `qbessel.`, `harness.` or `cli.` name in the package
+source and in README.md must still exist, so no document names a routine
+that was renamed or deleted.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -194,3 +199,28 @@ def test_gate_sees_a_kernel_caller_missing_from_the_table():
     assert _table_callers(source) == {"f", "_g"}
     assert _kernel_callers([source, other]) == {"f", "_g"}
     assert _kernel_callers([source, other, stray]) == {"f", "_g", "k"}
+
+
+_NAMED = re.compile(r"`(?:qfunc\.)?(qcalc|qexp|qbessel|harness|cli)\.(\w+)")
+
+
+def _stale_names(texts):
+    """(file, "module.name") for every backticked module name of the given
+    {file: text} that its module of the package does not define."""
+    stale = []
+    for where, text in texts.items():
+        for module, name in _NAMED.findall(text):
+            if not hasattr(importlib.import_module(f"qfunc.{module}"), name):
+                stale.append((where, f"{module}.{name}"))
+    return stale
+
+
+def test_every_backticked_name_exists():
+    texts = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    texts["README.md"] = (SRC.parents[1] / "README.md").read_text()
+    assert _stale_names(texts) == []
+
+
+def test_gate_sees_a_stale_name():
+    text = "`qexp._lambda_coeffs`, `qfunc.cli.main(argv)`, `qexp._gone(u)` and qexp._bare"
+    assert _stale_names({"x": text}) == [("x", "qexp._gone")]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from collections import Counter
 
 import reference_values as ref
-from oracles import bessel_series_oracle
+from oracles import bessel_oracle, bessel_series_oracle
 from qfunc import harness, qbessel, qcalc, qexp
 from qfunc.errors import DomainError, NegativeProduct, NonConvergence, ParameterPole
 from qfunc.qcalc import LatticePoint, QBase, lattice_decompose, qgamma
@@ -239,6 +239,28 @@ class TestPhiRepresentation:
     def test_type3_rejected(self):
         with pytest.raises(ValueError):
             bessel_phi_repr(BesselSpec(K3, "K", 0.5), 3.0, BASE)
+
+    def test_bound_at_half_integer_order_covers_the_oracle(self):
+        # At nu = 1/2 Phi terminates at its first term, exactly 1 with bound
+        # 0, and a bound that was Phi's alone read 0.0 at all 60 points, at
+        # relative errors up to 2e-14 (Y, type 2, q = 0.8, u = 3.69).  e's
+        # bound enters through the product rule.  The type-1 series oracle
+        # needs |u| < 1.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(23)
+        short = []
+        for _ in range(60):
+            kind = rng.choice((K1, K2))
+            family = rng.choice("JYIK")
+            q = rng.choice((0.25, 0.5, 0.8))
+            u = rng.uniform(q, 0.9 if kind.j == 1 else 5.0)
+            sv = bessel_phi_repr(BesselSpec(kind, family, 0.5), u, QBase(q))
+            exact = bessel_oracle(kind.delta, family, 0.5, u / (1.0 - q * q), q)
+            with mpmath.workdps(40):
+                error = float(abs(sv.value - exact))
+            if not 0.0 < sv.err_estimate >= error:
+                short.append((kind.j, family, q, u, error, sv.err_estimate))
+        assert short == []
 
 
 class TestTwoSidedCoefficients:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import random
 
 import reference_values as ref
-from oracles import qpoch_oracle, type1_tail_oracle
+from oracles import pole_sum_oracle, qpoch_oracle
 from qfunc import qexp
 from qfunc.errors import DomainError, PoleError
 from qfunc.qcalc import QBase, lattice_decompose, qpoch_infinite
@@ -269,40 +269,64 @@ class TestLaurent:
             lambda_laurent_eval(kind, u, 40, QBase(0.5))
 
     def test_two_sided_matches_product_type1_annulus(self):
-        # The part beyond the window is summed in closed form; the reported
-        # error bound must cover what is left.
+        # The type-1 value is its whole pole expansion; the reported error
+        # bound must cover what is left.
         for u in (0.6, 0.55 + 0.4j):
             direct = lambda_product(K1, u, BASE)
             sv = lambda_laurent_eval(K1, u, 40, BASE)
             assert abs(sv.value - direct) <= 10.0 * sv.err_estimate + 1e-10 * abs(direct)
 
     def test_type1_tail_makes_window_irrelevant(self):
-        # Near |u| = 1 and |u| = q the coefficients barely decay; the tail
-        # beyond the window is summed in closed form, so a small window is
-        # as accurate as a large one.
+        # Near |u| = 1 and |u| = q the coefficients barely decay.  The type-1
+        # value sums its whole pole expansion, so every window gives the
+        # same bits.
         for u in (0.97, 0.6 - 0.77j, 0.51j):
             direct = lambda_product(K1, u, BASE)
             scale = lambda_product(K1, abs(u), BASE).real
-            for window in (3, 40):
-                sv = lambda_laurent_eval(K1, u, window, BASE)
-                assert abs(sv.value - direct) < 1e-12 * scale
+            values = {lambda_laurent_eval(K1, u, window, BASE) for window in (1, 3, 40)}
+            assert len(values) == 1
+            assert abs(values.pop().value - direct) < 1e-12 * scale
 
-    def test_type1_tail_bound_covers_oracle(self):
-        # The tail beyond the window, against a 50-digit sum of its pole
-        # expansion.  Its own loop, with a geometric tail model and no
-        # rounding term for w^e, under-reported at 8 of these 600 points, by
-        # up to 1.9x (q = 0.219, |u| = 0.419, window 80), at errors from
-        # 1e-37 to 2e-11.
+    @staticmethod
+    def _type1_grid():
         rng = random.Random(1)
-        short = []
         for _ in range(600):
             q = rng.uniform(0.1, 0.9)
             u = rng.uniform(q, 1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
-            window = rng.choice((5, 10, 20, 40, 80))
-            sv = qexp._type1_tail(u, window, QBase(q))
-            error = abs(sv.value - type1_tail_oracle(u, window, q))
-            if error > sv.err_estimate:
-                short.append((q, u, window, error / sv.err_estimate))
+            yield q, u, rng.choice((5, 10, 20, 40, 80))
+
+    def test_pole_sums_are_within_their_bound_of_the_oracle(self):
+        # Both Gaussian sums of the type-1 value, S(u, 0) and S(q/u, 1), and
+        # a Lambda_1 table's top row S(0, W), against a 50-digit sum.  The
+        # tail past the window that these replace, a loop with a geometric
+        # tail model and no rounding term for w^e, under-reported at 8 of
+        # these 600 points, by up to 1.9x (q = 0.219, |u| = 0.419, window
+        # 80), at errors from 1e-37 to 2e-11.
+        mpmath = pytest.importorskip("mpmath")
+        short = []
+        for q, u, window in self._type1_grid():
+            for w, e in ((u, 0), (q / u, 1), (0.0, window)):
+                sv = qexp._pole_sum(w, e, q)
+                with mpmath.workdps(50):
+                    error = float(abs(sv.value - pole_sum_oracle(w, e, q)))
+                if not error <= sv.err_estimate:
+                    short.append((q, w, e, error / sv.err_estimate))
+        assert short == []
+
+    def test_type1_value_is_within_its_bound_of_the_product(self):
+        # lambda_laurent_eval against 1 / ((u;q)_inf (q/u;q)_inf), 40-digit
+        # products from the binary values of u and q, at both tolerances.
+        mpmath = pytest.importorskip("mpmath")
+        short = []
+        for q, u, window in self._type1_grid():
+            with mpmath.workdps(50):
+                exact = 1 / (qpoch_oracle(u, q) * qpoch_oracle(mpmath.mpf(q) / mpmath.mpc(u), q))
+            for tol in (1e-12, 1e-6):
+                sv = lambda_laurent_eval(K1, u, window, QBase(q, tol=tol))
+                with mpmath.workdps(50):
+                    error = float(abs(sv.value - exact))
+                if not error <= sv.err_estimate:
+                    short.append((q, u, tol, error / sv.err_estimate))
         assert short == []
 
     def test_type1_annulus_enforced(self):
