@@ -334,6 +334,12 @@ class TestLaurent:
             lambda_laurent_eval(K1, 1.5, 40, BASE)
         with pytest.raises(DomainError):
             lambda_laurent_eval(K1, 0.3, 40, BASE)
+        # |u| is above q, but q/u rounds to modulus 1, which the sum over
+        # q/u cannot take (it divided by 1 - |q/u| = 0).
+        q, u = 0.8269260435174245, 0.8159202339877749 - 0.13446506318265788j
+        assert abs(u) > q and abs(q / u) == 1.0
+        with pytest.raises(DomainError):
+            lambda_laurent_eval(K1, u, 40, QBase(q))
 
     def test_product_undefined_at_zero(self):
         with pytest.raises(DomainError):
