@@ -11,12 +11,13 @@ seed, so identical configs yield identical reports.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .qcalc import LatticePoint, QBase, SeriesValue, lattice_decompose, qgamma
+from .qcalc import LatticePoint, QBase, lattice_decompose, qgamma
 from .qexp import (
     KindTag,
     classical_limit_check,
@@ -280,23 +281,17 @@ def _pair_functions(
     """f1 and f2 of a Wronskian pair at a non-integer order: J and Y (pair
     "JY") or I and K ("IK").  Y (K) is the combination of the J (I) series
     at orders nu and -nu (`qbessel._combination_raw`), so both values at a
-    point come from those two series, each summed once, and equal what
-    `bessel_value` returns for each family."""
+    point come from that one pair of series, summed once per point, and
+    equal what `bessel_value` returns for each family."""
     fam1, fam2 = pair
     b2 = base.squared()
-    summed = {}
 
-    def series_at(t: complex) -> Callable[[float], SeriesValue]:
-        def series(s: float) -> SeriesValue:
-            if (s, t) not in summed:
-                summed[s, t] = _series(kind, fam1, s, t, base, b2)
-            return summed[s, t]
+    @functools.lru_cache(maxsize=16)  # the check reads at most 12 points
+    def at(t: complex) -> Tuple[complex, complex]:
+        p, m = _series(kind, fam1, nu, t, base, b2), _series(kind, fam1, -nu, t, base, b2)
+        return p.value, _combination_raw(fam2, nu, p, m, base, b2).value
 
-        return series
-
-    f1 = lambda t: series_at(t)(nu).value
-    f2 = lambda t: _combination_raw(fam2, nu, series_at(t), base, b2).value
-    return f1, f2
+    return (lambda t: at(t)[0]), (lambda t: at(t)[1])
 
 
 def _check_wronskian(cfg: SuiteConfig, rng: random.Random, fault: float) -> _Worst:

@@ -9,10 +9,18 @@ mean, `_type3_tables`), difference equations and Wronskians.
 Every second-solution representation and every large-argument leading
 term is one family map, `_family`: the J/Y/I/K combination of a factor
 f(w) taken at w = +-u (I), -u (K) or +-iu (J, Y).  The callers differ only
-in f: e(w) Phi(w) for `bessel_phi_repr`, the two-sided type-3 series for
-`bessel_type3_repr`, and the lattice leading term of e(w) from
-`qexp.qexp_asymptotic`, with Phi replaced by 1, for `bessel_asymptotic`
-(all three types; `type3_asymptotic_bracket` adds the sampled bracket).
+in f, a bounded value: e(w) Phi(w) for `bessel_phi_repr`, the two-sided
+type-3 series for `bessel_type3_repr`, and the lattice leading term of
+e(w) from `qexp.qexp_asymptotic`, with Phi replaced by 1, for
+`bessel_asymptotic` (all three types; `type3_asymptotic_bracket` adds the
+sampled bracket).
+
+Every bound here is composed by `qcalc`'s product and sum rules (`_times`,
+`_plus`) from the bounds of the series and of the constants in front of
+them: the series prefactor z^nu / Gamma_(q^2)(nu+1) (`_series`), the Y/K
+constant q^(-nu^2+nu) Gamma_(q^2)(nu) Gamma_(q^2)(1-nu) (`_combination_raw`),
+and a_nu with the family map's prefactors and rotations (`_family`).  Each
+constant counts its own rounding, and q-gamma's error (`qcalc._qgamma`).
 
 Argument convention: public entry points taking z mean F(2(1-q^2)z; q^2);
 representation-based operations take u = (1-q^2)z.  The conversion lives
@@ -26,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from operator import add, mul
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -38,14 +46,17 @@ from .errors import (
 from .qcalc import (
     _EPS,
     LatticePoint,
+    _Ball,
     QBase,
     SeriesValue,
     _base_poch,
+    _const,
     _log_poch,
+    _plus,
+    _qgamma,
     _qseries,
     _times,
     basic_hyper,
-    qgamma,
 )
 from .qexp import (
     AsymptoticEstimate,
@@ -89,6 +100,8 @@ _FAMILIES = ("J", "Y", "I", "K")
 _LIMIT_EPS = (1e-4, 1e-5)
 # Samples per side of the type-3 phi bracket, and their offset from the ends.
 _PHI_GRID, _PHI_OFFSET = 64, 1e-6
+# The empty sum of the family map, where every map's sum starts.
+_ZERO = (0.0, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -131,17 +144,27 @@ class PhiBracket:
     samples: Tuple[Tuple[str, float, float], ...]
 
 
-def _cpow(z: complex, s: float) -> complex:
-    """Principal-branch power z^s with theta in (-pi, pi]."""
+def _cpow(z: complex, s: float) -> Tuple[complex, float]:
+    """Principal-branch power z^s, theta = arg z in (-pi, pi], for z != 0,
+    with its relative rounding bound: exp(s (ln|z| + i theta)), where |z|
+    (hypot), its log and theta (atan2) are each within an ulp (2 eps, eps
+    = 2^-53) and the product by s adds eps, so the exponent is good to |s|
+    (2 + 3 |ln|z|| + 3 |theta|) eps, and the exp to 5 eps (an exp, a cos
+    or sin and a product per part)."""
     z = complex(z)
-    if z == 0:
-        if s > 0:
-            return 0.0
-        raise DomainError(f"0^({s}) is undefined")
     theta = math.atan2(z.imag, z.real)
     if theta <= -math.pi:
         theta = math.pi
-    return cmath.exp(s * (math.log(abs(z)) + 1j * theta))
+    lz = math.log(abs(z))
+    rel = 5.0 + abs(s) * (2.0 + 3.0 * abs(lz) + 3.0 * abs(theta))
+    return cmath.exp(s * (lz + 1j * theta)), rel * _EPS
+
+
+def _qpow_rel(q: float, nu: float, c: float) -> float:
+    """The relative rounding bound of q ** (-nu * nu + c): the exponent's
+    product and sum, eps nu^2 and eps |-nu^2 + c| (eps = 2^-53), scaled by
+    |ln q|, and the pow within an ulp (2 eps)."""
+    return (2.0 + abs(math.log(q)) * (nu * nu + abs(c - nu * nu))) * _EPS
 
 
 @functools.lru_cache(maxsize=256)
@@ -150,21 +173,43 @@ def a_nu(nu: float, base: QBase) -> complex:
 
     Real positive for small positive orders; complex permitted when the
     defining square is negative.  Integer orders take their own branch.
-    Every call of the family map (`_family`) reads it, so it is memoized
-    per (nu, base), at most 256 entries process-wide, bit-identical to an
-    uncached call; errors are not cached.
+    The value of its bounded form (`_a_nu`), memoized per (nu, base), at
+    most 256 entries process-wide, bit-identical to an uncached call;
+    errors are not cached.
+    """
+    return _a_nu(nu, base)[0]
+
+
+def _a_nu(nu: float, base: QBase) -> Tuple[complex, float]:
+    """a_nu = sqrt(sq) with a bound on its relative error, which the family
+    map's constants (`_family_constants`) take into its prefactor's.
+
+    In units of eps = 2^-53, with pow, log, sin and sqrt within an ulp (2):
+      * non-integer nu, sq = q^(-nu+1/2) (1 - q^2) / (2 G_nu G_(1-nu)
+        sin(nu pi)), G at base q^2 (`qcalc._qgamma`): q^(-nu+1/2) to 2 + |ln
+        q| |1/2 - nu|; 1 - q^2 to 1 / (1 - q^2), from q^2's rounding and the
+        difference; sin(nu pi) to 2 + 2 |nu pi cot(nu pi)|, from nu pi's two
+        roundings (pi's own and the product); 1 for each of the four
+        products and quotients; and the two G's relative bounds;
+      * integer nu, sq = q^(-nu^2+1/2) ln(q^-2) / (2 pi): the power as
+        `_qpow_rel`, the log to 2 + 2 / |ln q^-2| (q^-2 one pow), 2 pi to 1,
+        and 1 each for the product and the quotient;
+      * the square root halves sq's relative error and adds 2.
     """
     q = base.q
     if float(nu).is_integer():
-        sq = q ** (-nu * nu + 0.5) * math.log(q**-2.0) / (2.0 * math.pi)
+        lg = math.log(q**-2.0)
+        sq = q ** (-nu * nu + 0.5) * lg / (2.0 * math.pi)
+        rel = _qpow_rel(q, nu, 0.5) + (5.0 + 2.0 / abs(lg)) * _EPS
     else:
         b2 = base.squared()
-        sq = (
-            q ** (-nu + 0.5)
-            * (1.0 - q * q)
-            / (2.0 * qgamma(nu, b2) * qgamma(1.0 - nu, b2) * math.sin(nu * math.pi))
+        (g, rg), (h, rh) = _qgamma(nu, b2), _qgamma(1.0 - nu, b2)
+        t = nu * math.pi
+        sq = q ** (-nu + 0.5) * (1.0 - q * q) / (2.0 * g * h * math.sin(t))
+        rel = rg + rh + _EPS * (
+            8.0 + abs(math.log(q) * (0.5 - nu)) + 1.0 / (1.0 - q * q) + 2.0 * abs(t / math.tan(t))
         )
-    return cmath.sqrt(sq)
+    return cmath.sqrt(sq), 0.5 * rel + 2.0 * _EPS
 
 
 def phi_nu(nu: float, u: complex, base: QBase) -> SeriesValue:
@@ -195,6 +240,10 @@ def _series(
     The scaled argument x has an exactly zero imaginary part at real and
     at purely imaginary z; the kernel then sums x.real in real arithmetic,
     whose roundings are those of the complex sum's real part.
+
+    The prefactor z^nu / G_(nu+1), G at base q^2 (`qcalc._qgamma`), is a
+    bounded value: `_cpow`'s bound, eps for the quotient and G's relative
+    bound; the product rule (`qcalc._times`) joins it to the kernel's sum.
     """
     q = base.q
     d = kind.delta
@@ -212,28 +261,46 @@ def _series(
             return SeriesValue(1.0, 0.0, 1)
         raise DomainError("negative-order series is singular at z = 0")
     sgn = -1.0 if family == "J" else 1.0
-    pref = _cpow(z, nu) / qgamma(nu + 1.0, b2)
+    g, rg = _qgamma(nu + 1.0, b2)
+    zn, rel = _cpow(z, nu)
+    pref = _const(zn / g, rel + rg + _EPS)
     x = sgn * (1.0 - q * q) ** 2 * z * z * q ** ((2 - d) * (1.0 + nu))
-    s, err, terms = _qseries((), (q ** (2 * nu + 2),), b2, x if x.imag else x.real, 2 - d)
-    return SeriesValue(pref * s, abs(pref) * err, terms)
+    s = _qseries((), (q ** (2 * nu + 2),), b2, x if x.imag else x.real, 2 - d)
+    return _times(pref, s, "q^2-Bessel series at z", z)
 
 
 def _combination_raw(
-    family: str, nu: float, series: Callable[[float], SeriesValue], base: QBase, b2: QBase
+    family: str, nu: float, p: SeriesValue, m: SeriesValue, base: QBase, b2: QBase
 ) -> SeriesValue:
-    """The defining Y/K combination for non-integer order, from series(s),
-    the J (for Y) or I (for K) series at order s."""
+    """The defining Y/K combination at a non-integer order nu, from p and m,
+    the J (for Y) or I (for K) series at orders nu and -nu:
+
+      Y = c (cos(nu pi) p - m) / pi,  K = c (m - p) / 2,
+      c = q^(-nu^2+nu) G_nu G_(1-nu), G at base q^2 (`qcalc._qgamma`).
+
+    c / pi and c / 2 are one bounded value each: q^(-nu^2+nu) as
+    `_qpow_rel`, G's relative bounds, eps for each of the two products, and
+    2 eps more for / pi (pi's own rounding and the quotient; / 2 is exact).
+    cos(nu pi) is good to 2 eps (|cos| + |nu pi|), from nu pi's two roundings
+    and the cos within an ulp.  The product (`qcalc._times`) and sum
+    (`qcalc._plus`) rules compose them with the two series in the order of
+    the value, so the bound carries G's error and the rounding of the
+    difference."""
     q = base.q
-    gg = qgamma(nu, b2) * qgamma(1.0 - nu, b2)
-    p, m = series(nu), series(-nu)
+    (g, rg), (h, rh) = _qgamma(nu, b2), _qgamma(1.0 - nu, b2)
+    gg = g * h
+    e, rel = q ** (-nu * nu + nu), _qpow_rel(q, nu, nu) + rg + rh + 2.0 * _EPS
+    what = "Y/K combination at nu"
     if family == "Y":
-        pref = q ** (-nu * nu + nu) / math.pi * gg
-        val = pref * (math.cos(nu * math.pi) * p.value - m.value)
+        pref = _const(e / math.pi * gg, rel + 2.0 * _EPS)
+        t = nu * math.pi
+        c = math.cos(t)
+        cp = _times((c, 2.0 * _EPS * (abs(c) + abs(t)), 0), p, what, nu)
+        diff = _plus(cp, m, what, nu, sub=True)
     else:
-        pref = q ** (-nu * nu + nu) / 2.0 * gg
-        val = pref * (m.value - p.value)
-    err = abs(pref) * (p.err_estimate + m.err_estimate)
-    return SeriesValue(val, err, p.terms_used + m.terms_used)
+        pref = _const(e / 2.0 * gg, rel)
+        diff = _plus(m, p, what, nu, sub=True)
+    return _times(pref, diff, what, nu)
 
 
 def bessel_combination(
@@ -253,21 +320,19 @@ def bessel_combination(
         raise ValueError(f"bessel_combination handles Y and K only, got {family!r}")
     b2 = base.squared()
     inner = "J" if family == "Y" else "I"
-    summed = {}
-
-    def series(s: float) -> SeriesValue:
-        if s not in summed:
-            summed[s] = _series(kind, inner, s, z, base, b2)
-        return summed[s]
-
     if not float(nu).is_integer():
-        return _combination_raw(family, nu, series, base, b2)
+        p, m = _series(kind, inner, nu, z, base, b2), _series(kind, inner, -nu, z, base, b2)
+        return _combination_raw(family, nu, p, m, base, b2)
     e1, e2 = _LIMIT_EPS
+    orders = [s for eps in _LIMIT_EPS for o in (nu + eps, nu - eps) for s in (o, -o)]
+    summed = {s: _series(kind, inner, s, z, base, b2) for s in dict.fromkeys(orders)}
     g = []
-    for eps in (e1, e2):
-        above = _combination_raw(family, nu + eps, series, base, b2)
-        below = _combination_raw(family, nu - eps, series, base, b2)
-        g.append(0.5 * (above.value + below.value))
+    for eps in _LIMIT_EPS:
+        above, below = (
+            _combination_raw(family, o, summed[o], summed[-o], base, b2).value
+            for o in (nu + eps, nu - eps)
+        )
+        g.append(0.5 * (above + below))
     ext = (g[1] * e1 * e1 - g[0] * e2 * e2) / (e1 * e1 - e2 * e2)
     spread = abs(g[0] - g[1])
     scale = max(1.0, abs(ext))
@@ -294,14 +359,12 @@ def _family(
     family: str,
     nu: float,
     u: complex,
-    f: Callable[[complex], Tuple[complex, float, int]],
+    f: Callable[[complex], SeriesValue],
     base: QBase,
 ) -> SeriesValue:
-    """The family map: sum_w c_w f(w), bounded by sum_w |c_w| err(f(w)).
-
-    f(w) returns (value, error bound, terms used).  Each c_w is a common
-    prefactor times a unit-modulus factor.  With r = sqrt(2u),
-    k = q^(-nu^2+1/2) (1-q^2) / (2 a_nu r) and alpha = (2nu+1) pi/4:
+    """The family map: sum_w c_w f(w), each c_w a common prefactor times a
+    unit-modulus rotation.  With r = sqrt(2u), k = q^(-nu^2+1/2) (1-q^2) /
+    (2 a_nu r) and alpha = (2nu+1) pi/4:
 
       I: a_nu/r at w = u, and (a_nu/r) i e^(i nu pi) at w = -u;
       K: k at w = -u;
@@ -310,34 +373,70 @@ def _family(
 
     For u > 0, real a_nu and an f with real Taylor coefficients, the two
     +-iu terms are conjugate and J and Y are real.
+
+    f(w) is a bounded value, and the product (`qcalc._times`) and sum
+    (`qcalc._plus`) rules compose the map's bound from f's bounds, the
+    rotations' and the prefactor's (`_family_constants`), in the order of
+    the value.
+    """
+    num, den, rel, rotations = _family_constants(family, nu, base)
+    r = cmath.sqrt(2.0 * u)
+    pref = num / r if den is None else num / (den * r)
+    if family == "I":
+        points = (u, -u)
+    elif family == "K":
+        points = (-u,)
+    else:
+        points = (1j * u, -1j * u)
+    what = "family map at u"
+    s = _ZERO
+    for w, rot in zip(points, rotations):
+        s = _plus(s, _times(rot, f(w), what, u), what, u)
+    return _times(_const(pref, rel), s, what, u)
+
+
+@functools.lru_cache(maxsize=256)
+def _family_constants(
+    family: str, nu: float, base: QBase
+) -> Tuple[complex, Optional[complex], float, Tuple[_Ball, ...]]:
+    """(num, den, rel, rotations) of the family map (`_family`) at one
+    order: its prefactor is num / r for I and J (num = a_nu) and num /
+    (den r) for K and Y (num = q^(-nu^2+1/2) (1 - q^2), den = 2 a_nu or
+    2 pi a_nu), r = sqrt(2u), good to a relative rel; rotations are the
+    unit-modulus factors of its points in their order, 1 and i e^(i nu pi)
+    (I), 1 (K), e^(-+i alpha) (J) and -+i e^(-+i alpha) (Y), as bounded
+    values.  Memoized per (family, nu, base), at most 256 entries: every
+    map at one order and base reads the same ones.
+
+    In units of eps = 2^-53:
+      * a_nu as `_a_nu` bounds it; r to 4 (cmath.sqrt, whose two parts take
+        a hypot, a sum, a square root and a quotient) and 6 for the complex
+        quotient, so num / r is good to 10 more than a_nu;
+      * num / (den r) to 10 more still, and num's factors: q^(-nu^2+1/2) as
+        `_qpow_rel`, 1 - q^2 to 1 / (1 - q^2), 1 for their product, 4 for
+        each product of the denominator (two with pi) and 1 for 2 pi;
+      * each rotation to 2 + 3 (pi/4 + |nu| pi): its angle nu pi or alpha
+        from the rounded pi, a product and for alpha a sum, then cmath.exp
+        within an ulp per part; multiplying by +-i is exact.
     """
     q = base.q
-    an = a_nu(nu, base)
-    r = cmath.sqrt(2.0 * u)
+    an, rel = _a_nu(nu, base)
+    rel += 10.0 * _EPS
+    num, den = an, None
+    if family in ("K", "Y"):
+        rel += _qpow_rel(q, nu, 0.5) + (10.0 + 1.0 / (1.0 - q * q)) * _EPS
+        num = q ** (-nu * nu + 0.5) * (1.0 - q * q)
+        den = 2.0 * an if family == "K" else 2.0 * math.pi * an
     if family == "I":
-        pref = an / r
-        points = ((u, 1.0), (-u, 1j * cmath.exp(1j * nu * math.pi)))
+        rots = (1.0, 1j * cmath.exp(1j * nu * math.pi))
     elif family == "K":
-        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * an * r)
-        points = ((-u, 1.0),)
+        rots = (1.0,)
     else:
         alpha = math.pi / 4.0 + nu * math.pi / 2.0
         minus, plus = cmath.exp(-1j * alpha), cmath.exp(1j * alpha)
-        if family == "J":
-            pref = an / r
-            points = ((1j * u, minus), (-1j * u, plus))
-        else:
-            pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (2.0 * math.pi * an * r)
-            points = ((1j * u, -1j * minus), (-1j * u, 1j * plus))
-    s: complex = 0.0
-    err = 0.0
-    terms = 0
-    for w, rot in points:
-        fv, fe, ft = f(w)
-        s += rot * fv
-        err += fe
-        terms += ft
-    return SeriesValue(pref * s, abs(pref) * err, terms)
+        rots = (minus, plus) if family == "J" else (-1j * minus, 1j * plus)
+    turn = (2.0 + 3.0 * (math.pi / 4.0 + abs(nu) * math.pi)) * _EPS
+    return num, den, rel, tuple((rot, turn, 0) for rot in rots)
 
 
 def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
@@ -355,10 +454,9 @@ def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
     if spec.kind.j not in (1, 2):
         raise ValueError("phi representation exists for types 1 and 2 only")
 
-    def f(w: complex) -> Tuple[complex, float, int]:
+    def f(w: complex) -> SeriesValue:
         phi = phi_nu(spec.nu, w, base)
-        sv = _times(qexp_eval(spec.kind, w, base), phi, "phi representation factor at w", w)
-        return sv.value, sv.err_estimate, sv.terms_used
+        return _times(qexp_eval(spec.kind, w, base), phi, "phi representation factor at w", w)
 
     return _family(spec.family, spec.nu, u, f, base)
 
@@ -553,11 +651,11 @@ def bessel_type3_repr(
     L, k, tail = _laurent_window((0.5, 0.0), lambda n: log_c, max(2, window), au, base)
     tables = _type3_tables(nu, L, base)
 
-    def f(w: complex) -> Tuple[complex, float, int]:
+    def f(w: complex) -> SeriesValue:
         s, err = _laurent_sum(tables, w, k)
-        return s, err + tail, 0
+        return SeriesValue(s, err + tail, 0)
 
-    return replace(_family(family, nu, u, f, base), terms_used=2 * k + 1)
+    return _family(family, nu, u, f, base)._replace(terms_used=2 * k + 1)
 
 
 def bessel_diffeq_residual(spec: BesselSpec, z: complex, base: QBase) -> float:
@@ -637,10 +735,10 @@ def bessel_asymptotic(
     n, lam = point.n, point.lam
     ests: List[AsymptoticEstimate] = []
 
-    def f(w: complex) -> Tuple[complex, float, int]:
+    def f(w: complex) -> SeriesValue:
         est = qexp_asymptotic(spec.kind, LatticePoint(w, n, lam, cmath.phase(w)), base)
         ests.append(est)
-        return est.phase * est.constant, 0.0, 0
+        return SeriesValue(est.phase * est.constant, 0.0, 0)
 
     c = _family(spec.family, spec.nu, base.q ** (n + lam), f, base).value
     est = ests[0]

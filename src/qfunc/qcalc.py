@@ -39,6 +39,12 @@ value and for a table's top row, are one routine (`qexp._pole_sum`),
 not kernel calls: each term is one pow of q, and the term count comes
 from one quadratic (`qexp._least_n`).
 
+A bound is composed from the bounds of its parts by one product rule
+(`_times`) and one sum rule (`_plus`) on (value, err_estimate,
+terms_used) triples, which return a `SeriesValue`, the named triple; a
+constant enters them as a bounded value that counts its own rounding
+(`_const`), q-gamma with the error of its log forms (`_qgamma`).
+
 An infinite product (a;q)_inf is the one other loop, and its native form
 is its logarithm (`_log_poch`), O(sqrt(ln(1/eps) / ln(1/q))) work for
 |a| <= 1: 52 terms for (0.5; 0.999)_inf, against 33,829 factors.
@@ -57,7 +63,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, NonConvergence, ParameterPole, PoleError
 
@@ -127,27 +133,62 @@ class QBase:
         return QBase(self.q * self.q, self.tol, self.max_terms)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """A computed value with truncation-error estimate and term count."""
+class SeriesValue(NamedTuple):
+    """A computed value with truncation-error estimate and term count.
+
+    A named triple: a bounded value is any (value, err_estimate,
+    terms_used) triple, and the bound rules (`_times`, `_plus`) take the
+    kernel's result (`_qseries`) and a constant (`_const`) as they come and
+    build one of these per composed value, at about 0.33 us against 0.78 us
+    for a frozen dataclass (timeit, Python 3.11)."""
 
     value: complex
     err_estimate: float
     terms_used: int
 
 
-def _times(a: SeriesValue, b: SeriesValue, what: str, at: complex) -> SeriesValue:
+# A bounded value as the rules take it: (value, err_estimate, terms_used).
+_Ball = Tuple[complex, float, int]
+
+
+def _times(a: _Ball, b: _Ball, what: str, at: complex) -> SeriesValue:
     """The product a b of two bounded values, good to |b| e_a + |a| e_b +
     e_a e_b + 4u |a b| (u = 2^-53, for the product's own rounding), with
     their terms added.  A product or bound that is not a finite double
-    raises DomainError naming what and the point it was at."""
-    v = a.value * b.value
-    ma, mb = abs(a.value), abs(b.value)
-    ea, eb = a.err_estimate, b.err_estimate
+    raises DomainError naming what and the point it was at.
+
+    With `_plus` it is the one way a bound is composed from its parts'
+    bounds, the midpoint-radius arithmetic of Johansson (Arb, IEEE Trans.
+    Computers 66 (2017)) in double precision.  The value is a's value
+    times b's, so a caller that keeps its operands' order keeps its values
+    bit for bit."""
+    av, ea, ta = a
+    bv, eb, tb = b
+    v = av * bv
+    ma, mb = abs(av), abs(bv)
     err = mb * ea + ma * eb + ea * eb + 4.0 * _EPS * ma * mb
     if not (cmath.isfinite(v) and math.isfinite(err)):
         raise DomainError(f"{what}={at} is not a finite double")
-    return SeriesValue(v, err, a.terms_used + b.terms_used)
+    return SeriesValue(v, err, ta + tb)
+
+
+def _const(v: complex, rel: float) -> _Ball:
+    """A constant v known to a relative rel, as a bounded value of no terms."""
+    return v, abs(v) * rel, 0
+
+
+def _plus(a: _Ball, b: _Ball, what: str, at: complex, sub: bool = False) -> SeriesValue:
+    """The sum a + b (a - b with sub) of two bounded values, good to e_a +
+    e_b + u |a +- b|, the sum's own rounding (each part of a complex sum
+    rounds once), with their terms added; a sum or bound that is not a
+    finite double raises DomainError as `_times` does."""
+    av, ea, ta = a
+    bv, eb, tb = b
+    v = av - bv if sub else av + bv
+    err = ea + eb + _EPS * abs(v)
+    if not (cmath.isfinite(v) and math.isfinite(err)):
+        raise DomainError(f"{what}={at} is not a finite double")
+    return SeriesValue(v, err, ta + tb)
 
 
 @dataclass(frozen=True)
@@ -177,9 +218,12 @@ def qpoch_finite(a: complex, base: QBase, n: int) -> complex:
     return p
 
 
-def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
+def _log_poch(
+    a: complex, base: QBase, da: float = 0.0
+) -> Tuple[complex, complex, float, int]:
     """(a;q)_inf = prod_{k>=0} (1 - a q^k) as (L, unit, dL, terms): the product
-    is unit e^L, |unit| = 1 (+-1 for real a), and dL bounds the error of L.
+    is unit e^L, |unit| = 1 (+-1 for real a), and dL bounds the error of L
+    for a known to a relative da (0: a is exact).
 
     The factor prefix takes the K factors (1 - a q^k) with |a q^k| > r(q) =
     exp(-sqrt(ln(1/eps) ln(1/q))), multiplied in blocks of 32 whose logs
@@ -194,16 +238,18 @@ def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
 
     dL is the tail plus a first-order rounding bound (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3), in units of u = 2^-53:
-      * per factor f = a q^k, 3u for f (one pow, one product) amplified by
-        |f| / |1 - f|, u for 1 - f and 3u for the product into its block;
+      * per factor f = a q^k, 3u + da for f (one pow, one product, and a's
+        own error) amplified by |f| / |1 - f|, u for 1 - f and 3u for the
+        product into its block;
       * per block, u for |p_b|, 2u |ln|p_b|| (one ulp) for its log and 5u
         for its phase and the product into the unit (exact for real a);
       * u times the fsum's modulus, and u |L| for the difference;
       * (7M + 12) u sum |t_m| for the series: x^m and its m-fold share of
-        x's error, -expm1(m ln q), the quotient and the recursive sum;
+        x's error, -expm1(m ln q), the quotient and the recursive sum, and
+        M da sum |t_m| for the m-fold share of a's own error;
       * 4u for the one exp a caller takes and its product by the unit.
     dL bounds the relative error of the computed factors.  A factor that
-    rounds to 0 enters L at 3u |f|, its error and so the most it can be,
+    rounds to 0 enters L at (3u + da) |f|, its error and so the most it can be,
     and makes unit 0.  A non-finite a raises DomainError, either stage
     past max_terms NonConvergence.
     """
@@ -230,7 +276,7 @@ def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
             if g:
                 sens += abs(f) / abs(g)
             else:
-                g = 3.0 * _EPS * abs(f)
+                g = (3.0 * _EPS + da) * abs(f)
                 unit = 0.0
             p *= g
         pa = abs(p)
@@ -267,7 +313,7 @@ def _log_poch(a: complex, base: QBase) -> Tuple[complex, complex, float, int]:
     lv = sl - s
     rho = 3.0 * sens + 4.0 * n_prefix + (7.0 * terms + 12.0) * st + 4.0
     rho += 6.0 * len(logs) + 2.0 * sum(map(abs, logs)) + abs(sl) + abs(lv)
-    return lv, unit, tail + _EPS * rho, n_prefix + terms
+    return lv, unit, tail + _EPS * rho + da * (sens + terms * st), n_prefix + terms
 
 
 def qpoch_infinite(a: complex, base: QBase) -> SeriesValue:
@@ -349,23 +395,49 @@ def _base_poch(a: float, base: QBase) -> Tuple[float, float, float, int]:
 def qgamma(alpha: float, base: QBase) -> float:
     """The q-gamma function (q;q)_inf / (q^alpha;q)_inf * (1-q)^(1-alpha).
 
-    exp(ln (q;q)_inf - ln (q^alpha;q)_inf + (1 - alpha) log1p(-q)) over the
-    unit of (q^alpha;q)_inf (`_log_poch`): no product, about e^-1640 each
-    at q = 0.999, is formed.  Memoized per (alpha, base), at most 256
-    entries, bit-identical to an uncached call.  A pole raises PoleError, a
-    value outside the normal doubles, a NaN alpha or a factor of
-    (q^alpha;q)_inf that rounds to 0 DomainError.
+    The value of its bounded form (`_qgamma`).  Memoized per (alpha,
+    base), at most 256 entries, bit-identical to an uncached call.  A pole
+    raises PoleError, a value outside the normal doubles, a NaN alpha or a
+    factor of (q^alpha;q)_inf that rounds to 0 DomainError.
+    """
+    return _qgamma(alpha, base)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _qgamma(alpha: float, base: QBase) -> Tuple[float, float]:
+    """q-gamma with a bound on its relative error: exp(x) over the unit of
+    (q^alpha;q)_inf, x = ln (q;q)_inf - ln (q^alpha;q)_inf + (1 - alpha)
+    log1p(-q), from the log forms (`_base_poch`, `_log_poch`): no product,
+    about e^-1640 each at q = 0.999, is formed.  Every reader takes it into
+    a constant's relative bound, so it is a pair, not a `SeriesValue`.
+
+    The bound is expm1(dx), dx the error of x; in units of u = 2^-53:
+      * the two dL, one of them for q^alpha known to da = (2 + |alpha ln q|) u,
+        one pow within an ulp and alpha's own rounding (u |alpha|) where its
+        caller formed it, as nu + 1 or 1 - nu; each dL holds the exp and
+        the division by the unit;
+      * 4u |c| for c = (1 - alpha) log1p(-q) (the difference, log1p within
+        an ulp, the product) and u |alpha log1p(-q)| for alpha's rounding;
+      * u for each of the two additions, of the sizes of their results.
+    Memoized per (alpha, base), at most 256 entries: every Bessel prefactor
+    reads it; errors are not cached.
     """
     if alpha <= 0 and float(alpha).is_integer():
         raise PoleError(f"q-gamma has a pole at nonpositive integer alpha={alpha}")
     q = base.q
-    lv, unit, _, _ = _log_poch(q**alpha, base)
+    lq1 = math.log1p(-q)
+    da = _EPS * (2.0 + abs(alpha * math.log(q)))
+    lv, unit, dl, _ = _log_poch(q**alpha, base, da)
     if not unit:
         raise DomainError(f"q-gamma at alpha={alpha}, q={q} rounds onto its pole {round(alpha)}")
-    x = _base_poch(q, base)[0] - lv + (1.0 - alpha) * math.log1p(-q)
+    lqq, _, dqq, _ = _base_poch(q, base)
+    c = (1.0 - alpha) * lq1
+    x = lqq - lv + c
     if not _LOG_TINY <= x < _LOG_HUGE:
         raise DomainError(f"q-gamma at alpha={alpha}, q={q} is not a normal double")
-    return math.exp(x) / unit
+    g = math.exp(x) / unit
+    dx = dl + dqq + _EPS * (abs(lqq - lv) + abs(x) + 4.0 * abs(c) + abs(alpha * lq1))
+    return g, math.expm1(dx)
 
 
 @functools.lru_cache(maxsize=256)
@@ -507,8 +579,8 @@ def _qseries(
     NonConvergence at once.  A series that converges sums on past a factor
     that is near 0 but not 0, which the rounded q-power of a caller's
     parameter makes of a true 0 or of a true factor of 1e-16: see the
-    bound below.  A plain tuple, so that callers which rescale the sum
-    build one SeriesValue, not two.
+    bound below.  A plain triple, which the bound rules (`_times`) take
+    as it is.
 
     The bound adds to the tail a first-order rounding bound (Higham,
     Accuracy and Stability of Numerical Algorithms, chs. 3-4), in units

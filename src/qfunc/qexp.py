@@ -59,7 +59,9 @@ from .qcalc import (
     QBase,
     SeriesValue,
     _base_poch,
+    _const,
     _log_poch,
+    _plus,
     _qseries,
     _times,
     lattice_decompose,
@@ -697,7 +699,8 @@ def lambda_laurent_eval(
     w = q/u is good to 6u (CPython's complex quotient: 3u for its
     denominator, then up to 3u more per part), which `_pole_sum` carries
     through 1 - q^m w; the product w S(w, 1) and the prefactor are bounded
-    by the product rule (`_times`), the sum of the two parts adds u of it.
+    by the product rule (`_times`), the sum of the two parts by the sum
+    rule (`_plus`).
     A window below 1 raises ValueError.
     """
     if u == 0:
@@ -714,12 +717,9 @@ def lambda_laurent_eval(
             )
         what, dw = "type-1 two-sided sum at u", 6.0 * _EPS
         s0 = _pole_sum(u, 0, q)
-        s1 = _times(SeriesValue(w, dw * abs(w), 0), _pole_sum(w, 1, q, dw), what, u)
-        s = s0.value + s1.value
-        err = s0.err_estimate + s1.err_estimate + _EPS * abs(s)
+        s1 = _times(_const(w, dw), _pole_sum(w, 1, q, dw), what, u)
         p, rel = _inv_qq(2, base)
-        sv = SeriesValue(s, err, s0.terms_used + s1.terms_used)
-        return _times(SeriesValue(p, p * rel, 0), sv, what, u)
+        return _times(_const(p, rel), _plus(s0, s1, what, u), what, u)
     w = (2 - kind.delta) / 2.0
     log_qq = _base_poch(q, base)[0]
 

@@ -293,16 +293,16 @@ _EVAL_PINS = [
         ["eval", "--fn", "besselK", "--kind", "2", "--nu", "0.25", "--q", "0.5", "--z", "1.2,0.5", "--grid", "0.5", "2", "3"],
         0,
         [
-            'besselK,2,K,0.25,0.5,1.2,0.5,-0.030241117322637304,-0.05885951341645987,4.6572406942606595e-14,',
-            'besselK,2,K,0.25,0.5,0.5,0.0,0.30560624861300867,0.0,2.519827810160051e-14,',
-            'besselK,2,K,0.25,0.5,1.25,0.0,0.009598007823227115,0.0,4.540124899713378e-14,',
-            'besselK,2,K,0.25,0.5,2.0,0.0,-0.020191291591189917,0.0,6.799896732057625e-14,',
+            'besselK,2,K,0.25,0.5,1.2,0.5,-0.030241117322637304,-0.05885951341645987,7.12898086226575e-14,',
+            'besselK,2,K,0.25,0.5,0.5,0.0,0.30560624861300867,0.0,4.874722814656698e-14,',
+            'besselK,2,K,0.25,0.5,1.25,0.0,0.009598007823227115,0.0,7.019297707400597e-14,',
+            'besselK,2,K,0.25,0.5,2.0,0.0,-0.020191291591189917,0.0,1.0496599095096346e-13,',
         ],
         [
-            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[1.2,0.5],"value":[-0.030241117322637304,-0.05885951341645987],"err_estimate":4.6572406942606595e-14,"error":null}',
-            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[0.5,0.0],"value":[0.30560624861300867,0.0],"err_estimate":2.519827810160051e-14,"error":null}',
-            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[1.25,0.0],"value":[0.009598007823227115,0.0],"err_estimate":4.540124899713378e-14,"error":null}',
-            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[2.0,0.0],"value":[-0.020191291591189917,0.0],"err_estimate":6.799896732057625e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[1.2,0.5],"value":[-0.030241117322637304,-0.05885951341645987],"err_estimate":7.12898086226575e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[0.5,0.0],"value":[0.30560624861300867,0.0],"err_estimate":4.874722814656698e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[1.25,0.0],"value":[0.009598007823227115,0.0],"err_estimate":7.019297707400597e-14,"error":null}',
+            '{"function":"besselK","kind":2,"family":"K","nu":0.25,"q":0.5,"arg":[2.0,0.0],"value":[-0.020191291591189917,0.0],"err_estimate":1.0496599095096346e-13,"error":null}',
         ],
     ),
 ]
@@ -474,6 +474,18 @@ class TestLaurent:
             assert (float(c1), float(c2), float(c3)) == (pair.c1, pair.c2, pair.c3)
 
 
+    def test_negative_coefficient_product_exits_64(self, capsys):
+        # At q = 1/4, nu = 1.8 the type-1 and type-2 rows differ in sign from
+        # l = 1 on, so the type-3 column has no real geometric mean.
+        code, out, err = run_cli(
+            capsys, "laurent", "--which", "bessel", "--q", "0.25", "--nu", "1.8"
+        )
+        assert code == 64 and out == ""
+        assert err == (
+            "error: NegativeProduct: coefficient product c1*c2 = -0.19257788113897734 < 0"
+            " at (l=1, sign=plus, nu=1.8)\n"
+        )
+
     def test_bessel_table_at_an_order_within_rounding_of_a_half_integer(self, capsys):
         # A factor of Phi's coefficients rounds to 0 at this order; the table
         # raised a bare ValueError, printed as "error: math domain error"
@@ -485,6 +497,38 @@ class TestLaurent:
         assert code == 0 and err == ""
         _, rows = parse_csv(out)
         assert [r[0] for r in rows] == ["-3", "-2", "-1", "0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asym", "--selector", "K:3", "--q", "0.5", "--nu", "0.25", "--n-start", "-2", "--n-stop", "-5"],
+        ["asym", "--selector", "J:2", "--q", "0.8", "--n-start", "-2", "--n-stop", "-4"],
+        ["laurent", "--which", "bessel", "--q", "0.5", "--nu", "0.25", "--window", "3"],
+        ["laurent", "--which", "lambda", "--kind", "1", "--q", "0.25", "--window", "4"],
+    ],
+)
+def test_json_rows_equal_the_csv_cells(capsys, argv):
+    # One JSON object per CSV row, with the header's keys in its order: the
+    # integer columns as JSON integers, sign as a string, every other cell
+    # as a JSON number that is the CSV cell's float.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    header, rows = parse_csv(out)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == len(rows) > 0
+    for doc, row in zip(docs, rows):
+        assert list(doc) == header
+        for key, cell in zip(header, row):
+            value = doc[key]
+            if key == "sign":
+                assert value == cell and cell in ("plus", "minus")
+            elif key in ("n", "l"):
+                assert type(value) is int and value == int(cell)
+            else:
+                assert type(value) is float and repr(value) == repr(float(cell))
 
 
 class TestNonFiniteOrder:

@@ -13,7 +13,13 @@ from collections import Counter
 import reference_values as ref
 from oracles import bessel_oracle, bessel_series_oracle
 from qfunc import harness, qbessel, qcalc, qexp
-from qfunc.errors import DomainError, NegativeProduct, NonConvergence, ParameterPole
+from qfunc.errors import (
+    DomainError,
+    NegativeProduct,
+    NonConvergence,
+    ParameterPole,
+    QfuncError,
+)
 from qfunc.qcalc import LatticePoint, QBase, lattice_decompose, qgamma
 from qfunc.qexp import KindTag, lambda_laurent_eval, qexp_asymptotic, qexp_eval
 from qfunc.qbessel import (
@@ -283,6 +289,15 @@ class TestTwoSidedCoefficients:
             pair = type3_coeff(l, sign, 0.25, BASE)
             assert pair.c3 == pytest.approx(math.sqrt(pair.c1 * pair.c2), rel=1e-14)
 
+    def test_negative_product_names_its_row(self):
+        # At q = 1/4, nu = 1.8 the type-1 and type-2 coefficients of every
+        # ascending row from l = 1 on have opposite signs.
+        base = QBase(0.25)
+        with pytest.raises(NegativeProduct, match=r"\(l=5, sign=plus, nu=1.8\)"):
+            type3_coeff(5, "plus", 1.8, base)
+        with pytest.raises(NegativeProduct, match=r"\(l=1, sign=plus, nu=1.8\)"):
+            qbessel._type3_tables(1.8, 20, base)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bessel_laurent_coeff(K3, 1, "plus", 0.25, BASE)
@@ -416,6 +431,49 @@ class TestNearQOne:
         sv = bessel_value(BesselSpec(kind, family, 0.25), 1.0, QBase(0.999))
         exact = bessel_series_oracle(kind.delta, family, 0.25, 1.0, 0.999)
         assert abs(sv.value - exact) <= 1e-11 * abs(exact)
+
+
+def _sweep_grid():
+    """(q, kind, family, nu, z) of the Bessel bound sweep: 600 seeded draws,
+    type 1 kept inside 0.9 of its disc |z| < 1/(1-q^2), and the points near
+    q -> 1 where q-gamma's error was in no bound."""
+    rng = random.Random(3)
+    grid = []
+    for _ in range(600):
+        q = rng.uniform(0.2, 0.9)
+        j = rng.choice((1, 2, 3))
+        family = rng.choice("JIYK")
+        nu = rng.choice((0.25, 0.3, 0.5, 1.5, 0.7))
+        z = 10 ** rng.uniform(-12, 0.3)
+        if j > 1 or z < 0.9 / (1.0 - q * q):
+            grid.append((q, KindTag.from_j(j), family, nu, z))
+    near = itertools.product((0.99, 0.999), (K2, K3), "JK")
+    return grid + [(q, kind, family, 0.25, 1.0) for q, kind, family in near]
+
+
+class TestBoundSweep:
+    """err_estimate bounds |value - oracle| for every family and type."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_bessel_value_is_within_its_bound(self, tol):
+        # 28 of these points at tol 1e-12, and 29 at 1e-6, under-reported
+        # when the prefactors' rounding and q-gamma's error were outside the
+        # bound, at nu = 3/2 and 0.7, by up to 2.8 times (I of type 2,
+        # q = 0.438, z = 1.4e-10).
+        mpmath = pytest.importorskip("mpmath")
+        short, checked = [], 0
+        for q, kind, family, nu, z in _sweep_grid():
+            try:
+                sv = bessel_value(BesselSpec(kind, family, nu), z, QBase(q, tol=tol))
+            except QfuncError:
+                continue
+            checked += 1
+            exact = bessel_oracle(kind.delta, family, nu, z, q)
+            with mpmath.workdps(40):
+                error = float(abs(sv.value - exact))
+            if not error <= sv.err_estimate:
+                short.append((kind.j, family, nu, q, z, error, sv.err_estimate))
+        assert checked == 600 and short == []
 
 
 class TestNonFiniteArgument:

@@ -140,7 +140,7 @@ class TestFreshBaseWork:
     def test_qgamma_makes_one_product_and_qq_none(self, monkeypatch):
         calls = []
         log_form = qcalc._log_poch
-        monkeypatch.setattr(qcalc, "_log_poch", lambda a, b: calls.append(a) or log_form(a, b))
+        monkeypatch.setattr(qcalc, "_log_poch", lambda a, b, *da: calls.append(a) or log_form(a, b, *da))
         for q in (0.3, 0.618, 0.97):
             base = QBase(q)
             qcalc._base_poch.cache_clear()
@@ -298,6 +298,17 @@ class TestQGamma:
         for alpha in (0.25, 0.5, 2.5, -0.5):
             exact = qgamma_oracle(alpha, q)
             assert abs(qgamma(alpha, QBase(q)) - exact) <= 1e-11 * abs(exact), alpha
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99, 0.999, 0.9995])
+    def test_bounded_form_covers_the_oracle(self, q):
+        # Gamma's relative bound (`qcalc._qgamma`) enters every Bessel
+        # prefactor; alpha as the Bessel code forms it (nu + 1, 1 - nu).
+        base = QBase(q)
+        for alpha in (0.25, 0.75, 2.5, -0.5, 0.3 + 1.0, 1.0 - 0.7):
+            g, rel = qcalc._qgamma(alpha, base)
+            exact = qgamma_oracle(alpha, q)
+            assert g == qgamma(alpha, base)
+            assert abs(g - exact) <= rel * abs(g), alpha
 
     @pytest.mark.parametrize("alpha, q, pole", [(-0.9999999999999999, 0.7, -1), (1e-17, 0.5, 0)])
     def test_factor_that_rounds_to_zero_names_the_pole(self, alpha, q, pole):
