@@ -11,7 +11,6 @@ seed, so identical configs yield identical reports.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -285,11 +284,13 @@ def _pair_functions(
     equal what `bessel_value` returns for each family."""
     fam1, fam2 = pair
     b2 = base.squared()
+    summed = {}
 
-    @functools.lru_cache(maxsize=16)  # the check reads at most 12 points
     def at(t: complex) -> Tuple[complex, complex]:
-        p, m = _series(kind, fam1, nu, t, base, b2), _series(kind, fam1, -nu, t, base, b2)
-        return p.value, _combination_raw(fam2, nu, p, m, base, b2).value
+        if t not in summed:
+            p, m = _series(kind, fam1, nu, t, base, b2), _series(kind, fam1, -nu, t, base, b2)
+            summed[t] = p.value, _combination_raw(fam2, nu, p, m, base, b2).value
+        return summed[t]
 
     return (lambda t: at(t)[0]), (lambda t: at(t)[1])
 

@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from operator import add, mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -49,6 +49,7 @@ from .qcalc import (
     _Ball,
     QBase,
     SeriesValue,
+    _ball,
     _base_poch,
     _const,
     _log_poch,
@@ -101,7 +102,7 @@ _LIMIT_EPS = (1e-4, 1e-5)
 # Samples per side of the type-3 phi bracket, and their offset from the ends.
 _PHI_GRID, _PHI_OFFSET = 64, 1e-6
 # The empty sum of the family map, where every map's sum starts.
-_ZERO = (0.0, 0.0, 0)
+_ZERO = _Ball(0.0, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -167,22 +168,23 @@ def _qpow_rel(q: float, nu: float, c: float) -> float:
     return (2.0 + abs(math.log(q)) * (nu * nu + abs(c - nu * nu))) * _EPS
 
 
-@functools.lru_cache(maxsize=256)
 def a_nu(nu: float, base: QBase) -> complex:
     """Normalization constant of the second-solution representations.
 
     Real positive for small positive orders; complex permitted when the
     defining square is negative.  Integer orders take their own branch.
-    The value of its bounded form (`_a_nu`), memoized per (nu, base), at
-    most 256 entries process-wide, bit-identical to an uncached call;
-    errors are not cached.
+    The value of its bounded form (`_a_nu`), and memoized by that form's
+    memo, bit-identical to an uncached call.
     """
     return _a_nu(nu, base)[0]
 
 
+@functools.lru_cache(maxsize=256)
 def _a_nu(nu: float, base: QBase) -> Tuple[complex, float]:
     """a_nu = sqrt(sq) with a bound on its relative error, which the family
-    map's constants (`_family_constants`) take into its prefactor's.
+    map (`_family`) takes into its prefactor's.  Every family map reads
+    it, so it is memoized per (nu, base), at most 256 entries process-wide,
+    the one memo of a_nu; errors are not cached.
 
     In units of eps = 2^-53, with pow, log, sin and sqrt within an ulp (2):
       * non-integer nu, sq = q^(-nu+1/2) (1 - q^2) / (2 G_nu G_(1-nu)
@@ -229,12 +231,12 @@ def bessel_series(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
     """
     if spec.family not in ("J", "I"):
         raise ValueError(f"bessel_series handles J and I only, got {spec.family!r}")
-    return _series(spec.kind, spec.family, spec.nu, z, base, base.squared())
+    return SeriesValue(*_series(spec.kind, spec.family, spec.nu, z, base, base.squared()))
 
 
 def _series(
     kind: KindTag, family: str, nu: float, z: complex, base: QBase, b2: QBase
-) -> SeriesValue:
+) -> _Ball:
     """The J or I series of `bessel_series`, for a base b2 = base.squared().
 
     The scaled argument x has an exactly zero imaginary part at real and
@@ -256,22 +258,22 @@ def _series(
     z = complex(z)
     if z == 0:
         if nu > 0:
-            return SeriesValue(0.0, 0.0, 0)
+            return _Ball(0.0, 0.0, 0)
         if nu == 0:
-            return SeriesValue(1.0, 0.0, 1)
+            return _Ball(1.0, 0.0, 1)
         raise DomainError("negative-order series is singular at z = 0")
     sgn = -1.0 if family == "J" else 1.0
     g, rg = _qgamma(nu + 1.0, b2)
     zn, rel = _cpow(z, nu)
     pref = _const(zn / g, rel + rg + _EPS)
     x = sgn * (1.0 - q * q) ** 2 * z * z * q ** ((2 - d) * (1.0 + nu))
-    s = _qseries((), (q ** (2 * nu + 2),), b2, x if x.imag else x.real, 2 - d)
+    s = _ball(_qseries((), (q ** (2 * nu + 2),), b2, x if x.imag else x.real, 2 - d))
     return _times(pref, s, "q^2-Bessel series at z", z)
 
 
 def _combination_raw(
-    family: str, nu: float, p: SeriesValue, m: SeriesValue, base: QBase, b2: QBase
-) -> SeriesValue:
+    family: str, nu: float, p: _Ball, m: _Ball, base: QBase, b2: QBase
+) -> _Ball:
     """The defining Y/K combination at a non-integer order nu, from p and m,
     the J (for Y) or I (for K) series at orders nu and -nu:
 
@@ -295,7 +297,7 @@ def _combination_raw(
         pref = _const(e / math.pi * gg, rel + 2.0 * _EPS)
         t = nu * math.pi
         c = math.cos(t)
-        cp = _times((c, 2.0 * _EPS * (abs(c) + abs(t)), 0), p, what, nu)
+        cp = _times(_Ball(c, 2.0 * _EPS * (abs(c) + abs(t)), 0), p, what, nu)
         diff = _plus(cp, m, what, nu, sub=True)
     else:
         pref = _const(e / 2.0 * gg, rel)
@@ -322,7 +324,7 @@ def bessel_combination(
     inner = "J" if family == "Y" else "I"
     if not float(nu).is_integer():
         p, m = _series(kind, inner, nu, z, base, b2), _series(kind, inner, -nu, z, base, b2)
-        return _combination_raw(family, nu, p, m, base, b2)
+        return SeriesValue(*_combination_raw(family, nu, p, m, base, b2))
     e1, e2 = _LIMIT_EPS
     orders = [s for eps in _LIMIT_EPS for o in (nu + eps, nu - eps) for s in (o, -o)]
     summed = {s: _series(kind, inner, s, z, base, b2) for s in dict.fromkeys(orders)}
@@ -359,9 +361,9 @@ def _family(
     family: str,
     nu: float,
     u: complex,
-    f: Callable[[complex], SeriesValue],
+    f: Callable[[complex], _Ball],
     base: QBase,
-) -> SeriesValue:
+) -> _Ball:
     """The family map: sum_w c_w f(w), each c_w a common prefactor times a
     unit-modulus rotation.  With r = sqrt(2u), k = q^(-nu^2+1/2) (1-q^2) /
     (2 a_nu r) and alpha = (2nu+1) pi/4:
@@ -376,43 +378,12 @@ def _family(
 
     f(w) is a bounded value, and the product (`qcalc._times`) and sum
     (`qcalc._plus`) rules compose the map's bound from f's bounds, the
-    rotations' and the prefactor's (`_family_constants`), in the order of
-    the value.
-    """
-    num, den, rel, rotations = _family_constants(family, nu, base)
-    r = cmath.sqrt(2.0 * u)
-    pref = num / r if den is None else num / (den * r)
-    if family == "I":
-        points = (u, -u)
-    elif family == "K":
-        points = (-u,)
-    else:
-        points = (1j * u, -1j * u)
-    what = "family map at u"
-    s = _ZERO
-    for w, rot in zip(points, rotations):
-        s = _plus(s, _times(rot, f(w), what, u), what, u)
-    return _times(_const(pref, rel), s, what, u)
-
-
-@functools.lru_cache(maxsize=256)
-def _family_constants(
-    family: str, nu: float, base: QBase
-) -> Tuple[complex, Optional[complex], float, Tuple[_Ball, ...]]:
-    """(num, den, rel, rotations) of the family map (`_family`) at one
-    order: its prefactor is num / r for I and J (num = a_nu) and num /
-    (den r) for K and Y (num = q^(-nu^2+1/2) (1 - q^2), den = 2 a_nu or
-    2 pi a_nu), r = sqrt(2u), good to a relative rel; rotations are the
-    unit-modulus factors of its points in their order, 1 and i e^(i nu pi)
-    (I), 1 (K), e^(-+i alpha) (J) and -+i e^(-+i alpha) (Y), as bounded
-    values.  Memoized per (family, nu, base), at most 256 entries: every
-    map at one order and base reads the same ones.
-
-    In units of eps = 2^-53:
+    rotations' and the prefactor's, in the order of the value.  In units
+    of eps = 2^-53:
       * a_nu as `_a_nu` bounds it; r to 4 (cmath.sqrt, whose two parts take
         a hypot, a sum, a square root and a quotient) and 6 for the complex
-        quotient, so num / r is good to 10 more than a_nu;
-      * num / (den r) to 10 more still, and num's factors: q^(-nu^2+1/2) as
+        quotient, so a_nu / r is good to 10 more than a_nu;
+      * k to 10 more still, and its numerator's factors: q^(-nu^2+1/2) as
         `_qpow_rel`, 1 - q^2 to 1 / (1 - q^2), 1 for their product, 4 for
         each product of the denominator (two with pi) and 1 for 2 pi;
       * each rotation to 2 + 3 (pi/4 + |nu| pi): its angle nu pi or alpha
@@ -421,22 +392,31 @@ def _family_constants(
     """
     q = base.q
     an, rel = _a_nu(nu, base)
+    r = cmath.sqrt(2.0 * u)
     rel += 10.0 * _EPS
-    num, den = an, None
-    if family in ("K", "Y"):
+    if family in ("I", "J"):
+        pref = an / r
+    else:
         rel += _qpow_rel(q, nu, 0.5) + (10.0 + 1.0 / (1.0 - q * q)) * _EPS
-        num = q ** (-nu * nu + 0.5) * (1.0 - q * q)
         den = 2.0 * an if family == "K" else 2.0 * math.pi * an
+        pref = q ** (-nu * nu + 0.5) * (1.0 - q * q) / (den * r)
     if family == "I":
-        rots = (1.0, 1j * cmath.exp(1j * nu * math.pi))
+        points = ((u, 1.0), (-u, 1j * cmath.exp(1j * nu * math.pi)))
     elif family == "K":
-        rots = (1.0,)
+        points = ((-u, 1.0),)
     else:
         alpha = math.pi / 4.0 + nu * math.pi / 2.0
         minus, plus = cmath.exp(-1j * alpha), cmath.exp(1j * alpha)
-        rots = (minus, plus) if family == "J" else (-1j * minus, 1j * plus)
+        if family == "J":
+            points = ((1j * u, minus), (-1j * u, plus))
+        else:
+            points = ((1j * u, -1j * minus), (-1j * u, 1j * plus))
     turn = (2.0 + 3.0 * (math.pi / 4.0 + abs(nu) * math.pi)) * _EPS
-    return num, den, rel, tuple((rot, turn, 0) for rot in rots)
+    what = "family map at u"
+    s = _ZERO
+    for w, rot in points:
+        s = _plus(s, _times(_Ball(rot, turn, 0), f(w), what, u), what, u)
+    return _times(_const(pref, rel), s, what, u)
 
 
 def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
@@ -454,11 +434,11 @@ def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
     if spec.kind.j not in (1, 2):
         raise ValueError("phi representation exists for types 1 and 2 only")
 
-    def f(w: complex) -> SeriesValue:
+    def f(w: complex) -> _Ball:
         phi = phi_nu(spec.nu, w, base)
         return _times(qexp_eval(spec.kind, w, base), phi, "phi representation factor at w", w)
 
-    return _family(spec.family, spec.nu, u, f, base)
+    return SeriesValue(*_family(spec.family, spec.nu, u, f, base))
 
 
 def _phi_table(nu: float, q: float, n: int) -> Tuple[List[float], float]:
@@ -634,9 +614,9 @@ def bessel_type3_repr(
     terms_used counts the 2k + 1 rows summed.  As c_l^2 = c1_l c2_l, the
     rows obey the type-2 Gaussian at half its weight ascending and the
     type-1 decay q^l descending.  The bound grows with the cancellation in
-    f, as for K, whose single point w = -u alternates the signs.  The prefactor's own
-    rounding and the connection error at orders other than half-integers
-    (`bessel_phi_repr`) stay outside it.
+    f, as for K, whose single point w = -u alternates the signs.  The
+    connection error at orders other than half-integers (`bessel_phi_repr`)
+    stays outside it.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
@@ -651,11 +631,12 @@ def bessel_type3_repr(
     L, k, tail = _laurent_window((0.5, 0.0), lambda n: log_c, max(2, window), au, base)
     tables = _type3_tables(nu, L, base)
 
-    def f(w: complex) -> SeriesValue:
+    def f(w: complex) -> _Ball:
         s, err = _laurent_sum(tables, w, k)
-        return SeriesValue(s, err + tail, 0)
+        return _Ball(s, err + tail, 0)
 
-    return _family(family, nu, u, f, base)._replace(terms_used=2 * k + 1)
+    v, err, _ = _family(family, nu, u, f, base)
+    return SeriesValue(v, err, 2 * k + 1)
 
 
 def bessel_diffeq_residual(spec: BesselSpec, z: complex, base: QBase) -> float:
@@ -735,10 +716,10 @@ def bessel_asymptotic(
     n, lam = point.n, point.lam
     ests: List[AsymptoticEstimate] = []
 
-    def f(w: complex) -> SeriesValue:
+    def f(w: complex) -> _Ball:
         est = qexp_asymptotic(spec.kind, LatticePoint(w, n, lam, cmath.phase(w)), base)
         ests.append(est)
-        return SeriesValue(est.phase * est.constant, 0.0, 0)
+        return _Ball(est.phase * est.constant, 0.0, 0)
 
     c = _family(spec.family, spec.nu, base.q ** (n + lam), f, base).value
     est = ests[0]

@@ -58,6 +58,7 @@ from .qcalc import (
     LatticePoint,
     QBase,
     SeriesValue,
+    _Ball,
     _base_poch,
     _const,
     _log_poch,
@@ -179,7 +180,7 @@ def classical_limit_check(
     return out
 
 
-def _lambda_value(kind: KindTag, u: complex, base: QBase) -> SeriesValue:
+def _lambda_value(kind: KindTag, u: complex, base: QBase) -> _Ball:
     """Lambda(u) = e(u) e(q/u), bounded by the product rule (`_times`)."""
     if u == 0:
         raise DomainError("lambda product is undefined at u = 0")
@@ -719,7 +720,7 @@ def lambda_laurent_eval(
         s0 = _pole_sum(u, 0, q)
         s1 = _times(_const(w, dw), _pole_sum(w, 1, q, dw), what, u)
         p, rel = _inv_qq(2, base)
-        return _times(_const(p, rel), _plus(s0, s1, what, u), what, u)
+        return SeriesValue(*_times(_const(p, rel), _plus(s0, s1, what, u), what, u))
     w = (2 - kind.delta) / 2.0
     log_qq = _base_poch(q, base)[0]
 

@@ -493,7 +493,7 @@ class TestMemos:
     )
     def test_qgamma_equals_uncached(self, alpha, q):
         base = QBase(q)
-        assert qgamma(alpha, base) == qgamma.__wrapped__(alpha, base)
+        assert qgamma(alpha, base) == qcalc._qgamma.__wrapped__(alpha, base)[0]
 
     @pytest.mark.parametrize("nu,q", [(0.25, 0.5), (0.5, 0.25), (1.5, 0.8)])
     def test_phi_bracket_equals_uncached(self, nu, q):
@@ -623,7 +623,7 @@ class TestMemos:
     @pytest.mark.parametrize("nu,q", [(0.25, 0.5), (1.0, 0.8), (1.5, 0.25)])
     def test_a_nu_equals_uncached(self, nu, q):
         base = QBase(q)
-        assert a_nu(nu, base) == a_nu.__wrapped__(nu, base)
+        assert a_nu(nu, base) == qbessel._a_nu.__wrapped__(nu, base)[0]
 
     @pytest.mark.parametrize("reader", ["bessel", "type3", "lambda"])
     def test_single_coefficient_loop_shares_tables(self, reader, monkeypatch):

@@ -140,11 +140,11 @@ class TestFreshBaseWork:
     def test_qgamma_makes_one_product_and_qq_none(self, monkeypatch):
         calls = []
         log_form = qcalc._log_poch
-        monkeypatch.setattr(qcalc, "_log_poch", lambda a, b, *da: calls.append(a) or log_form(a, b, *da))
+        monkeypatch.setattr(qcalc, "_log_poch", lambda a, *rest: calls.append(a) or log_form(a, *rest))
         for q in (0.3, 0.618, 0.97):
             base = QBase(q)
             qcalc._base_poch.cache_clear()
-            qgamma.__wrapped__(0.75, base)
+            qcalc._qgamma.__wrapped__(0.75, base)
             assert len(calls) == 1, q
             calls.clear()
             qcalc._base_poch.cache_clear()
