@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+from .errors import DomainError
 from .qcalc import LatticePoint, QBase, lattice_decompose, qgamma
 from .qexp import (
     KindTag,
@@ -626,7 +627,8 @@ def _decay_rows(
     selectors and () otherwise.  Only the first row's u is decomposed on
     the lattice; every row takes its lam and theta, with n shifted by the
     row's offset, so the leading constant, which depends on them alone
-    (`qexp._leading_constant`), is computed once per table.
+    (`qexp._leading_constant`), is computed once per table.  A row whose
+    u = q^(n+lam) is not a finite nonzero double raises DomainError.
     """
     ns = list(n_range)
     if any(a <= b for a, b in zip(ns, ns[1:])):
@@ -635,9 +637,15 @@ def _decay_rows(
     q, nu, lam = fixed
     j = int(tail)
     rows: List[Tuple[int, complex, complex, float, Tuple[float, ...]]] = []
-    first = lattice_decompose(q ** (ns[0] + lam), base) if ns else None
+    first = None
     for n in ns:
-        u = q ** (n + lam)
+        try:
+            u = q ** (n + lam)
+        except OverflowError:  # beyond the doubles
+            u = math.inf
+        if not 0.0 < u < math.inf:
+            raise DomainError(f"q^(n+lam) at q={q}, n={n}, lam={lam} is not a finite nonzero double")
+        first = first or lattice_decompose(u, base)
         pt = LatticePoint(u, first.n + n - ns[0], first.lam, first.theta)
         extra: Tuple[float, ...] = ()
         if head == "qexp":

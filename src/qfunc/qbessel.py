@@ -19,8 +19,11 @@ Every bound here is composed by `qcalc`'s product and sum rules (`_times`,
 `_plus`) from the bounds of the series and of the constants in front of
 them: the series prefactor z^nu / Gamma_(q^2)(nu+1) (`_series`), the Y/K
 constant q^(-nu^2+nu) Gamma_(q^2)(nu) Gamma_(q^2)(1-nu) (`_combination_raw`),
-and a_nu with the family map's prefactors and rotations (`_family`).  Each
-constant counts its own rounding, and q-gamma's error (`qcalc._qgamma`).
+the integer-order limit's two weights (`bessel_combination`, from the four
+combinations it extrapolates) and the family map's c_w, one constant per
+point w (`_family`).  Each constant counts its own rounding, and q-gamma's
+error (`qcalc._qgamma`); a two-sided f is one bounded value of
+`qexp._laurent_sum`, its window's tail included.
 
 Argument convention: public entry points taking z mean F(2(1-q^2)z; q^2);
 representation-based operations take u = (1-q^2)z.  The conversion lives
@@ -101,8 +104,6 @@ _FAMILIES = ("J", "Y", "I", "K")
 _LIMIT_EPS = (1e-4, 1e-5)
 # Samples per side of the type-3 phi bracket, and their offset from the ends.
 _PHI_GRID, _PHI_OFFSET = 64, 1e-6
-# The empty sum of the family map, where every map's sum starts.
-_ZERO = _Ball(0.0, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -313,10 +314,21 @@ def bessel_combination(
     Non-integer orders use the defining combination directly.  Integer
     orders are obtained by evaluating at nu = m +- eps for two offsets,
     averaging the one-sided pair (which cancels the odd term), and
-    extrapolating linearly in eps^2; the per-offset estimates must agree.
+    extrapolating linearly in eps^2; the per-offset estimates g_i must
+    agree, to within 1e5 tol max(1, |value|), or LimitUnstable is raised.
     Each distinct order's series is summed once per call: at m = 0 the
     orders +-(m + eps) and +-(m - eps) are the same two, so 4 series serve
     where m != 0 needs 8.  terms_used counts the terms of those series.
+
+    The extrapolant is w_2 s_2 - w_1 s_1, s_i = 2 g_i the pair's sum at
+    eps_i, w_i = eps_(3-i)^2 / (2 (eps_1^2 - eps_2^2)), composed by the
+    product (`qcalc._times`) and sum (`qcalc._plus`) rules from the four
+    combinations' bounds.  Each weight enters as a constant good to 5 eps
+    (eps = 2^-53): 1 for its square, 3 for the difference of the two
+    squares (eps_2 = eps_1 / 10, so it does not cancel) and 1 for the
+    quotient; the doubling is exact.  The bound is that composed bound
+    plus the spread |g_1 - g_2|, which stands for the extrapolation's own
+    truncation.
     """
     if family not in ("Y", "K"):
         raise ValueError(f"bessel_combination handles Y and K only, got {family!r}")
@@ -328,21 +340,17 @@ def bessel_combination(
     e1, e2 = _LIMIT_EPS
     orders = [s for eps in _LIMIT_EPS for o in (nu + eps, nu - eps) for s in (o, -o)]
     summed = {s: _series(kind, inner, s, z, base, b2) for s in dict.fromkeys(orders)}
-    g = []
-    for eps in _LIMIT_EPS:
-        above, below = (
-            _combination_raw(family, o, summed[o], summed[-o], base, b2).value
-            for o in (nu + eps, nu - eps)
-        )
-        g.append(0.5 * (above + below))
-    ext = (g[1] * e1 * e1 - g[0] * e2 * e2) / (e1 * e1 - e2 * e2)
-    spread = abs(g[0] - g[1])
-    scale = max(1.0, abs(ext))
-    if spread > 1e5 * base.tol * scale:
-        raise LimitUnstable(
-            f"integer-order extrapolants disagree by {spread:.3e} at nu={nu}"
-        )
-    return SeriesValue(ext, spread, sum(sv.terms_used for sv in summed.values()))
+    what = "integer-order limit at nu"
+    raw = {o: _combination_raw(family, o, summed[o], summed[-o], base, b2) for o in orders[::2]}
+    s1, s2 = (_plus(raw[nu + eps], raw[nu - eps], what, nu) for eps in _LIMIT_EPS)
+    d = 2.0 * (e1 * e1 - e2 * e2)
+    w1, w2 = (_const(e * e / d, 5.0 * _EPS) for e in (e2, e1))
+    ext = _plus(_times(w2, s2, what, nu), _times(w1, s1, what, nu), what, nu, sub=True)
+    spread = 0.5 * abs(s1.value - s2.value)
+    if spread > 1e5 * base.tol * max(1.0, abs(ext.value)):
+        raise LimitUnstable(f"integer-order extrapolants disagree by {spread:.3e} at nu={nu}")
+    terms = sum(sv.terms_used for sv in summed.values())
+    return SeriesValue(ext.value, ext.err_estimate + spread, terms)
 
 
 def bessel_value(spec: BesselSpec, z: complex, base: QBase) -> SeriesValue:
@@ -364,9 +372,9 @@ def _family(
     f: Callable[[complex], _Ball],
     base: QBase,
 ) -> _Ball:
-    """The family map: sum_w c_w f(w), each c_w a common prefactor times a
-    unit-modulus rotation.  With r = sqrt(2u), k = q^(-nu^2+1/2) (1-q^2) /
-    (2 a_nu r) and alpha = (2nu+1) pi/4:
+    """The family map: sum_w c_w f(w), each c_w one bounded constant, a
+    common prefactor times a unit-modulus rotation.  With r = sqrt(2u),
+    k = q^(-nu^2+1/2) (1-q^2) / (2 a_nu r) and alpha = (2nu+1) pi/4:
 
       I: a_nu/r at w = u, and (a_nu/r) i e^(i nu pi) at w = -u;
       K: k at w = -u;
@@ -376,24 +384,28 @@ def _family(
     For u > 0, real a_nu and an f with real Taylor coefficients, the two
     +-iu terms are conjugate and J and Y are real.
 
-    f(w) is a bounded value, and the product (`qcalc._times`) and sum
-    (`qcalc._plus`) rules compose the map's bound from f's bounds, the
-    rotations' and the prefactor's, in the order of the value.  In units
-    of eps = 2^-53:
+    f(w) is a bounded value.  Each term c_w f(w) takes the product rule
+    (`qcalc._times`), and the two terms of I, J and Y the sum rule
+    (`qcalc._plus`): K is one product, the others two products and a sum.
+    c_w is known to a relative bound that, in units of eps = 2^-53, counts:
       * a_nu as `_a_nu` bounds it; r to 4 (cmath.sqrt, whose two parts take
         a hypot, a sum, a square root and a quotient) and 6 for the complex
         quotient, so a_nu / r is good to 10 more than a_nu;
-      * k to 10 more still, and its numerator's factors: q^(-nu^2+1/2) as
+      * for k, 10 more still, and its numerator's factors: q^(-nu^2+1/2) as
         `_qpow_rel`, 1 - q^2 to 1 / (1 - q^2), 1 for their product, 4 for
         each product of the denominator (two with pi) and 1 for 2 pi;
-      * each rotation to 2 + 3 (pi/4 + |nu| pi): its angle nu pi or alpha
+      * the rotation to 2 + 3 (pi/4 + |nu| pi): its angle nu pi or alpha
         from the rounded pi, a product and for alpha a sum, then cmath.exp
-        within an ulp per part; multiplying by +-i is exact.
+        within an ulp per part; multiplying by +-i is exact;
+      * 4 for the complex product of prefactor and rotation, as `_times`
+        counts a product.
+    The product of the prefactor's and the rotation's relative bounds, of
+    second order, is left out.
     """
     q = base.q
     an, rel = _a_nu(nu, base)
     r = cmath.sqrt(2.0 * u)
-    rel += 10.0 * _EPS
+    rel += (16.0 + 3.0 * (math.pi / 4.0 + abs(nu) * math.pi)) * _EPS
     if family in ("I", "J"):
         pref = an / r
     else:
@@ -411,12 +423,9 @@ def _family(
             points = ((1j * u, minus), (-1j * u, plus))
         else:
             points = ((1j * u, -1j * minus), (-1j * u, 1j * plus))
-    turn = (2.0 + 3.0 * (math.pi / 4.0 + abs(nu) * math.pi)) * _EPS
     what = "family map at u"
-    s = _ZERO
-    for w, rot in points:
-        s = _plus(s, _times(_Ball(rot, turn, 0), f(w), what, u), what, u)
-    return _times(_const(pref, rel), s, what, u)
+    terms = [_times(_const(pref * rot, rel), f(w), what, u) for w, rot in points]
+    return terms[0] if family == "K" else _plus(*terms, what, u)
 
 
 def bessel_phi_repr(spec: BesselSpec, u: complex, base: QBase) -> SeriesValue:
@@ -609,17 +618,19 @@ def bessel_type3_repr(
 
     The family map of f(w) = sum_l c_l w^l over the geometric-mean tables
     (`_type3_tables`, of the window of `qexp._laurent_window`, at least
-    max(2, window)), summed by `qexp._laurent_sum` over the rows |l| <= k
-    of that rule; its tail bound from k + 1 on joins the bound, and
-    terms_used counts the 2k + 1 rows summed.  As c_l^2 = c1_l c2_l, the
-    rows obey the type-2 Gaussian at half its weight ascending and the
+    max(2, window)): f is `qexp._laurent_sum` over the rows |l| <= k of
+    that rule, a bounded value whose bound carries the tail from k + 1 on,
+    and terms_used counts the 2k + 1 rows summed.  As c_l^2 = c1_l c2_l,
+    the rows obey the type-2 Gaussian at half its weight ascending and the
     type-1 decay q^l descending.  The bound grows with the cancellation in
     f, as for K, whose single point w = -u alternates the signs.  The
     connection error at orders other than half-integers (`bessel_phi_repr`)
-    stays outside it.
+    stays outside it.  A window below 1 raises ValueError.
     """
     if family not in _FAMILIES:
         raise ValueError(f"family must be one of {_FAMILIES}, got {family!r}")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     au = abs(u)
     if au <= base.q:
         raise DomainError(f"two-sided series requires |u| > q, got |u|={au}")
@@ -629,12 +640,7 @@ def bessel_type3_repr(
     # both tables by C q^(w l(l-1)/2) and C q^l, C = e^log_bound / (1 - q).
     log_c = _phi_bound(nu, base)[0] - math.log1p(-base.q)
     L, k, tail = _laurent_window((0.5, 0.0), lambda n: log_c, max(2, window), au, base)
-    tables = _type3_tables(nu, L, base)
-
-    def f(w: complex) -> _Ball:
-        s, err = _laurent_sum(tables, w, k)
-        return _Ball(s, err + tail, 0)
-
+    f = functools.partial(_laurent_sum, _type3_tables(nu, L, base), k=k, tail=tail)
     v, err, _ = _family(family, nu, u, f, base)
     return SeriesValue(v, err, 2 * k + 1)
 

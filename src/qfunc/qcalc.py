@@ -28,8 +28,9 @@ bound: once |t_n| < tol |s|, a closed-form R >= sup_(k>=n) |r_k z| from
 the parameters bounds the tail past t_n by |t_n| R / (1 - R), and the sum
 ends when that is below tol |s| too; a first-order rounding bound is added.
 
-The two-sided sums are one Horner evaluator (`qexp._laurent_sum`) over
-coefficients summed to eps whatever tol is: closed forms from product
+The two-sided sums are one Horner evaluator (`qexp._laurent_sum`), whose
+bounded value carries the window's tail, over coefficients summed to eps
+whatever tol is: closed forms from product
 identities for Lambda_1 and Lambda_2 (`qexp._lambda_coeffs`), dot
 products of two precomputed sequences (`qexp._cauchy_table`) for the
 rest; their window and tail come from the coefficients' a-priori bound
@@ -43,7 +44,11 @@ A bound is composed from the bounds of its parts by one product rule
 (`_times`) and one sum rule (`_plus`) on bounded values, a `SeriesValue`
 or the rules' own `_Ball` of the same fields; a constant enters them as
 a bounded value that counts its own rounding (`_const`), q-gamma with
-the error of its log forms (`_qgamma`).
+the error of its log forms (`_qgamma`).  The routines that sum in float
+arithmetic (`_qseries`, `_log_poch`, `qexp._pole_sum`, `qexp._cauchy_table`,
+`qexp._laurent_sum`) return a bound derived in their docstrings, and the
+rules compose everything above them; the one radius still written by hand
+is `qexp.qexp_eval`'s type-1 reciprocal.
 
 An infinite product (a;q)_inf is the one other loop, and its native form
 is its logarithm (`_log_poch`), O(sqrt(ln(1/eps) / ln(1/q))) work for
@@ -738,11 +743,11 @@ def lattice_decompose(u: complex, base: QBase) -> LatticePoint:
     """Decompose nonzero u as |u| = q^(n+lam), theta = arg u.
 
     Uses floor (not truncation toward zero) so lam is in [0,1) for all
-    magnitudes.
+    magnitudes.  A u that is 0 or not finite raises DomainError.
     """
     u = complex(u)
-    if u == 0:
-        raise DomainError("cannot decompose u = 0 on the q-lattice")
+    if u == 0 or not cmath.isfinite(u):
+        raise DomainError(f"cannot decompose u = {u} on the q-lattice")
     t = math.log(abs(u)) / math.log(base.q)
     n = math.floor(t)
     lam = t - n

@@ -59,6 +59,7 @@ from .qcalc import (
     QBase,
     SeriesValue,
     _Ball,
+    _ball,
     _base_poch,
     _const,
     _log_poch,
@@ -454,7 +455,7 @@ def _inv_qq(power: int, base: QBase) -> Tuple[float, float]:
     return math.exp(-power * lqq), math.expm1(power * dl)
 
 
-def _pole_sum(w: complex, e: int, q: float, dw: float = 0.0) -> SeriesValue:
+def _pole_sum(w: complex, e: int, q: float, dw: float = 0.0) -> _Ball:
     """S(w, e) = sum_(m>=0) (-1)^m g_m / (1 - q^m w), g_m = q^(m(m+1)/2 + m e),
     for |w| < 1 and e >= 0, with w known to a relative dw: the Gaussian sum
     of Lambda_1's pole expansion (`_lambda_coeffs`, `lambda_laurent_eval`).
@@ -478,7 +479,7 @@ def _pole_sum(w: complex, e: int, q: float, dw: float = 0.0) -> SeriesValue:
     s = complex(math.fsum([x.real for x in t]), math.fsum([x.imag for x in t]))
     kappa = 8.0 * _EPS + (3.0 * _EPS + dw) * aw / (1.0 - aw)
     rest = (g[m] / (1.0 - q ** (m + 1 + e)) + (m + 1) * 2.0**-1074) / (1.0 - aw)
-    return SeriesValue(s, kappa * sum(map(abs, t)) + _EPS * abs(s) + rest, m)
+    return _ball((s, kappa * sum(map(abs, t)) + _EPS * abs(s) + rest, m))
 
 
 @functools.lru_cache(maxsize=32)
@@ -558,14 +559,16 @@ def _laurent_sum(
     rows: Tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]],
     w: complex,
     k: int,
-) -> Tuple[complex, float]:
-    """sum_(l<=k) plus_l w^l + sum_(1<=l<=k) minus_l w^(-l) by Horner's rule
-    in w and in 1/w, over rows (plus, minus, bplus, bminus) in
-    `_cauchy_table`'s layout, and its bound sum_(l<=k) (b_l + g |c_l|) |w|^l.
+    tail: float,
+) -> _Ball:
+    """The two-sided sum at w as a bounded value of 2k + 1 terms: the value
+    sum_(l<=k) plus_l w^l + sum_(1<=l<=k) minus_l w^(-l) by Horner's rule in
+    w and in 1/w, over rows (plus, minus, bplus, bminus) in `_cauchy_table`'s
+    layout, and the bound sum_(l<=k) (b_l + g |c_l|) |w|^l + tail.
     g = 10 (k + 1) eps covers Horner's rule (Higham, Accuracy and Stability
     of Numerical Algorithms, ch. 5): at most 4 eps per step for the complex
     product and sum, 6 eps per power of 1/w.  Rows past k are not summed:
-    the caller's tail bound from k + 1 on covers them (`_laurent_window`).
+    tail, the caller's bound from k + 1 on (`_laurent_window`), covers them.
     A sum or bound that overflows raises DomainError.
     """
     plus, minus, bplus, bminus = rows
@@ -582,9 +585,9 @@ def _laurent_sum(
     for c, b in zip(reversed(minus[:k]), reversed(bminus[:k])):
         t = (t + c) * v
         rt = (rt + b + g * abs(c)) / aw
-    if not (cmath.isfinite(s + t) and math.isfinite(r + rt)):
+    if not (cmath.isfinite(s + t) and math.isfinite(r + rt + tail)):
         raise DomainError(f"two-sided sum at |w|={aw} overflows a double")
-    return s + t, r + rt
+    return _ball((s + t, r + rt + tail, 2 * k + 1))
 
 
 def _least_n(a: float, b: float, y: float) -> int:
@@ -686,12 +689,13 @@ def lambda_laurent_eval(
 ) -> SeriesValue:
     """Evaluate the two-sided expansion sum_l a_l u^l.
 
-    Types 2 and 3 sum the rows |l| <= k of `_laurent_window` by
-    `_laurent_sum` from a table of at least `window` rows and add its tail
-    bound from k + 1 on, whose row bound C is exact for type 2 and an
-    evaluated e3 for type 3.  Every a_l is positive, so the bound's
-    rounding term is 10 (k + 1) eps Lambda(|u|), which near arg u = pi can
-    exceed |Lambda(u)| by orders of magnitude; terms_used is 2k + 1.
+    Types 2 and 3 are one `_laurent_sum` of the rows |l| <= k of
+    `_laurent_window`, from a table of at least `window` rows, whose bound
+    carries the window's tail from k + 1 on; the tail's row bound C is
+    exact for type 2 and an evaluated e3 for type 3.  Every a_l is
+    positive, so the bound's rounding term is 10 (k + 1) eps Lambda(|u|),
+    which near arg u = pi can exceed |Lambda(u)| by orders of magnitude;
+    terms_used is 2k + 1.
 
     Type 1 sums all its rows at once: summed over l, the pole expansion of
     its coefficients (`_lambda_coeffs`) is Lambda_1(u) = (q;q)_inf^-2 (S(u,
@@ -735,8 +739,7 @@ def lambda_laurent_eval(
         return math.log(abs(sv.value) + sv.err_estimate) - log_qq
 
     L, k, tail = _laurent_window((w, w), log_c, window, au, base)
-    s, err = _laurent_sum(_lambda_coeffs(kind, L, base), u, k)
-    return SeriesValue(s, err + tail, 2 * k + 1)
+    return SeriesValue(*_laurent_sum(_lambda_coeffs(kind, L, base), u, k, tail))
 
 
 def lambda_closed_form(kind: KindTag, u: complex, base: QBase) -> complex:

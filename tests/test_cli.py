@@ -423,6 +423,16 @@ class TestAsym:
         assert code == 64 and out == ""
         assert err.startswith("error: NegativeProduct: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", [None, "-inf", "-1e308", "nan"])
+    def test_power_outside_the_doubles_exits_64(self, capsys, lam):
+        # q^(n+lam) is beyond the doubles at every row (a float pow raises
+        # OverflowError there) or, for lam = nan, not a number.
+        argv = ["asym", "--selector", "qexp:2", "--q", "0.5", "--n-start=-2000", "--n-stop=-2002"]
+        code, out, err = run_cli(capsys, *argv, *([f"--lam={lam}"] if lam else []))
+        assert code == 64 and out == ""
+        assert err.startswith("error: DomainError: q^(n+lam) at q=0.5, n=-2000")
+        assert err.count("\n") == 1
+
 
 class TestLaurent:
     def test_lambda_table_matches_library(self, capsys):

@@ -13,7 +13,10 @@ Only one function of `qcalc` reads `_TERMINATES`, the tolerance at which
 a series' upper factor is taken as 0, so no other code re-derives where a
 series ends.  The top-level functions that call the summation kernel
 `_qseries` are exactly the callers that `qcalc`'s module docstring lists
-in its table, so the table cannot go stale.  Every backticked
+in its table, so the table cannot go stale.  No private function
+constructs a `SeriesValue`: the bound rules and their callers pass
+`qcalc._Ball`s, and a public function turns the last one into a
+`SeriesValue` where it returns it.  Every backticked
 `qcalc.`, `qexp.`, `qbessel.`, `harness.` or `cli.` name in the package
 source and in README.md must still exist, so no document names a routine
 that was renamed or deleted.
@@ -199,6 +202,34 @@ def test_gate_sees_a_kernel_caller_missing_from_the_table():
     assert _table_callers(source) == {"f", "_g"}
     assert _kernel_callers([source, other]) == {"f", "_g"}
     assert _kernel_callers([source, other, stray]) == {"f", "_g", "k"}
+
+
+def _private_series_values(source):
+    """Names of the `_`-prefixed functions of the source, at any depth, that
+    call `SeriesValue` anywhere in their body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+            calls = (n for n in ast.walk(node) if isinstance(n, ast.Call))
+            if any(getattr(c.func, "id", getattr(c.func, "attr", None)) == "SeriesValue" for c in calls):
+                found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_function_builds_a_series_value(path):
+    assert _private_series_values(path.read_text()) == set()
+
+
+def test_gate_sees_a_private_series_value():
+    source = (
+        "def _a(v):\n    return SeriesValue(v, 0.0, 1)\n"
+        "def _b(v):\n    return qcalc.SeriesValue(*v)\n"
+        "def c(v):\n    def _d():\n        return SeriesValue(v, 0.0, 0)\n    return _d()\n"
+        "def e(v):\n    return SeriesValue(*_ball(v))\n"
+        "def _f(v):\n    return _ball(v)\n"
+    )
+    assert _private_series_values(source) == {"_a", "_b", "_d"}
 
 
 _NAMED = re.compile(r"`(?:qfunc\.)?(qcalc|qexp|qbessel|harness|cli)\.(\w+)")

@@ -15,6 +15,7 @@ from oracles import bessel_oracle, bessel_series_oracle
 from qfunc import harness, qbessel, qcalc, qexp
 from qfunc.errors import (
     DomainError,
+    LimitUnstable,
     NegativeProduct,
     NonConvergence,
     ParameterPole,
@@ -349,6 +350,11 @@ class TestTypeThreeRepresentation:
         with pytest.raises(ValueError):
             bessel_type3_repr("X", 0.5, 3.0, 12, BASE)
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_is_rejected(self, window):
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            bessel_type3_repr("I", 0.5, 3.0, window, BASE)
+
 
 class TestAsymptotics:
     def test_modified_k_error_decays(self):
@@ -451,6 +457,22 @@ def _sweep_grid():
     return grid + [(q, kind, family, 0.25, 1.0) for q, kind, family in near]
 
 
+def _integer_grid():
+    """(q, kind, family, nu, z) of the integer-order sweep: 200 seeded draws
+    of Y and K at nu in {0, 1, 2}, type 1 kept inside 0.9 of its disc."""
+    rng = random.Random(5)
+    grid = []
+    for _ in range(200):
+        q = rng.uniform(0.2, 0.9)
+        j = rng.choice((1, 2, 3))
+        family = rng.choice("YK")
+        nu = rng.choice((0, 1, 2))
+        z = 10 ** rng.uniform(-1, 0.3)
+        if j > 1 or z < 0.9 / (1.0 - q * q):
+            grid.append((q, KindTag.from_j(j), family, nu, z))
+    return grid
+
+
 class TestBoundSweep:
     """err_estimate bounds |value - oracle| for every family and type."""
 
@@ -474,6 +496,29 @@ class TestBoundSweep:
             if not error <= sv.err_estimate:
                 short.append((kind.j, family, nu, q, z, error, sv.err_estimate))
         assert checked == 600 and short == []
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_integer_order_is_within_its_bound(self, tol):
+        # The oracle is the mean of the defining combination at nu +- 1e-12,
+        # to 40 digits of which the pole of its constant costs 12: good to
+        # about 1e-24 relative.  The extrapolants' spread alone is no bound
+        # here: it under-reports by up to 204 times (K of type 1, nu = 1,
+        # q = 0.641, z = 1.08: error 3.4e-7 against 1.7e-9 at tol 1e-6).
+        mpmath = pytest.importorskip("mpmath")
+        short, checked = [], 0
+        for q, kind, family, nu, z in _integer_grid():
+            try:
+                sv = bessel_value(BesselSpec(kind, family, nu), z, QBase(q, tol=tol))
+            except LimitUnstable:
+                continue
+            checked += 1
+            with mpmath.workdps(40):
+                d = mpmath.mpf(1e-12)  # nu +- d are exact at 40 digits
+                pair = [bessel_oracle(kind.delta, family, nu + s, z, q) for s in (d, -d)]
+                error = float(abs(sv.value - (pair[0] + pair[1]) / 2))
+            if not error <= sv.err_estimate:
+                short.append((kind.j, family, nu, q, z, error, sv.err_estimate))
+        assert (checked, short) == ({1e-12: 181, 1e-6: 195}[tol], [])
 
 
 class TestNonFiniteArgument:

@@ -481,6 +481,11 @@ class TestLattice:
         with pytest.raises(DomainError):
             lattice_decompose(0.0, BASE)
 
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_rejects_a_non_finite_argument(self, u):
+        with pytest.raises(DomainError, match="cannot decompose u"):
+            lattice_decompose(u, BASE)
+
     def test_exact_power_has_zero_offset(self):
         p = lattice_decompose(BASE.q**3, BASE)
         assert p.n == 3 and p.lam == 0.0 and p.theta == 0.0
