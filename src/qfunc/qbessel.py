@@ -323,8 +323,8 @@ def bessel_combination(
     The extrapolant is w_2 s_2 - w_1 s_1, s_i = 2 g_i the pair's sum at
     eps_i, w_i = eps_(3-i)^2 / (2 (eps_1^2 - eps_2^2)), composed by the
     product (`qcalc._times`) and sum (`qcalc._plus`) rules from the four
-    combinations' bounds.  Each weight enters as a constant good to 5 eps
-    (eps = 2^-53): 1 for its square, 3 for the difference of the two
+    combinations' bounds.  Each weight enters as a constant good to 5
+    units of 2^-53: 1 for its square, 3 for the difference of the two
     squares (eps_2 = eps_1 / 10, so it does not cancel) and 1 for the
     quotient; the doubling is exact.  The bound is that composed bound
     plus the spread |g_1 - g_2|, which stands for the extrapolation's own
